@@ -16,9 +16,9 @@ from . import synth
 from .detection import DEFAULT_TOLERANCE, DEFAULT_Z_MIN
 from .online import watch
 from .pipeline import analyze_trace
-from .sampling import discretize
+from .sampling import sample_requests
 from .spectral import dft
-from .trace import TraceParseError, TraceValidationError, merge_bandwidth, parse_trace, write_trace
+from .trace import TraceParseError, TraceValidationError, parse_trace, write_trace
 
 DEFAULT_FS = 10.0
 
@@ -201,13 +201,13 @@ def _cmd_spectrum(args) -> int:
     if len(trace) == 0:
         print("empty trace", file=sys.stderr)
         return 1
-    signal = merge_bandwidth(trace)
     window = tuple(args.window) if args.window else None
-    sampled = discretize(signal, args.freq, window=window)
+    _, sampled, _ = sample_requests(trace, args.freq, window)
     spectrum = dft(sampled)
     out = _open_out(args.out)
     try:
-        spectrum.to_csv(out)
+        # amplitudes in bytes/s, as ``detect --spectrum-out`` writes them
+        spectrum.to_csv(out, amplitude_scale=float(trace.volume))
     finally:
         if out is not sys.stdout:
             out.close()

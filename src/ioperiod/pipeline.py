@@ -1,5 +1,5 @@
-"""End-to-end analysis of one trace window: merge, discretize, DFT,
-dominant-frequency detection, metrics.
+"""End-to-end analysis of one trace window: sample, DFT, dominant-frequency
+detection, metrics.
 
 The sampled signal fed to the detector is normalized to unit total volume
 (the exact integer byte total divides every byte count).  This conditions
@@ -25,12 +25,15 @@ from .metrics import MetricsReport, compute_metrics
 from .sampling import (
     BAD_SAMPLING_THRESHOLD,
     NoVolumeError,
+    SampledSignal,
     SamplingQualityWarning,
     discretize,
+    sample_requests,
     sampling_error,
+    volume_error,
 )
 from .spectral import Spectrum, dft
-from .trace import BandwidthSignal, Trace, merge_bandwidth
+from .trace import BandwidthSignal, Trace
 
 
 @dataclass(frozen=True)
@@ -91,23 +94,60 @@ def analyze_signal(
     window: tuple[float, float] | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
     z_min: float = DEFAULT_Z_MIN,
-    sampling_mode: str = "point",
     volume_scale: float = 1.0,
 ) -> AnalysisResult:
     """Run detection and metrics on a bandwidth signal over one window."""
     win = window if window is not None else signal.domain
-    sampled = discretize(signal, fs, window=win, mode=sampling_mode)
+    sampled = discretize(signal, fs, window=win)
     try:
         err = sampling_error(signal, sampled)
     except NoVolumeError:
         err = None
+    return _analyze_sampled(sampled, err, win, tolerance, z_min, volume_scale)
+
+
+def analyze_trace(
+    trace: Trace,
+    fs: float,
+    window: tuple[float, float] | None = None,
+    tolerance: float = DEFAULT_TOLERANCE,
+    z_min: float = DEFAULT_Z_MIN,
+    kind: str = "both",
+) -> AnalysisResult:
+    """Run the full pipeline on a trace; empty input yields a no-data result.
+
+    The grid is sampled straight from the requests; the result equals
+    ``analyze_signal`` on ``merge_bandwidth(trace, unit_volume=True)`` up to
+    float rounding.
+    """
+    selected = trace.filter_kind(kind)
+    if len(selected) == 0 or selected.volume == 0:
+        win = window if window is not None else (0.0, 0.0)
+        return _empty_result(win)
+    win, sampled, v_0 = sample_requests(selected, fs, window)
+    try:
+        err = volume_error(sampled, v_0)
+    except NoVolumeError:
+        err = None
+    return _analyze_sampled(sampled, err, win, tolerance, z_min, float(selected.volume))
+
+
+def _analyze_sampled(
+    sampled: SampledSignal,
+    err: float | None,
+    win: tuple[float, float],
+    tolerance: float,
+    z_min: float,
+    volume_scale: float,
+) -> AnalysisResult:
+    """DFT, detection and metrics of one sampled window."""
     if err is not None and abs(err) > BAD_SAMPLING_THRESHOLD:
         warnings.warn(
             f"abstraction error {err:.3g} exceeds {BAD_SAMPLING_THRESHOLD}; "
             "the signal is under-sampled and the analysis is unreliable "
             "(raise the sampling frequency)",
             SamplingQualityWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     if sampled.n < 2 or float(sampled.samples.sum()) == 0.0:
         # nothing to transform, but the sampling verdict still stands
@@ -129,30 +169,4 @@ def analyze_signal(
         window=win,
         no_data=False,
         volume_scale=volume_scale,
-    )
-
-
-def analyze_trace(
-    trace: Trace,
-    fs: float,
-    window: tuple[float, float] | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-    z_min: float = DEFAULT_Z_MIN,
-    kind: str = "both",
-    sampling_mode: str = "point",
-) -> AnalysisResult:
-    """Run the full pipeline on a trace; empty input yields a no-data result."""
-    selected = trace.filter_kind(kind)
-    if len(selected) == 0 or selected.volume == 0:
-        win = window if window is not None else (0.0, 0.0)
-        return _empty_result(win)
-    signal = merge_bandwidth(selected, unit_volume=True)
-    return analyze_signal(
-        signal,
-        fs,
-        window=window,
-        tolerance=tolerance,
-        z_min=z_min,
-        sampling_mode=sampling_mode,
-        volume_scale=float(selected.volume),
     )

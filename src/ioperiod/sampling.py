@@ -1,8 +1,10 @@
 """Discretization of the bandwidth signal and its abstraction error.
 
-The continuous signal is point-sampled at a fixed rate over a time window;
-the relative volume mismatch between the zero-order-hold reconstruction and
-the continuous signal quantifies how faithful the discretization is.
+The continuous signal is point-sampled at a fixed rate over a time window,
+either from a merged ``BandwidthSignal`` (``discretize``, the reference) or
+straight from the requests (``sample_requests``, the analysis path); the
+relative volume mismatch between the zero-order-hold reconstruction and the
+continuous signal quantifies how faithful the discretization is.
 """
 from __future__ import annotations
 
@@ -11,11 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trace import BandwidthSignal
+from .trace import BandwidthSignal, Trace, request_rates
 
 #: |sampling_error| beyond this value indicates the signal was under-sampled
 #: and the analysis should not be trusted.
 BAD_SAMPLING_THRESHOLD = 0.01
+
+#: most samples one analysis window may hold (window x fs).  The transform
+#: of 2^21 samples runs at 2^22 points, 64 MiB per complex array.
+MAX_SAMPLES = 1 << 21
 
 
 class SamplingQualityWarning(UserWarning):
@@ -73,6 +79,25 @@ class SampledSignal:
         return self.t0 + np.arange(self.n) * self.ts
 
 
+def _grid_size(t_lo: float, t_hi: float, fs: float) -> tuple[int, float]:
+    """Sample count and interval of the grid t_lo + arange(n)/fs on a window."""
+    if not 0.0 < fs < math.inf:
+        raise ValueError("sampling frequency must be positive and finite")
+    if not t_lo < t_hi:
+        raise ValueError("empty sampling window")
+    span = (t_hi - t_lo) * fs
+    n = snap_floor(min(span, MAX_SAMPLES + 1))
+    if n > MAX_SAMPLES:
+        raise ValueError(
+            f"window of {t_hi - t_lo:.6g} s at {fs:.6g} Hz needs {span:.4g} samples, "
+            f"more than the limit of {MAX_SAMPLES}; lower the sampling frequency "
+            "or shorten the window"
+        )
+    if n < 1:
+        raise ValueError("window shorter than one sampling interval")
+    return n, 1.0 / fs
+
+
 def discretize(
     signal: BandwidthSignal,
     fs: float,
@@ -86,36 +111,77 @@ def discretize(
     signal over each sampling bin, which preserves volume exactly.
     Windows extending beyond the signal domain sample zeros there.
     """
-    if fs <= 0:
-        raise ValueError("sampling frequency must be positive")
     t_lo, t_hi = window if window is not None else signal.domain
-    if t_hi <= t_lo:
-        raise ValueError("empty sampling window")
-    n = snap_floor((t_hi - t_lo) * fs)
-    if n < 1:
-        raise ValueError("window shorter than one sampling interval")
-    ts = 1.0 / fs
+    n, ts = _grid_size(t_lo, t_hi, fs)
     if mode == "point":
         samples = signal.value_at(t_lo + np.arange(n) * ts)
     elif mode == "mean":
+        # running integral at the breakpoints, exact in between by linear
+        # interpolation because each piece is constant; np.interp holds the
+        # end values outside the domain
+        cumulative = np.concatenate(([0.0], np.cumsum(signal.values * np.diff(signal.times))))
         edges = t_lo + np.arange(n + 1) * ts
-        left = np.maximum(signal.times[:-1][:, None], edges[None, :-1])
-        right = np.minimum(signal.times[1:][:, None], edges[None, 1:])
-        overlap = np.maximum(right - left, 0.0)
-        samples = (signal.values @ overlap) * fs
+        samples = np.diff(np.interp(edges, signal.times, cumulative)) * fs
     else:
         raise ValueError(f"unknown sampling mode {mode!r}")
     return SampledSignal(t0=float(t_lo), ts=ts, samples=samples)
 
 
-def sampling_error(signal: BandwidthSignal, sampled: SampledSignal) -> float:
+def sample_requests(
+    trace: Trace,
+    fs: float,
+    window: tuple[float, float] | None = None,
+) -> tuple[tuple[float, float], SampledSignal, float]:
+    """Point-sample the unit-volume bandwidth of a trace straight from its requests.
+
+    Gives what ``discretize(merge_bandwidth(trace, unit_volume=True), fs,
+    window)`` gives, without building the breakpoint signal: sample i takes
+    the summed rate of every request j with start_j <= t_i < end_j.  The
+    window defaults to the span of the requests with positive duration.
+
+    Returns the window, the samples, and V_0, the exact volume of the
+    unit-volume signal over the covered window [t0, t0 + n*ts), for
+    ``volume_error``.
+    """
+    start, end, rate = request_rates(trace, unit_volume=True)
+    win = window if window is not None else (float(start.min()), float(end.max()))
+    t_lo = win[0]
+    n, ts = _grid_size(t_lo, win[1], fs)
+    grid = t_lo + np.arange(n) * ts
+    # each request covers the samples [first, stop); searchsorted on the
+    # grid itself places the boundaries exactly where value_at does
+    first = np.searchsorted(grid, start)
+    stop = np.searchsorted(grid, end)
+    # bincount adds in input order; ordering by rate fixes that order
+    # whatever the request order (equal rates are equal values).  Requests
+    # that cover no sample are left out rather than added and cancelled.
+    covering = np.flatnonzero(first < stop)
+    order = covering[np.argsort(rate[covering])]
+    weights = rate[order]
+    steps = (np.bincount(first[order], weights, minlength=n + 1)
+             - np.bincount(stop[order], weights, minlength=n + 1))
+    # float even when no request covers a sample (bincount then gives ints)
+    samples = np.cumsum(steps[:n], dtype=np.float64)
+    np.maximum(samples, 0.0, out=samples)  # clamp float residue of cancelling rates
+    overlap = np.minimum(end, t_lo + n * ts) - np.maximum(start, t_lo)
+    np.maximum(overlap, 0.0, out=overlap)
+    # summed in sorted order, so V_0 too is independent of request order
+    v_0 = float(np.sort(rate * overlap).sum())
+    return win, SampledSignal(t0=float(t_lo), ts=ts, samples=samples), v_0
+
+
+def volume_error(sampled: SampledSignal, v_0: float) -> float:
     """Relative volume mismatch (V_s - V_0) / V_0 of the discretization.
 
     V_s is the zero-order-hold volume of the samples and V_0 the exact
     integral of the continuous signal over the covered window.
     """
     v_s = sampled.ts * float(sampled.samples.sum())
-    v_0 = signal.integral(sampled.t0, sampled.t0 + sampled.duration)
     if v_0 == 0.0:
         raise NoVolumeError("no I/O volume in the sampled window")
     return (v_s - v_0) / v_0
+
+
+def sampling_error(signal: BandwidthSignal, sampled: SampledSignal) -> float:
+    """``volume_error`` of samples taken from a breakpoint signal."""
+    return volume_error(sampled, signal.integral(sampled.t0, sampled.t0 + sampled.duration))

@@ -1,8 +1,10 @@
 """Trace data model: per-rank timed I/O requests and the merged bandwidth signal.
 
 A trace file is line-delimited JSON, one request per line with fields
-``rank`` (int), ``start`` (float, seconds), ``end`` (float, seconds),
-``bytes`` (int), ``kind`` ("read"|"write").  An optional first line holding
+``rank`` (int), ``start`` (finite number, seconds), ``end`` (finite number,
+seconds, not before ``start``), ``bytes`` (int), ``kind`` ("read"|"write").
+Integers are JSON integers within the int64 range, never booleans or
+fractions.  An optional first line holding
 ``"meta": true`` carries free-form string metadata.  Appends are always whole
 lines; readers tolerate a trailing partial line (online tailing) by ignoring
 it.
@@ -12,6 +14,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import sys
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
@@ -169,6 +172,34 @@ def _iter_complete_lines(source) -> Iterator[str]:
         yield line.decode("utf-8", errors="replace")
 
 
+#: JSON number types a time may have; bool is excluded by exact type tests
+_TIME_TYPES = (float, int)
+_FLOAT_MAX = sys.float_info.max
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _record_error(rank, start, end, nbytes, kind, lineno: int) -> ValueError:
+    """The error for a record whose fields failed ``parse_trace``'s test."""
+    for name, value in (("rank", rank), ("bytes", nbytes)):
+        if type(value) is not int:
+            return TraceParseError(f"{name} must be an integer, got {value!r}", lineno)
+    for name, value in (("start", start), ("end", end)):
+        if type(value) not in _TIME_TYPES:
+            return TraceParseError(f"{name} must be a number, got {value!r}", lineno)
+        if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            return TraceParseError(f"{name} must be finite, got {value!r}", lineno)
+    if kind not in KINDS:
+        return TraceParseError(f"unknown kind {kind!r}", lineno)
+    if end < start:
+        return TraceValidationError(f"line {lineno}: negative duration")
+    if nbytes < 0:
+        return TraceValidationError(f"line {lineno}: negative byte count")
+    if rank < 0:
+        return TraceValidationError(f"line {lineno}: negative rank")
+    name, value = ("rank", rank) if rank > _INT64_MAX else ("bytes", nbytes)
+    return TraceParseError(f"{name} {value} exceeds the 64-bit integer range", lineno)
+
+
 def parse_trace(source, kind_filter: str = "both") -> Trace:
     """Parse a line-delimited trace from a path, stream, or bytes.
 
@@ -193,19 +224,20 @@ def parse_trace(source, kind_filter: str = "both") -> Trace:
             metadata.update({k: str(v) for k, v in rec.items() if k != "meta"})
             continue
         try:
-            r = int(rec["rank"])
-            s = float(rec["start"])
-            e = float(rec["end"])
-            b = int(rec["bytes"])
+            r = rec["rank"]
+            s = rec["start"]
+            e = rec["end"]
+            b = rec["bytes"]
             kind = rec["kind"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TraceParseError(f"bad record fields: {exc}", lineno) from exc
-        if kind not in KINDS:
-            raise TraceParseError(f"unknown kind {kind!r}", lineno)
-        if e < s:
-            raise TraceValidationError(f"line {lineno}: negative duration")
-        if b < 0:
-            raise TraceValidationError(f"line {lineno}: negative byte count")
+        except KeyError as exc:
+            raise TraceParseError(f"missing field {exc}", lineno) from exc
+        # one chained test keeps the per-line cost flat; _record_error then
+        # says which field failed
+        if not (type(r) is int and type(b) is int
+                and type(s) in _TIME_TYPES and type(e) in _TIME_TYPES
+                and 0 <= r <= _INT64_MAX and 0 <= b <= _INT64_MAX
+                and -_FLOAT_MAX <= s <= e <= _FLOAT_MAX and kind in KINDS):
+            raise _record_error(r, s, e, b, kind, lineno)
         if kind_filter != "both" and kind != kind_filter:
             continue
         rank.append(r)
@@ -287,17 +319,18 @@ class BandwidthSignal:
         return self.integral()
 
 
-def merge_bandwidth(trace: Trace, *, unit_volume: bool = False) -> BandwidthSignal:
-    """Merge per-rank requests into one application-level bandwidth signal.
+def request_rates(
+    trace: Trace, *, unit_volume: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start, end and uniform rate bytes/(end-start) of each request.
 
-    Each request contributes a uniform rate bytes/(end-start) over its
-    interval; overlapping contributions sum.  Zero-duration requests with
-    zero bytes are dropped; with nonzero bytes they have no defined rate and
-    are rejected.
+    Zero-duration requests with zero bytes are dropped; with nonzero bytes
+    they have no defined rate and are rejected, as is a trace with no
+    request of positive duration.
 
     With ``unit_volume=True`` byte counts are first divided by the exact
-    integer total volume, so the resulting signal integrates to 1.  Because
-    the division (c*b)/(c*V) rounds identically for any integer scale c,
+    integer total volume, so the rates integrate to 1.  Because the
+    division (c*b)/(c*V) rounds identically for any integer scale c,
     downstream dimensionless results are bit-for-bit independent of a
     uniform byte-count rescaling.
     """
@@ -310,14 +343,26 @@ def merge_bandwidth(trace: Trace, *, unit_volume: bool = False) -> BandwidthSign
     keep = ~zero_dur
     if not np.any(keep):
         raise TraceValidationError("no requests with positive duration")
-    b = trace.nbytes[keep].astype(np.float64)
     if unit_volume:
         total = trace.volume
         if total <= 0:
             raise TraceValidationError("cannot normalize a zero-volume trace")
         b = trace.nbytes[keep] / total
-    rates = b / dur[keep]
-    times = np.concatenate([trace.start[keep], trace.end[keep]])
+    else:
+        b = trace.nbytes[keep].astype(np.float64)
+    return trace.start[keep], trace.end[keep], b / dur[keep]
+
+
+def merge_bandwidth(trace: Trace, *, unit_volume: bool = False) -> BandwidthSignal:
+    """Merge per-rank requests into one application-level bandwidth signal.
+
+    Each request contributes its uniform rate (see ``request_rates``, which
+    also gives the meaning of ``unit_volume``) over its interval;
+    overlapping contributions sum.  This is the exact breakpoint signal;
+    the analysis samples its grid straight from the requests instead.
+    """
+    start, end, rates = request_rates(trace, unit_volume=unit_volume)
+    times = np.concatenate([start, end])
     deltas = np.concatenate([rates, -rates])
     # sorting by (time, delta) fixes the accumulation order, making the
     # merge bitwise independent of the request order in the trace

@@ -33,6 +33,16 @@ def trace_text(rows, meta=None):
     return "\n".join(lines) + "\n"
 
 
+#: trace lines whose numbers a trace must not hold, keyed by test id
+HOSTILE_RECORDS = {
+    "end-infinity": '{"rank": 0, "start": 0.0, "end": Infinity, "bytes": 1, "kind": "read"}',
+    "bytes-infinity": '{"rank": 0, "start": 0.0, "end": 1.0, "bytes": Infinity, "kind": "read"}',
+    "start-nan": '{"rank": 0, "start": NaN, "end": 1.0, "bytes": 1, "kind": "read"}',
+    "start-bool": '{"rank": 0, "start": true, "end": 1.0, "bytes": 1, "kind": "read"}',
+    "fractional-bytes": '{"rank": 0, "start": 0.0, "end": 1.0, "bytes": 5.7, "kind": "read"}',
+}
+
+
 def pulse_train(period, n_pulses, duty=0.2, nbytes=10 ** 9, t0=0.0):
     """Trace of evenly spaced single-rank bursts: one per period."""
     rows = []

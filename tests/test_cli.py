@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from conftest import trace_text
+from conftest import HOSTILE_RECORDS, trace_text
 
 from ioperiod.cli import main
+from ioperiod.sampling import MAX_SAMPLES
 
 
 def write_pulses(path, n_pulses=7, period=10.0, phase_len=2.0):
@@ -62,6 +63,19 @@ class TestDetect:
         path.write_text("not json\n")
         assert main(["detect", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", HOSTILE_RECORDS.values(), ids=HOSTILE_RECORDS.keys())
+    def test_hostile_numbers_exit_with_line(self, tmp_path, capsys, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(trace_text([(0, 0.0, 1.0, 100)]) + line + "\n")
+        assert main(["detect", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: line 2: ")
+
+    def test_huge_window_states_the_sample_bound(self, tmp_path, capsys):
+        trace = write_pulses(tmp_path / "t.jsonl")
+        assert main(["detect", str(trace), "--window", "0", "1e13"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(MAX_SAMPLES) in err
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["detect", str(tmp_path / "nope.jsonl")]) == 1
@@ -137,6 +151,14 @@ class TestSpectrumCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].strip() == "k,f_k,amplitude,adjusted_amplitude,phase"
         assert len(lines) > 100
+        # same sampler and amplitude scale as detect, so the same bytes
+        spectrum, exported = tmp_path / "spectrum.csv", tmp_path / "detect.csv"
+        window = ["--window", "1", "63.5"]
+        assert main(["spectrum", str(trace), "--freq", "10", *window,
+                     "--out", str(spectrum)]) == 0
+        assert main(["detect", str(trace), "--freq", "10", *window,
+                     "--spectrum-out", str(exported)]) == 0
+        assert spectrum.read_bytes() == exported.read_bytes()
 
 
 class TestPredict:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_trace, trace_text
+from conftest import HOSTILE_RECORDS, make_trace, trace_text
 from oracles import brute_bandwidth_at
 
 from ioperiod import (
@@ -68,6 +68,35 @@ class TestParsing:
     def test_negative_bytes_rejected(self):
         with pytest.raises(TraceValidationError):
             parse_trace(b'{"rank":0,"start":0.0,"end":1.0,"bytes":-5,"kind":"read"}\n')
+
+    @pytest.mark.parametrize("line", HOSTILE_RECORDS.values(), ids=HOSTILE_RECORDS.keys())
+    def test_hostile_numbers_name_the_line(self, line):
+        text = trace_text([(0, 0.0, 1.0, 100)]) + line + "\n"
+        with pytest.raises(TraceParseError) as exc:
+            parse_trace(text.encode())
+        assert exc.value.line_number == 2
+
+    @given(st.dictionaries(
+        st.sampled_from(["rank", "start", "end", "bytes", "kind"]),
+        st.one_of(
+            st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from(["read", "write", "1.0"]), st.lists(st.integers(), max_size=2),
+        ),
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_fields_parse_or_raise_with_line(self, fields):
+        record = {"rank": 0, "start": 0.0, "end": 1.0, "bytes": 1, "kind": "read"}
+        record.update(fields)
+        text = trace_text([(0, 0.0, 1.0, 100)]) + json.dumps(record) + "\n"
+        try:
+            trace = parse_trace(text.encode())
+        except (TraceParseError, TraceValidationError) as exc:
+            assert "line 2" in str(exc)
+        else:
+            assert len(trace) == 2
+            assert np.all(np.isfinite(trace.start)) and np.all(np.isfinite(trace.end))
+            assert trace.nbytes[1] == record["bytes"]
 
     def test_kind_filter(self):
         text = trace_text([(0, 0.0, 1.0, 100, "read"), (0, 1.0, 2.0, 200, "write")])
