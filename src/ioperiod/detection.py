@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 from .spectral import Spectrum
 
 DEFAULT_TOLERANCE = 0.8
@@ -72,12 +74,8 @@ class PeriodicityResult:
         }
 
 
-def zscores(spectrum: Spectrum) -> CandidateSet:
-    """Z-score every non-DC bin of the single-sided spectrum.
-
-    Uses the mean and population standard deviation of the adjusted
-    amplitudes over k in [1, n/2].
-    """
+def _zscore_array(spectrum: Spectrum) -> tuple[float, float, np.ndarray]:
+    """Mean, population std and Z-scores of the non-DC adjusted amplitudes."""
     amps = spectrum.adjusted_amplitudes[1:]
     if amps.shape[0] < 2:
         raise ValueError("need at least two non-DC bins")
@@ -85,13 +83,39 @@ def zscores(spectrum: Spectrum) -> CandidateSet:
     std = float(amps.std())
     if std == 0.0:
         raise DegenerateSpectrumError("all amplitudes equal; no outliers exist")
-    z = (amps - mean) / std
-    freqs = spectrum.frequencies[1:]
-    entries = tuple(
-        Candidate(k=k + 1, frequency=float(freqs[k]), amplitude=float(amps[k]),
-                  zscore=float(z[k]))
-        for k in range(amps.shape[0])
+    return mean, std, (amps - mean) / std
+
+
+def _passing(k: np.ndarray, z: np.ndarray, spectrum_n: int, tolerance: float,
+             z_min: float) -> np.ndarray:
+    """Mask of the bins whose Z-score is >= tolerance * max(z) and >= z_min.
+
+    The maximum is taken over k < n/2 (all bins if none is below it).
+    """
+    below_nyquist = k < spectrum_n / 2
+    pool = z[below_nyquist] if below_nyquist.any() else z
+    cut = tolerance * float(pool.max())
+    return (z >= cut) & (z >= z_min)
+
+
+def _candidates(spectrum: Spectrum, z: np.ndarray, idx: np.ndarray) -> tuple[Candidate, ...]:
+    """Candidate objects for the non-DC bins at positions ``idx`` of ``z``."""
+    freqs = spectrum.frequencies[1:][idx].tolist()
+    amps = spectrum.adjusted_amplitudes[1:][idx].tolist()
+    return tuple(
+        Candidate(k=i + 1, frequency=f, amplitude=a, zscore=zi)
+        for i, f, a, zi in zip(idx.tolist(), freqs, amps, z[idx].tolist())
     )
+
+
+def zscores(spectrum: Spectrum) -> CandidateSet:
+    """Z-score every non-DC bin of the single-sided spectrum.
+
+    Uses the mean and population standard deviation of the adjusted
+    amplitudes over k in [1, n/2].
+    """
+    mean, std, z = _zscore_array(spectrum)
+    entries = _candidates(spectrum, z, np.arange(z.shape[0]))
     return CandidateSet(entries=entries, mean_amplitude=mean, std_amplitude=std)
 
 
@@ -106,11 +130,10 @@ def find_candidates(
     The maximum is taken over k in [1, n/2), i.e. excluding the even-n
     Nyquist bin, matching the filter as defined.
     """
-    below_nyquist = [c for c in zset.entries if c.k < spectrum_n / 2]
-    pool = below_nyquist or list(zset.entries)
-    z_max = max(c.zscore for c in pool)
-    cut = tolerance * z_max
-    kept = tuple(c for c in zset.entries if c.zscore >= cut and c.zscore >= z_min)
+    k = np.array([c.k for c in zset.entries], dtype=np.int64)
+    z = np.array([c.zscore for c in zset.entries], dtype=np.float64)
+    mask = _passing(k, z, spectrum_n, tolerance, z_min)
+    kept = tuple(c for c, keep in zip(zset.entries, mask.tolist()) if keep)
     return CandidateSet(entries=kept, mean_amplitude=zset.mean_amplitude,
                         std_amplitude=zset.std_amplitude)
 
@@ -183,14 +206,20 @@ def detect(
     """Full extraction chain: Z-scores, candidate filter, harmonic
     suppression, confidence classification.
 
+    The same rule as ``find_candidates(zscores(spectrum), ...)``, computed on
+    arrays; Candidate objects are made only for the bins that pass.
+
     A degenerate spectrum (all amplitudes equal, e.g. a constant signal)
     yields a NO_CANDIDATE result rather than an error.
     """
     try:
-        zset = zscores(spectrum)
+        mean, std, z = _zscore_array(spectrum)
     except DegenerateSpectrumError:
         empty = CandidateSet(entries=(), mean_amplitude=math.nan, std_amplitude=0.0)
         return PeriodicityResult(None, None, Confidence.NO_CANDIDATE, empty)
-    cands = find_candidates(zset, spectrum.n, tolerance=tolerance, z_min=z_min)
+    k = np.arange(1, z.shape[0] + 1)
+    idx = np.flatnonzero(_passing(k, z, spectrum.n, tolerance, z_min))
+    cands = CandidateSet(entries=_candidates(spectrum, z, idx), mean_amplitude=mean,
+                         std_amplitude=std)
     kept, suppressed = suppress_harmonics(cands, spectrum.bin_width)
     return classify(kept, suppressed)

@@ -9,7 +9,6 @@ rescaled back before reporting.
 """
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -71,9 +70,6 @@ class AnalysisResult:
         out["window"] = list(self.window)
         out["no_data"] = self.no_data
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def _empty_result(window: tuple[float, float], err: float | None = None) -> AnalysisResult:

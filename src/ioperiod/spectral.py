@@ -1,16 +1,14 @@
 """DFT of a sampled signal: single-sided spectrum and cosine reconstruction.
 
-The transform itself is an FFT supporting arbitrary lengths: iterative
-radix-2 for powers of two, Bluestein's chirp-z algorithm otherwise.  The
-sample counts encountered in practice (one per sampling interval of the
-analysis window) are almost never powers of two, and zero-padding is not an
-option because it would move the frequency bins off the 1/window grid that
-the downstream analysis relies on.
+The transform is ``numpy.fft``, which handles any length.  The sample counts
+encountered in practice (one per sampling interval of the analysis window)
+are almost never powers of two, and the signal is transformed at exactly
+that length: zero-padding would move the frequency bins off the 1/window
+grid that the downstream analysis relies on.
 """
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -21,60 +19,12 @@ import numpy as np
 from .sampling import SampledSignal, _snap_floor_array
 
 
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    levels = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(levels):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
-def _fft_pow2(x: np.ndarray) -> np.ndarray:
-    n = x.shape[0]
-    a = x[_bit_reverse_indices(n)].astype(np.complex128)
-    half = 1
-    while half < n:
-        w = np.exp(-1j * np.pi * np.arange(half) / half)
-        a = a.reshape(-1, 2 * half)
-        even = a[:, :half]
-        odd = a[:, half:] * w
-        a = np.concatenate([even + odd, even - odd], axis=1).reshape(-1)
-        half *= 2
-    return a
-
-
-def _ifft_pow2(x: np.ndarray) -> np.ndarray:
-    return np.conj(_fft_pow2(np.conj(x))) / x.shape[0]
-
-
-def _fft_bluestein(x: np.ndarray) -> np.ndarray:
-    n = x.shape[0]
-    # chirp exponents reduced mod 2n in integer arithmetic to keep the
-    # phase accurate for large n
-    k2 = (np.arange(n, dtype=np.int64) ** 2) % (2 * n)
-    chirp = np.exp(-1j * np.pi * k2 / n)
-    a = np.zeros(1 << (2 * n - 1).bit_length(), dtype=np.complex128)
-    b = np.zeros_like(a)
-    a[:n] = x * chirp
-    b[:n] = np.conj(chirp)
-    b[-(n - 1):] = np.conj(chirp[1:][::-1])
-    conv = _ifft_pow2(_fft_pow2(a) * _fft_pow2(b))
-    return conv[:n] * chirp
-
-
 def fft(x) -> np.ndarray:
     """Unnormalized complex DFT of a real or complex vector, any length >= 1."""
     x = np.asarray(x, dtype=np.complex128)
-    n = x.shape[0]
-    if n == 0:
+    if x.shape[0] == 0:
         raise ValueError("empty input")
-    if n == 1:
-        return x.copy()
-    if n & (n - 1) == 0:
-        return _fft_pow2(x)
-    return _fft_bluestein(x)
+    return np.fft.fft(x)
 
 
 @dataclass(frozen=True)
@@ -137,18 +87,14 @@ class Spectrum:
             if own:
                 f.close()
 
-    def to_json(self) -> str:
-        return json.dumps(list(self.rows()))
-
 
 def dft(sampled: SampledSignal) -> Spectrum:
     """Transform a sampled signal into its single-sided spectrum."""
     n = sampled.n
     if n < 2:
         raise ValueError("need at least 2 samples")
-    x = fft(sampled.samples)
     half = n // 2
-    bins = x[: half + 1]
+    bins = np.fft.rfft(sampled.samples)  # bins 0..n//2, no padding
     amplitudes = np.abs(bins)
     phases = np.arctan2(bins.imag, bins.real)
     phases = np.where(phases == -math.pi, math.pi, phases)  # phase in (-pi, pi]

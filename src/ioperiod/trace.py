@@ -135,8 +135,15 @@ class Trace:
 
     @property
     def volume(self) -> int:
-        """Total transferred bytes V(T), as an exact integer."""
-        return int(self.nbytes.sum())
+        """Total transferred bytes V(T), as an exact integer.
+
+        The 32-bit halves of the byte counts are summed apart, so neither
+        int64 sum can wrap (below 2^31 requests); the total itself may
+        exceed the int64 range.
+        """
+        high = int((self.nbytes >> 32).sum())
+        low = int((self.nbytes & 0xFFFFFFFF).sum())
+        return (high << 32) + low
 
     def filter_kind(self, kind: str) -> "Trace":
         if kind == "both":

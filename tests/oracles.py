@@ -37,3 +37,25 @@ def population_std(values):
     values = np.asarray(values, dtype=np.float64)
     mean = values.mean()
     return float(np.sqrt(np.mean((values - mean) ** 2)))
+
+
+def brute_candidates(adjusted, n, tolerance, z_min):
+    """Per-bin Z-score candidate filter over a single-sided spectrum.
+
+    ``adjusted`` holds the adjusted amplitudes of bins 0..n//2.  Returns
+    None when every non-DC amplitude is equal (no Z-score exists), else
+    ``(mean, std, z, cut, kept)``: the mean and population std of bins
+    1..n//2, the Z-score of each of those bins (bin k at index k-1), the cut
+    tolerance * max(z over 1 <= k < n/2), falling back to all bins when none
+    is below n/2, and the list of bins k with z >= cut and z >= z_min.
+    """
+    amps = [float(a) for a in adjusted[1:]]
+    mean = sum(amps) / len(amps)
+    std = (sum((a - mean) ** 2 for a in amps) / len(amps)) ** 0.5
+    if std == 0.0:
+        return None
+    z = [(a - mean) / std for a in amps]
+    pool = [z[k - 1] for k in range(1, len(amps) + 1) if k < n / 2] or z
+    cut = tolerance * max(pool)
+    kept = [k for k in range(1, len(amps) + 1) if z[k - 1] >= cut and z[k - 1] >= z_min]
+    return mean, std, z, cut, kept

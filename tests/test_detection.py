@@ -1,8 +1,12 @@
 """Z-score outlier filtering, harmonic suppression, and confidence classes."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from oracles import population_std
+from oracles import brute_candidates, population_std
 
 from ioperiod import (
     Candidate,
@@ -199,3 +203,78 @@ class TestDetect:
         out = detect(spec).to_dict(amplitude_scale=2.0)
         assert out["confidence"] == "high"
         assert out["candidates"][0]["amplitude"] == pytest.approx(20.0)
+
+
+@st.composite
+def spectra(draw):
+    """Adjusted amplitudes on a small integer ladder times a power of two.
+
+    Sums of such values are exact, so the library and the oracle agree on
+    the mean and on every equality of amplitudes: ties at the maximum sit
+    exactly at the cut when tolerance is 1, and a flat spectrum is exactly
+    degenerate.
+    """
+    m = draw(st.integers(2, 40))  # non-DC bins, n//2
+    n = 2 * m + draw(st.integers(0, 1))
+    levels = draw(st.lists(st.integers(0, 12), min_size=m, max_size=m))
+    if draw(st.integers(0, 7)) == 0:
+        levels = [levels[0]] * m  # degenerate
+    elif draw(st.booleans()):
+        levels[draw(st.integers(0, m - 1))] = max(levels)  # tie at the maximum
+    if n % 2 == 0 and draw(st.booleans()):
+        levels[-1] = 12 + draw(st.integers(1, 50))  # spike at the Nyquist bin
+    scale = 2.0 ** draw(st.integers(-20, 20))
+    dc = draw(st.integers(0, 100))
+    adjusted = [float(v) * scale for v in [dc] + levels]
+    tolerance = draw(st.sampled_from([0.5, 0.8, 1.0]))
+    z_min = draw(st.sampled_from([0.0, 1.0, 3.0]))
+    return adjusted, n, tolerance, z_min
+
+
+def _clear_of(z, bar):
+    return abs(z - bar) > 1e-9 * max(1.0, abs(bar))
+
+
+class TestAgainstPerBinOracle:
+    @given(spectra())
+    @settings(max_examples=300, deadline=None)
+    def test_detect_matches_oracle(self, case):
+        adjusted, n, tolerance, z_min = case
+        spec = make_spectrum(adjusted, n=n)
+        result = detect(spec, tolerance=tolerance, z_min=z_min)
+        want = brute_candidates(adjusted, n, tolerance, z_min)
+        if want is None:
+            with pytest.raises(DegenerateSpectrumError):
+                zscores(spec)
+            assert result.confidence == Confidence.NO_CANDIDATE
+            assert result.frequency is None and result.suppressed_harmonics == ()
+            assert len(result.candidates) == 0
+            assert math.isnan(result.candidates.mean_amplitude)
+            assert result.candidates.std_amplitude == 0.0
+            return
+        mean, std, z, cut, kept = want
+        # a bin within rounding of a bar may fall either side of it in either
+        # implementation; a tie with the maximum at tolerance 1 may not
+        assume(all(_clear_of(zk, cut) or (tolerance == 1.0 and zk == cut) for zk in z))
+        assume(all(_clear_of(zk, z_min) for zk in z))
+
+        zset = zscores(spec)
+        assert [c.k for c in zset.entries] == list(range(1, len(z) + 1))
+        assert [c.zscore for c in zset.entries] == pytest.approx(z, rel=0, abs=1e-12)
+        filtered = find_candidates(zset, n, tolerance=tolerance, z_min=z_min)
+        assert [c.k for c in filtered.entries] == kept
+
+        oracle_set = CandidateSet(
+            entries=tuple(Candidate(k=k, frequency=float(spec.frequencies[k]),
+                                    amplitude=adjusted[k], zscore=z[k - 1]) for k in kept),
+            mean_amplitude=mean, std_amplitude=std,
+        )
+        expect = classify(*suppress_harmonics(oracle_set, spec.bin_width))
+        assert [c.k for c in result.candidates.entries] == [c.k for c in expect.candidates.entries]
+        assert [c.zscore for c in result.candidates.entries] == pytest.approx(
+            [c.zscore for c in expect.candidates.entries], rel=0, abs=1e-12)
+        assert result.confidence == expect.confidence
+        assert result.frequency == expect.frequency
+        assert result.suppressed_harmonics == expect.suppressed_harmonics
+        assert result.candidates.mean_amplitude == pytest.approx(mean, rel=1e-12)
+        assert result.candidates.std_amplitude == pytest.approx(std, rel=1e-12)

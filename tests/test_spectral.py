@@ -24,7 +24,7 @@ class TestFft:
         assert np.abs(got - want).max() / scale < 1e-12
 
     def test_large_prime_factor_length(self, rng):
-        # 7605 = 3^2 * 5 * 169: exercises the chirp-z path at real size
+        # 7605 = 3^2 * 5 * 13^2: a length with odd prime factors, at real size
         x = rng.normal(size=7605)
         got = fft(x)
         want = brute_dft(x)
@@ -101,6 +101,18 @@ class TestSpectrum:
         x = rng.normal(size=11)
         spec = dft(_sampled(x))
         assert np.allclose(spec.adjusted_amplitudes[1:], 2 * spec.amplitudes[1:])
+
+    def test_cosine_at_a_million_points(self):
+        # closed form: c + a*cos(2 pi k0 i / n + phi) has X_0 = n*c and
+        # X_k0 = (n*a/2) e^{i phi}; every other bin is zero
+        n, k0, c, a, phi = 1_000_001, 12_345, 0.75, 2.0, 0.6
+        i = np.arange(n, dtype=np.int64)
+        x = c + a * np.cos(2 * np.pi * ((k0 * i) % n) / n + phi)
+        spec = dft(_sampled(x))
+        assert spec.adjusted_amplitudes[k0] == pytest.approx(n * a, rel=1e-9)
+        assert spec.phases[k0] == pytest.approx(phi, abs=1e-9)
+        assert spec.amplitudes[0] == pytest.approx(n * c, rel=1e-9)
+        assert np.delete(spec.amplitudes, [0, k0]).max() < 1e-9 * n * a
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from ioperiod import (
     Trace,
     TraceParseError,
     TraceValidationError,
+    analyze_trace,
     merge_bandwidth,
     parse_trace,
     write_trace,
@@ -149,6 +150,18 @@ class TestRequestModel:
         big = 2 ** 53 + 1
         trace = make_trace([(0, 0.0, 1.0, big), (0, 1.0, 2.0, 1)])
         assert trace.volume == big + 1
+
+    def test_volume_beyond_int64_is_exact(self):
+        # three requests of 2^62 bytes: each is a valid int64, the total is not
+        rows = [(0, j * 10.0, j * 10.0 + 2.0, 2 ** 62) for j in range(3)]
+        trace = parse_trace(trace_text(rows).encode())
+        assert trace.volume == 3 * 2 ** 62
+        analysis = analyze_trace(trace, fs=1.0)
+        unit = analyze_trace(make_trace([row[:3] + (1,) for row in rows]), fs=1.0)
+        assert not analysis.no_data
+        assert analysis.confidence == unit.confidence
+        assert analysis.period == unit.period
+        assert analysis.sampling_error == unit.sampling_error
 
 
 class TestMergeBandwidth:
