@@ -29,7 +29,7 @@ from .metrics import (
     substantial_io,
 )
 from .online import PredictionRecord, on_new_data, replay, watch
-from .pipeline import AnalysisResult, analyze_signal, analyze_trace
+from .pipeline import AnalysisResult, analyze_trace
 from .sampling import (
     BAD_SAMPLING_THRESHOLD,
     NoVolumeError,

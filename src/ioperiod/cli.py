@@ -8,6 +8,7 @@ file); diagnostics and warnings go to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -16,8 +17,6 @@ from . import synth
 from .detection import DEFAULT_TOLERANCE, DEFAULT_Z_MIN
 from .online import watch
 from .pipeline import analyze_trace
-from .sampling import sample_requests
-from .spectral import dft
 from .trace import TraceParseError, TraceValidationError, parse_trace, write_trace
 
 DEFAULT_FS = 10.0
@@ -121,12 +120,35 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _load_config_file(path: str) -> dict:
-    with open(path) as f:
-        return json.load(f)
+#: exact JSON types a --config value may take, by SynthConfig field (no bools)
+_CONFIG_TYPES = {
+    "iterations": (int,), "processes": (int,), "seed": (int,), "noise": (str,),
+    "compute_mean": (int, float), "compute_std": (int, float), "desync_mean": (int, float),
+}
 
 
-def _synth_config(args) -> synth.SynthConfig:
+def _synth_config(args, params: dict, count: int = 10) -> synth.SynthConfig:
+    """The generator config: the command's flags, overridden by its --config file."""
+    if args.config:
+        with open(args.config) as f:
+            config = json.load(f)
+        if not isinstance(config, dict):
+            raise synth.SynthConfigError(f"{args.config}: config must be a JSON object")
+        for key, value in config.items():
+            if key not in _CONFIG_TYPES:
+                raise synth.SynthConfigError(f"{args.config}: unknown config key {key!r}")
+            if type(value) not in _CONFIG_TYPES[key]:
+                raise synth.SynthConfigError(f"{args.config}: invalid {key} {value!r}")
+        params.update(config)
+    config = synth.SynthConfig(**params)  # checks the values before templates are built
+    library = synth.bundled_phase_templates(
+        count=count, processes=config.processes,
+        request_bytes=args.request_bytes, seed=config.seed,
+    )
+    return dataclasses.replace(config, templates=tuple(library))
+
+
+def _cmd_generate(args) -> int:
     params = {
         "iterations": args.iterations,
         "processes": args.processes,
@@ -136,17 +158,7 @@ def _synth_config(args) -> synth.SynthConfig:
         "noise": args.noise,
         "seed": args.seed,
     }
-    if args.config:
-        params.update(_load_config_file(args.config))
-    templates = synth.bundled_phase_templates(
-        count=args.templates, processes=params["processes"],
-        request_bytes=args.request_bytes, seed=params["seed"],
-    )
-    return synth.SynthConfig(templates=tuple(templates), **params)
-
-
-def _cmd_generate(args) -> int:
-    trace, truth = synth.generate(_synth_config(args))
+    trace, truth = synth.generate(_synth_config(args, params, count=args.templates))
     write_trace(trace, args.out)
     if args.truth:
         with open(args.truth, "w") as f:
@@ -172,19 +184,8 @@ def _cmd_bench(args) -> int:
         grid["desync_mean"] = [float(v) for v in args.desync_mean_grid.split(",")]
     if not grid:
         grid = {"noise": ["none"]}
-    base_params = {}
-    if args.config:
-        base_params = _load_config_file(args.config)
-    templates = synth.bundled_phase_templates(
-        processes=base_params.get("processes", args.processes),
-        request_bytes=args.request_bytes, seed=args.seed,
-    )
-    base = synth.SynthConfig(
-        iterations=args.iterations,
-        processes=base_params.get("processes", args.processes),
-        templates=tuple(templates),
-        **{k: v for k, v in base_params.items() if k != "processes"},
-    )
+    base = _synth_config(args, {"iterations": args.iterations,
+                                "processes": args.processes, "seed": args.seed})
     rows = synth.sweep(grid, args.repetitions, base, fs=args.freq, seed=args.seed,
                        tolerance=args.tolerance, z_min=args.z_min)
     out = _open_out(args.out)
@@ -198,16 +199,16 @@ def _cmd_bench(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     trace = parse_trace(args.trace, kind_filter=args.kind)
-    if len(trace) == 0:
-        print("empty trace", file=sys.stderr)
-        return 1
     window = tuple(args.window) if args.window else None
-    _, sampled, _ = sample_requests(trace, args.freq, window)
-    spectrum = dft(sampled)
+    analysis = analyze_trace(trace, args.freq, window=window,
+                             tolerance=args.tolerance, z_min=args.z_min)
+    if analysis.spectrum is None:
+        print("error: no I/O in the analysis window, so no spectrum", file=sys.stderr)
+        return 1
     out = _open_out(args.out)
     try:
         # amplitudes in bytes/s, as ``detect --spectrum-out`` writes them
-        spectrum.to_csv(out, amplitude_scale=float(trace.volume))
+        analysis.spectrum.to_csv(out, amplitude_scale=analysis.volume_scale)
     finally:
         if out is not sys.stdout:
             out.close()

@@ -22,7 +22,7 @@ class Confidence(str, Enum):
 
 
 class DegenerateSpectrumError(ValueError):
-    """All non-DC amplitudes are equal; Z-scores are undefined."""
+    """Fewer than two non-DC bins, or all of them equal; Z-scores are undefined."""
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def _zscore_array(spectrum: Spectrum) -> tuple[float, float, np.ndarray]:
     """Mean, population std and Z-scores of the non-DC adjusted amplitudes."""
     amps = spectrum.adjusted_amplitudes[1:]
     if amps.shape[0] < 2:
-        raise ValueError("need at least two non-DC bins")
+        raise DegenerateSpectrumError("need at least two non-DC bins")
     mean = float(amps.mean())
     std = float(amps.std())
     if std == 0.0:
@@ -209,8 +209,9 @@ def detect(
     The same rule as ``find_candidates(zscores(spectrum), ...)``, computed on
     arrays; Candidate objects are made only for the bins that pass.
 
-    A degenerate spectrum (all amplitudes equal, e.g. a constant signal)
-    yields a NO_CANDIDATE result rather than an error.
+    A degenerate spectrum (fewer than two non-DC bins, or all amplitudes
+    equal, e.g. a constant signal) yields a NO_CANDIDATE result rather than
+    an error.
     """
     try:
         mean, std, z = _zscore_array(spectrum)

@@ -80,7 +80,6 @@ def on_new_data(
     fs: float,
     tolerance: float = DEFAULT_TOLERANCE,
     z_min: float = DEFAULT_Z_MIN,
-    kind: str = "both",
     fixed_window: float | None = None,
 ) -> PredictionRecord:
     """Analyze a consistent snapshot of the trace at trace time ``now``.
@@ -90,9 +89,8 @@ def on_new_data(
     frequency, the window shrinks to three times the last found period.
     """
     window = _choose_window(history, now, fs, fixed_window)
-    analysis = analyze_trace(
-        trace_snapshot, fs, window=window, tolerance=tolerance, z_min=z_min, kind=kind
-    )
+    analysis = analyze_trace(trace_snapshot, fs, window=window, tolerance=tolerance,
+                             z_min=z_min)
     streak = _dominant_streak(history) + 1 if analysis.has_dominant else 0
     return PredictionRecord(
         trigger_time=now, window=window, analysis=analysis, dominant_streak=streak
@@ -113,10 +111,10 @@ def replay(
     """
     records: list[PredictionRecord] = []
     for text, now in snapshots:
-        trace = parse_trace(text.encode())
+        trace = parse_trace(text.encode(), kind_filter=kind)
         records.append(
             on_new_data(records, trace, now, fs, tolerance=tolerance,
-                        z_min=z_min, kind=kind, fixed_window=fixed_window)
+                        z_min=z_min, fixed_window=fixed_window)
         )
     return records
 

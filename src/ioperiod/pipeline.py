@@ -24,15 +24,12 @@ from .metrics import MetricsReport, compute_metrics
 from .sampling import (
     BAD_SAMPLING_THRESHOLD,
     NoVolumeError,
-    SampledSignal,
     SamplingQualityWarning,
-    discretize,
     sample_requests,
-    sampling_error,
     volume_error,
 )
 from .spectral import Spectrum, dft
-from .trace import BandwidthSignal, Trace
+from .trace import Trace
 
 
 @dataclass(frozen=True)
@@ -84,66 +81,35 @@ def _empty_result(window: tuple[float, float], err: float | None = None) -> Anal
     )
 
 
-def analyze_signal(
-    signal: BandwidthSignal,
-    fs: float,
-    window: tuple[float, float] | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-    z_min: float = DEFAULT_Z_MIN,
-    volume_scale: float = 1.0,
-) -> AnalysisResult:
-    """Run detection and metrics on a bandwidth signal over one window."""
-    win = window if window is not None else signal.domain
-    sampled = discretize(signal, fs, window=win)
-    try:
-        err = sampling_error(signal, sampled)
-    except NoVolumeError:
-        err = None
-    return _analyze_sampled(sampled, err, win, tolerance, z_min, volume_scale)
-
-
 def analyze_trace(
     trace: Trace,
     fs: float,
     window: tuple[float, float] | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
     z_min: float = DEFAULT_Z_MIN,
-    kind: str = "both",
 ) -> AnalysisResult:
     """Run the full pipeline on a trace; empty input yields a no-data result.
 
-    The grid is sampled straight from the requests; the result equals
-    ``analyze_signal`` on ``merge_bandwidth(trace, unit_volume=True)`` up to
-    float rounding.
+    The grid is sampled straight from the requests; the samples equal
+    ``discretize`` of ``merge_bandwidth(trace, unit_volume=True)`` up to
+    float rounding.  The request kind is chosen when parsing
+    (``parse_trace(kind_filter=...)``).
     """
-    selected = trace.filter_kind(kind)
-    if len(selected) == 0 or selected.volume == 0:
-        win = window if window is not None else (0.0, 0.0)
-        return _empty_result(win)
-    win, sampled, v_0 = sample_requests(selected, fs, window)
+    volume = float(trace.volume)
+    if volume == 0.0:
+        return _empty_result(window if window is not None else (0.0, 0.0))
+    win, sampled, v_0 = sample_requests(trace, fs, window)
     try:
         err = volume_error(sampled, v_0)
     except NoVolumeError:
         err = None
-    return _analyze_sampled(sampled, err, win, tolerance, z_min, float(selected.volume))
-
-
-def _analyze_sampled(
-    sampled: SampledSignal,
-    err: float | None,
-    win: tuple[float, float],
-    tolerance: float,
-    z_min: float,
-    volume_scale: float,
-) -> AnalysisResult:
-    """DFT, detection and metrics of one sampled window."""
     if err is not None and abs(err) > BAD_SAMPLING_THRESHOLD:
         warnings.warn(
             f"abstraction error {err:.3g} exceeds {BAD_SAMPLING_THRESHOLD}; "
             "the signal is under-sampled and the analysis is unreliable "
             "(raise the sampling frequency)",
             SamplingQualityWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     if sampled.n < 2 or float(sampled.samples.sum()) == 0.0:
         # nothing to transform, but the sampling verdict still stands
@@ -156,7 +122,7 @@ def _analyze_sampled(
     metrics_freq = result.frequency
     if metrics_freq is None and len(result.candidates) > 0:
         metrics_freq = max(result.candidates.entries, key=lambda c: c.amplitude).frequency
-    report = compute_metrics(sampled, metrics_freq, volume_scale=volume_scale)
+    report = compute_metrics(sampled, metrics_freq, volume_scale=volume)
     return AnalysisResult(
         result=result,
         metrics=report,
@@ -164,5 +130,5 @@ def _analyze_sampled(
         spectrum=spectrum,
         window=win,
         no_data=False,
-        volume_scale=volume_scale,
+        volume_scale=volume,
     )

@@ -104,28 +104,16 @@ def discretize(
     signal: BandwidthSignal,
     fs: float,
     window: tuple[float, float] | None = None,
-    mode: str = "point",
 ) -> SampledSignal:
-    """Sample the signal at rate fs over the window (default: signal domain).
+    """Point-sample the signal at rate fs over the window (default: signal domain).
 
-    ``mode="point"`` takes the instantaneous value at each sample instant
-    (right-limit at breakpoints).  ``mode="mean"`` instead averages the
-    signal over each sampling bin, which preserves volume exactly.
-    Windows extending beyond the signal domain sample zeros there.
+    Each sample is the instantaneous value at its instant (right-limit at
+    breakpoints).  Windows extending beyond the signal domain sample zeros
+    there.
     """
     t_lo, t_hi = window if window is not None else signal.domain
     n, ts = _grid_size(t_lo, t_hi, fs)
-    if mode == "point":
-        samples = signal.value_at(t_lo + np.arange(n) * ts)
-    elif mode == "mean":
-        # running integral at the breakpoints, exact in between by linear
-        # interpolation because each piece is constant; np.interp holds the
-        # end values outside the domain
-        cumulative = np.concatenate(([0.0], np.cumsum(signal.values * np.diff(signal.times))))
-        edges = t_lo + np.arange(n + 1) * ts
-        samples = np.diff(np.interp(edges, signal.times, cumulative)) * fs
-    else:
-        raise ValueError(f"unknown sampling mode {mode!r}")
+    samples = signal.value_at(t_lo + np.arange(n) * ts)
     return SampledSignal(t0=float(t_lo), ts=ts, samples=samples)
 
 

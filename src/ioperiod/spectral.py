@@ -53,10 +53,6 @@ class Spectrum:
             object.__setattr__(self, name, arr)
 
     @property
-    def bins(self) -> np.ndarray:
-        return np.arange(self.frequencies.shape[0])
-
-    @property
     def bin_width(self) -> float:
         """Spacing of the frequency grid, fs/n = 1/window length."""
         return self.fs / self.n

@@ -145,17 +145,6 @@ class Trace:
         low = int((self.nbytes & 0xFFFFFFFF).sum())
         return (high << 32) + low
 
-    def filter_kind(self, kind: str) -> "Trace":
-        if kind == "both":
-            return self
-        if kind not in KINDS:
-            raise ValueError(f"unknown kind filter {kind!r}")
-        mask = self.kind_code == _KIND_CODE[kind]
-        return Trace(
-            self.rank[mask], self.start[mask], self.end[mask],
-            self.nbytes[mask], self.kind_code[mask], metadata=self.metadata,
-        )
-
 
 def _iter_complete_lines(source) -> Iterator[str]:
     """Yield whole lines of a path/stream, dropping an unterminated tail."""

@@ -77,6 +77,14 @@ class TestDetect:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(MAX_SAMPLES) in err
 
+    def test_three_sample_trace_is_no_candidate(self, tmp_path, capsys):
+        path = tmp_path / "short.jsonl"
+        path.write_text(trace_text([(0, 0.0, 0.1, 100), (0, 0.1, 0.3, 50)]))
+        spec = tmp_path / "spec.csv"
+        assert main(["detect", str(path), "--freq", "10", "--spectrum-out", str(spec)]) == 0
+        assert json.loads(capsys.readouterr().out)["confidence"] == "no_candidate"
+        assert len(list(csv.DictReader(spec.open()))) == 2
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["detect", str(tmp_path / "nope.jsonl")]) == 1
         assert "error:" in capsys.readouterr().err
@@ -125,6 +133,25 @@ class TestGenerateAndBench:
                      "--noise", "none", "--iterations", "0"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["generate", "bench"])
+    @pytest.mark.parametrize("config", ['[1, 2]', '{"bogus": 1}', '{"processes": "x"}'],
+                             ids=["list", "unknown-key", "mistyped"])
+    def test_bad_config_exits_with_error(self, tmp_path, capsys, command, config):
+        path = tmp_path / "config.json"
+        path.write_text(config)
+        assert main([command, "--out", str(tmp_path / "out"), "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.filterwarnings("ignore::ioperiod.SamplingQualityWarning")
+    def test_bench_config_overrides_flags(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"iterations": 5}')
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["bench", "--repetitions", "1", "--config", str(config),
+                     "--out", str(a)]) == 0
+        assert main(["bench", "--repetitions", "1", "--iterations", "5", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     @pytest.mark.filterwarnings("ignore::ioperiod.SamplingQualityWarning")
     def test_bench_default_grid_errors_small(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -159,6 +186,21 @@ class TestSpectrumCommand:
         assert main(["detect", str(trace), "--freq", "10", *window,
                      "--spectrum-out", str(exported)]) == 0
         assert spectrum.read_bytes() == exported.read_bytes()
+
+    @pytest.mark.parametrize("rows, window", [
+        ([], []),
+        ([(0, 0.0, 1.0, 0), (0, 2.0, 3.0, 0)], []),
+        ([(0, 0.0, 1.0, 100)], ["--window", "5", "9"]),
+    ], ids=["empty", "zero-volume", "window-without-io"])
+    def test_no_spectrum_exits_with_error(self, tmp_path, capsys, rows, window):
+        path = tmp_path / "t.jsonl"
+        path.write_text(trace_text(rows))
+        spectrum, exported = tmp_path / "spectrum.csv", tmp_path / "detect.csv"
+        assert main(["spectrum", str(path), *window, "--out", str(spectrum)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        # where detect writes no spectrum either
+        assert main(["detect", str(path), *window, "--spectrum-out", str(exported)]) == 0
+        assert not exported.exists()
 
 
 class TestPredict:

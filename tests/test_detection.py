@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import make_trace
 from oracles import brute_candidates, population_std
 
 from ioperiod import (
@@ -14,6 +15,7 @@ from ioperiod import (
     Confidence,
     DegenerateSpectrumError,
     Spectrum,
+    analyze_trace,
     classify,
     detect,
     find_candidates,
@@ -195,6 +197,14 @@ class TestDetect:
         spec = make_spectrum(np.full(9, 2.0))
         result = detect(spec)
         assert result.confidence == Confidence.NO_CANDIDATE
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_window_of_one_non_dc_bin_no_candidate(self, n):
+        # 2 or 3 samples leave one non-DC bin, which has no Z-score
+        trace = make_trace([(0, 0.0, 0.1, 100), (0, 0.1, 0.3, 50)])
+        analysis = analyze_trace(trace, fs=10.0, window=(0.0, n / 10.0))
+        assert analysis.confidence == Confidence.NO_CANDIDATE
+        assert not analysis.no_data and analysis.spectrum.n == n
 
     def test_result_serialization(self):
         adjusted = np.full(51, 0.1)

@@ -57,6 +57,13 @@ class TestWindowAdaptation:
         records = replay(pulse_schedule(triggers), fs=10.0, fixed_window=30.0)
         assert records[3].window == (47.4 - 30.0, 47.4)
 
+    def test_window_of_min_bins_is_analyzed(self):
+        # 3 samples leave one non-DC bin: no candidate rather than an error
+        window = MIN_WINDOW_BINS / 10.0
+        records = replay(pulse_schedule([17.2, 25.3]), fs=10.0, fixed_window=window)
+        assert [r.analysis.spectrum.n for r in records] == [MIN_WINDOW_BINS] * 2
+        assert not any(r.has_dominant for r in records)
+
     def test_min_window_guard(self):
         # a spuriously short period must not collapse the window below
         # MIN_WINDOW_BINS sampling intervals
@@ -144,3 +151,35 @@ class TestWatch:
         records = list(watch(path, fs=10.0, poll_interval=0.01, idle_timeout=0.02,
                              _sleep=lambda s: None))
         assert records == []
+
+
+class TestKindFilter:
+    """``kind`` selects requests at parse time in both online front ends."""
+
+    reads = [row + ("read",) for row in pulse_rows(6)]
+    mixed = sorted(reads + [(1, s + 4.0, s + 5.0, 3 * 10 ** 8, "write")
+                            for _, s, *_ in reads], key=lambda row: row[1])
+
+    @staticmethod
+    def dumps(records):
+        return [json.dumps(r.to_dict(), sort_keys=True) for r in records]
+
+    def test_replay(self):
+        def schedule(rows):
+            return [(trace_text([r for r in rows if r[1] < now]), now)
+                    for now in (24.3, 32.4, 40.5, 47.4)]
+
+        want = self.dumps(replay(schedule(self.reads), fs=10.0))
+        assert self.dumps(replay(schedule(self.mixed), fs=10.0, kind="read")) == want
+        assert self.dumps(replay(schedule(self.mixed), fs=10.0)) != want
+
+    def test_watch(self, tmp_path):
+        def run(rows, **kwargs):
+            path = tmp_path / "trace.jsonl"
+            path.write_text(trace_text(rows))
+            return self.dumps(watch(path, fs=10.0, poll_interval=0.01, idle_timeout=0.02,
+                                    _sleep=lambda s: None, **kwargs))
+
+        want = run(self.reads)
+        assert len(want) == 1
+        assert run(self.mixed, kind="read") == want

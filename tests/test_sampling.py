@@ -1,6 +1,4 @@
 """Discretization and the volume-based abstraction error."""
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -55,38 +53,6 @@ class TestDiscretize:
         sampled = discretize(signal, fs=1.0, window=(0.0, 2.0))
         assert np.all(sampled.samples == 0.0)
 
-    def test_mean_mode_preserves_volume(self):
-        signal = BandwidthSignal([0.25, 0.75], [8.0])
-        sampled = discretize(signal, fs=1.0, window=(0.0, 2.0), mode="mean")
-        assert sampled.ts * sampled.samples.sum() == pytest.approx(4.0)
-
-    def test_mean_mode_matches_per_bin_integral(self, rng):
-        times = np.cumsum(rng.uniform(0.05, 2.0, 41))
-        values = rng.uniform(0.0, 5.0, 40)
-        signal = BandwidthSignal(times, values)
-        fs = 3.0
-        window = (times[0] - 2.0, times[-1] + 1.5)
-        sampled = discretize(signal, fs, window=window, mode="mean")
-        edges = window[0] + np.arange(sampled.n + 1) / fs
-        want = [
-            fs * sum(v * max(0.0, min(hi, b) - max(lo, a))
-                     for a, b, v in zip(times[:-1], times[1:], values))
-            for lo, hi in zip(edges[:-1], edges[1:])
-        ]
-        assert np.allclose(sampled.samples, want, rtol=0.0, atol=1e-12 * values.max())
-
-    def test_mean_mode_memory_is_linear(self):
-        # a dense pieces x bins overlap matrix would take 80 MB here
-        signal = BandwidthSignal(np.arange(2001) * 0.5, np.ones(2000))
-        tracemalloc.start()
-        try:
-            sampled = discretize(signal, fs=5.0, window=(0.0, 1000.0), mode="mean")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert sampled.n == 5000
-        assert peak < 5 * 2 ** 20
-
     def test_sample_count_is_bounded(self):
         signal = BandwidthSignal([0.0, 1.0], [1.0])
         trace = make_trace([(0, 0.0, 1.0, 10)])
@@ -108,8 +74,6 @@ class TestDiscretize:
             discretize(signal, fs=0.0)
         with pytest.raises(ValueError):
             discretize(signal, fs=1.0, window=(1.0, 1.0))
-        with pytest.raises(ValueError):
-            discretize(signal, fs=1.0, mode="median")
 
     def test_times_property(self):
         signal = BandwidthSignal([0.0, 1.0], [1.0])
