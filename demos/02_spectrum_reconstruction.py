@@ -8,15 +8,16 @@ fundamental already traces the envelope of the original signal.
 import numpy as np
 
 import ioperiod as iop
+from ioperiod.sampling import sample_requests
 
 period, duty, pulses = 10.0, 0.2, 20
-rows = []
-for j in range(pulses):
-    rows.append(iop.IoRequest(0, j * period, j * period + duty * period,
-                              2 * 10 ** 9, "write"))
-trace = iop.Trace.from_requests(rows)
-signal = iop.merge_bandwidth(trace)
-sampled = iop.discretize(signal, fs=5.0, window=(0.0, pulses * period))
+starts = np.arange(pulses) * period
+# columns: rank, start, end, bytes, kind code (1 = write)
+trace = iop.Trace(np.zeros(pulses, dtype=np.int64), starts, starts + duty * period,
+                  np.full(pulses, 2 * 10 ** 9), np.ones(pulses, dtype=np.int8))
+_, unit, _ = sample_requests(trace, fs=5.0, window=(0.0, pulses * period))
+# the sampler gives unit-volume bandwidth; scale it back to bytes/s
+sampled = iop.SampledSignal(unit.t0, unit.ts, unit.samples * trace.volume)
 spectrum = iop.dft(sampled)
 
 order = np.argsort(spectrum.adjusted_amplitudes[1:])[::-1] + 1

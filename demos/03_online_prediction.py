@@ -7,6 +7,8 @@ whole history to three periods, so later detections react faster.
 """
 import io
 
+import numpy as np
+
 import ioperiod as iop
 
 period, phase_len = 8.1, 2.0
@@ -15,9 +17,11 @@ period, phase_len = 8.1, 2.0
 def trace_until(now):
     buf = io.StringIO()
     n_pulses = int(now // period) + 1
-    reqs = [iop.IoRequest(0, j * period, j * period + phase_len, 10 ** 9, "write")
-            for j in range(n_pulses)]
-    iop.write_trace(iop.Trace.from_requests(reqs), buf)
+    starts = np.arange(n_pulses) * period
+    # columns: rank, start, end, bytes, kind code (1 = write)
+    trace = iop.Trace(np.zeros(n_pulses, dtype=np.int64), starts, starts + phase_len,
+                      np.full(n_pulses, 10 ** 9), np.ones(n_pulses, dtype=np.int8))
+    iop.write_trace(trace, buf)
     return buf.getvalue()
 
 

@@ -13,9 +13,7 @@ from .detection import (
     PeriodicityResult,
     classify,
     detect,
-    find_candidates,
     suppress_harmonics,
-    zscores,
 )
 from .metrics import (
     InsufficientPeriodsError,
@@ -35,8 +33,6 @@ from .sampling import (
     NoVolumeError,
     SampledSignal,
     SamplingQualityWarning,
-    discretize,
-    sampling_error,
 )
 from .spectral import Spectrum, dft, fft, reconstruct
 from .synth import (
@@ -51,12 +47,9 @@ from .synth import (
     sweep_to_csv,
 )
 from .trace import (
-    BandwidthSignal,
-    IoRequest,
     Trace,
     TraceParseError,
     TraceValidationError,
-    merge_bandwidth,
     parse_trace,
     write_trace,
 )

@@ -1,16 +1,14 @@
 """Command-line front end: offline detection, online prediction, trace
 generation, benchmark sweeps, and spectrum export.
 
-Defaults can be overridden through ``IOPERIOD_*`` environment variables
-(e.g. ``IOPERIOD_FREQ=100``).  Machine-readable output goes to stdout (or a
-file); diagnostics and warnings go to stderr.
+Each subcommand takes only the flags it reads.  Machine-readable output goes
+to stdout (or a file); diagnostics and warnings go to stderr.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 from . import synth
@@ -21,33 +19,22 @@ from .trace import TraceParseError, TraceValidationError, parse_trace, write_tra
 
 DEFAULT_FS = 10.0
 
-ENV_PREFIX = "IOPERIOD_"
 
-
-def _env_default(name: str, fallback, cast=float):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise SystemExit(f"invalid value for {ENV_PREFIX}{name}: {raw!r}")
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--freq", type=float,
-                        default=_env_default("FREQ", DEFAULT_FS),
-                        help="sampling frequency in Hz (default 10)")
-    parser.add_argument("--tolerance", type=float,
-                        default=_env_default("TOLERANCE", DEFAULT_TOLERANCE),
+def _add_common(parser: argparse.ArgumentParser, freq: float = DEFAULT_FS,
+                kind: bool = True, window: bool = True) -> None:
+    """The analysis flags; ``--kind`` and ``--window`` only where they are read."""
+    parser.add_argument("--freq", type=float, default=freq,
+                        help=f"sampling frequency in Hz (default {freq:g})")
+    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
                         help="candidate Z-score tolerance fraction (default 0.8)")
-    parser.add_argument("--z-min", type=float,
-                        default=_env_default("Z_MIN", DEFAULT_Z_MIN),
+    parser.add_argument("--z-min", type=float, default=DEFAULT_Z_MIN,
                         help="minimum outlier Z-score (default 3)")
-    parser.add_argument("--kind", choices=["read", "write", "both"], default="both",
-                        help="which request kinds to analyze")
-    parser.add_argument("--window", type=float, nargs=2, metavar=("LO", "HI"),
-                        default=None, help="analysis time window in seconds")
+    if kind:
+        parser.add_argument("--kind", choices=["read", "write", "both"], default="both",
+                            help="which request kinds to analyze")
+    if window:
+        parser.add_argument("--window", type=float, nargs=2, metavar=("LO", "HI"),
+                            default=None, help="analysis time window in seconds")
 
 
 def _open_out(path: str | None):
@@ -233,9 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="watch a growing trace file and stream predictions")
     p.add_argument("trace")
-    _add_common(p)
-    p.add_argument("--watch-interval", type=float,
-                   default=_env_default("WATCH_INTERVAL", 1.0),
+    _add_common(p, window=False)
+    p.add_argument("--watch-interval", type=float, default=1.0,
                    help="polling interval in seconds")
     p.add_argument("--idle-timeout", type=float, default=None,
                    help="stop after this many seconds without new data")
@@ -260,8 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("bench", help="benchmark detection error over a parameter grid")
-    _add_common(p)
-    p.set_defaults(freq=_env_default("FREQ", 1.0))
+    _add_common(p, freq=1.0, kind=False, window=False)
     p.add_argument("--out", default=None, help="sweep CSV (default stdout)")
     p.add_argument("--config", default=None, help="JSON key-value base config")
     p.add_argument("--repetitions", type=int, default=30)

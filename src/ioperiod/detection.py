@@ -108,36 +108,6 @@ def _candidates(spectrum: Spectrum, z: np.ndarray, idx: np.ndarray) -> tuple[Can
     )
 
 
-def zscores(spectrum: Spectrum) -> CandidateSet:
-    """Z-score every non-DC bin of the single-sided spectrum.
-
-    Uses the mean and population standard deviation of the adjusted
-    amplitudes over k in [1, n/2].
-    """
-    mean, std, z = _zscore_array(spectrum)
-    entries = _candidates(spectrum, z, np.arange(z.shape[0]))
-    return CandidateSet(entries=entries, mean_amplitude=mean, std_amplitude=std)
-
-
-def find_candidates(
-    zset: CandidateSet,
-    spectrum_n: int,
-    tolerance: float = DEFAULT_TOLERANCE,
-    z_min: float = DEFAULT_Z_MIN,
-) -> CandidateSet:
-    """Keep bins whose Z-score is both >= tolerance * max(z) and >= z_min.
-
-    The maximum is taken over k in [1, n/2), i.e. excluding the even-n
-    Nyquist bin, matching the filter as defined.
-    """
-    k = np.array([c.k for c in zset.entries], dtype=np.int64)
-    z = np.array([c.zscore for c in zset.entries], dtype=np.float64)
-    mask = _passing(k, z, spectrum_n, tolerance, z_min)
-    kept = tuple(c for c, keep in zip(zset.entries, mask.tolist()) if keep)
-    return CandidateSet(entries=kept, mean_amplitude=zset.mean_amplitude,
-                        std_amplitude=zset.std_amplitude)
-
-
 def suppress_harmonics(
     candidates: CandidateSet, bin_width: float
 ) -> tuple[CandidateSet, tuple[float, ...]]:
@@ -206,7 +176,10 @@ def detect(
     """Full extraction chain: Z-scores, candidate filter, harmonic
     suppression, confidence classification.
 
-    The same rule as ``find_candidates(zscores(spectrum), ...)``, computed on
+    Every non-DC bin k in [1, n/2] is Z-scored against the mean and
+    population standard deviation of the adjusted amplitudes; a bin is a
+    candidate when its Z-score is >= tolerance * max(z) over k < n/2 (the
+    even-n Nyquist bin excluded) and >= z_min.  Scores are computed on
     arrays; Candidate objects are made only for the bins that pass.
 
     A degenerate spectrum (fewer than two non-DC bins, or all amplitudes

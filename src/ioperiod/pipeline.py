@@ -1,11 +1,14 @@
 """End-to-end analysis of one trace window: sample, DFT, dominant-frequency
 detection, metrics.
 
-The sampled signal fed to the detector is normalized to unit total volume
-(the exact integer byte total divides every byte count).  This conditions
-the numerics and makes every dimensionless output bit-for-bit invariant
-under a uniform integer rescaling of the byte counts; byte-unit outputs are
-rescaled back before reporting.
+``analyze_trace`` is the one analysis path; every front end (``detect``,
+``spectrum``, ``predict``, ``replay``, ``bench``) calls it on a parsed or
+generated trace.  The grid is point-sampled straight from the requests
+(``sampling.sample_requests``), normalized to unit total volume (the exact
+integer byte total divides every byte count).  This conditions the numerics
+and makes every dimensionless output bit-for-bit invariant under a uniform
+integer rescaling of the byte counts; byte-unit outputs are rescaled back
+before reporting.
 """
 from __future__ import annotations
 
@@ -90,10 +93,10 @@ def analyze_trace(
 ) -> AnalysisResult:
     """Run the full pipeline on a trace; empty input yields a no-data result.
 
-    The grid is sampled straight from the requests; the samples equal
-    ``discretize`` of ``merge_bandwidth(trace, unit_volume=True)`` up to
-    float rounding.  The request kind is chosen when parsing
-    (``parse_trace(kind_filter=...)``).
+    Samples the unit-volume bandwidth with ``sample_requests``, checks the
+    sampling with ``volume_error`` (warning past ``BAD_SAMPLING_THRESHOLD``),
+    then runs ``dft``, ``detect`` and ``compute_metrics``.  The request kind
+    is chosen when parsing (``parse_trace(kind_filter=...)``).
     """
     volume = float(trace.volume)
     if volume == 0.0:

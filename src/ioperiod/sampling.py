@@ -1,10 +1,10 @@
 """Discretization of the bandwidth signal and its abstraction error.
 
-The continuous signal is point-sampled at a fixed rate over a time window,
-either from a merged ``BandwidthSignal`` (``discretize``, the reference) or
-straight from the requests (``sample_requests``, the analysis path); the
-relative volume mismatch between the zero-order-hold reconstruction and the
-continuous signal quantifies how faithful the discretization is.
+The continuous application bandwidth, the summed rates of the requests, is
+point-sampled at a fixed rate over a time window straight from the requests
+(``sample_requests``); the relative volume mismatch between the
+zero-order-hold reconstruction and the continuous signal (``volume_error``)
+quantifies how faithful the discretization is.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trace import BandwidthSignal, Trace, request_rates
+from .trace import Trace, request_rates
 
 #: |sampling_error| beyond this value indicates the signal was under-sampled
 #: and the analysis should not be trusted.
@@ -100,23 +100,6 @@ def _grid_size(t_lo: float, t_hi: float, fs: float) -> tuple[int, float]:
     return n, 1.0 / fs
 
 
-def discretize(
-    signal: BandwidthSignal,
-    fs: float,
-    window: tuple[float, float] | None = None,
-) -> SampledSignal:
-    """Point-sample the signal at rate fs over the window (default: signal domain).
-
-    Each sample is the instantaneous value at its instant (right-limit at
-    breakpoints).  Windows extending beyond the signal domain sample zeros
-    there.
-    """
-    t_lo, t_hi = window if window is not None else signal.domain
-    n, ts = _grid_size(t_lo, t_hi, fs)
-    samples = signal.value_at(t_lo + np.arange(n) * ts)
-    return SampledSignal(t0=float(t_lo), ts=ts, samples=samples)
-
-
 def sample_requests(
     trace: Trace,
     fs: float,
@@ -124,22 +107,22 @@ def sample_requests(
 ) -> tuple[tuple[float, float], SampledSignal, float]:
     """Point-sample the unit-volume bandwidth of a trace straight from its requests.
 
-    Gives what ``discretize(merge_bandwidth(trace, unit_volume=True), fs,
-    window)`` gives, without building the breakpoint signal: sample i takes
-    the summed rate of every request j with start_j <= t_i < end_j.  The
-    window defaults to the span of the requests with positive duration.
+    Sample i, at t_i = t0 + i*ts, is the summed rate (``request_rates``) of
+    every request j with start_j <= t_i < end_j.  Windows reaching beyond
+    the requests sample zeros there.
+    The window defaults to the span of the requests with positive duration.
 
     Returns the window, the samples, and V_0, the exact volume of the
     unit-volume signal over the covered window [t0, t0 + n*ts), for
     ``volume_error``.
     """
-    start, end, rate = request_rates(trace, unit_volume=True)
+    start, end, rate = request_rates(trace)
     win = window if window is not None else (float(start.min()), float(end.max()))
     t_lo = win[0]
     n, ts = _grid_size(t_lo, win[1], fs)
     grid = t_lo + np.arange(n) * ts
     # each request covers the samples [first, stop); searchsorted on the
-    # grid itself places the boundaries exactly where value_at does
+    # grid itself puts an instant equal to start inside, one equal to end out
     first = np.searchsorted(grid, start)
     stop = np.searchsorted(grid, end)
     # bincount adds in input order; ordering by rate fixes that order
@@ -171,7 +154,3 @@ def volume_error(sampled: SampledSignal, v_0: float) -> float:
         raise NoVolumeError("no I/O volume in the sampled window")
     return (v_s - v_0) / v_0
 
-
-def sampling_error(signal: BandwidthSignal, sampled: SampledSignal) -> float:
-    """``volume_error`` of samples taken from a breakpoint signal."""
-    return volume_error(sampled, signal.integral(sampled.t0, sampled.t0 + sampled.duration))

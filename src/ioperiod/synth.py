@@ -137,6 +137,8 @@ class SynthConfig:
             raise SynthConfigError("invalid compute/desync distribution parameters")
         if self.noise not in NOISE_LEVELS:
             raise SynthConfigError(f"unknown noise level {self.noise!r}")
+        if self.seed < 0:
+            raise SynthConfigError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "templates", tuple(self.templates))
 
 

@@ -1,4 +1,4 @@
-"""Trace data model: per-rank timed I/O requests and the merged bandwidth signal.
+"""Trace data model: per-rank timed I/O requests and their bandwidth rates.
 
 A trace file is line-delimited JSON, one request per line with fields
 ``rank`` (int), ``start`` (finite number, seconds), ``end`` (finite number,
@@ -15,8 +15,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -37,35 +36,13 @@ class TraceValidationError(ValueError):
     """A request violates the data-model invariants (negative duration, ...)."""
 
 
-@dataclass(frozen=True)
-class IoRequest:
-    """One timed byte transfer issued by a single rank."""
-
-    rank: int
-    start: float
-    end: float
-    bytes: int
-    kind: str
-
-    def __post_init__(self):
-        if self.rank < 0:
-            raise TraceValidationError(f"negative rank {self.rank}")
-        if self.end < self.start:
-            raise TraceValidationError(
-                f"negative duration: end {self.end} < start {self.start}"
-            )
-        if self.bytes < 0:
-            raise TraceValidationError(f"negative byte count {self.bytes}")
-        if self.kind not in KINDS:
-            raise TraceValidationError(f"unknown kind {self.kind!r}")
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
 class Trace:
-    """Immutable, columnar collection of I/O requests plus string metadata."""
+    """Immutable, columnar collection of I/O requests plus string metadata.
+
+    Request i is one timed byte transfer: ``rank[i]`` moved ``nbytes[i]``
+    bytes over ``[start[i], end[i]]``; ``kind_code[i]`` is 0 for a read and
+    1 for a write.
+    """
 
     __slots__ = ("rank", "start", "end", "nbytes", "kind_code", "metadata")
 
@@ -74,6 +51,13 @@ class Trace:
         start = np.ascontiguousarray(start, dtype=np.float64)
         end = np.ascontiguousarray(end, dtype=np.float64)
         nbytes = np.ascontiguousarray(nbytes, dtype=np.int64)
+        kind_code = np.asarray(kind_code)
+        # checked before the int8 cast, which would wrap 256 to 0 and cut 0.5 to 0
+        if kind_code.size and kind_code.dtype.kind not in "biu":
+            raise TraceValidationError(f"kind codes must be integers, not {kind_code.dtype}")
+        if kind_code.size and (kind_code.min() < 0 or kind_code.max() > 1):
+            bad = kind_code[(kind_code < 0) | (kind_code > 1)][0]
+            raise TraceValidationError(f"unknown kind code {bad}; expected 0 (read) or 1 (write)")
         kind_code = np.ascontiguousarray(kind_code, dtype=np.int8)
         n = rank.shape[0]
         if not (start.shape[0] == end.shape[0] == nbytes.shape[0] == kind_code.shape[0] == n):
@@ -93,30 +77,8 @@ class Trace:
         self.kind_code = kind_code
         self.metadata = dict(metadata or {})
 
-    @classmethod
-    def from_requests(cls, requests: Iterable[IoRequest], metadata=None) -> "Trace":
-        reqs = list(requests)
-        return cls(
-            [r.rank for r in reqs],
-            [r.start for r in reqs],
-            [r.end for r in reqs],
-            [r.bytes for r in reqs],
-            [_KIND_CODE[r.kind] for r in reqs],
-            metadata=metadata,
-        )
-
     def __len__(self) -> int:
         return self.rank.shape[0]
-
-    def __iter__(self) -> Iterator[IoRequest]:
-        for i in range(len(self)):
-            yield IoRequest(
-                int(self.rank[i]),
-                float(self.start[i]),
-                float(self.end[i]),
-                int(self.nbytes[i]),
-                _CODE_KIND[int(self.kind_code[i])],
-            )
 
     @property
     def t_min(self) -> float:
@@ -264,74 +226,20 @@ def write_trace(trace: Trace, dest: IO[str] | str | os.PathLike) -> None:
             f.close()
 
 
-class BandwidthSignal:
-    """Piecewise-constant application-level bandwidth over time.
-
-    ``values[i]`` holds on ``[times[i], times[i+1])``; the signal is zero
-    outside ``[times[0], times[-1])``.
-    """
-
-    __slots__ = ("times", "values")
-
-    def __init__(self, times, values):
-        times = np.ascontiguousarray(times, dtype=np.float64)
-        values = np.ascontiguousarray(values, dtype=np.float64)
-        if times.shape[0] < 2 or values.shape[0] != times.shape[0] - 1:
-            raise ValueError("need n breakpoint times and n-1 piece values")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("breakpoint times must be strictly increasing")
-        if np.any(values < 0):
-            raise ValueError("bandwidth must be non-negative")
-        times.setflags(write=False)
-        values.setflags(write=False)
-        self.times = times
-        self.values = values
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return float(self.times[0]), float(self.times[-1])
-
-    def value_at(self, t) -> np.ndarray:
-        """Bandwidth at time(s) t; right-continuous at breakpoints, 0 outside."""
-        t = np.asarray(t, dtype=np.float64)
-        idx = np.searchsorted(self.times, t, side="right") - 1
-        valid = (idx >= 0) & (idx < self.values.shape[0])
-        out = np.where(valid, self.values[np.clip(idx, 0, self.values.shape[0] - 1)], 0.0)
-        return out
-
-    def integral(self, t_lo: float | None = None, t_hi: float | None = None) -> float:
-        """Exact integral of the signal over [t_lo, t_hi] (defaults: domain)."""
-        lo = self.times[0] if t_lo is None else t_lo
-        hi = self.times[-1] if t_hi is None else t_hi
-        if hi <= lo:
-            return 0.0
-        left = np.maximum(self.times[:-1], lo)
-        right = np.minimum(self.times[1:], hi)
-        overlap = np.maximum(right - left, 0.0)
-        return float(np.dot(overlap, self.values))
-
-    @property
-    def volume(self) -> float:
-        return self.integral()
-
-
-def request_rates(
-    trace: Trace, *, unit_volume: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Start, end and uniform rate bytes/(end-start) of each request.
+def request_rates(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start, end and unit-volume rate bytes/(V*(end-start)) of each request.
 
     Zero-duration requests with zero bytes are dropped; with nonzero bytes
     they have no defined rate and are rejected, as is a trace with no
-    request of positive duration.
+    request of positive duration or no volume.
 
-    With ``unit_volume=True`` byte counts are first divided by the exact
-    integer total volume, so the rates integrate to 1.  Because the
-    division (c*b)/(c*V) rounds identically for any integer scale c,
-    downstream dimensionless results are bit-for-bit independent of a
-    uniform byte-count rescaling.
+    Byte counts are divided by the exact integer total volume V, so the
+    rates integrate to 1.  Because the division (c*b)/(c*V) rounds
+    identically for any integer scale c, downstream dimensionless results
+    are bit-for-bit independent of a uniform byte-count rescaling.
     """
     if len(trace) == 0:
-        raise TraceValidationError("cannot merge an empty trace")
+        raise TraceValidationError("cannot sample an empty trace")
     dur = trace.end - trace.start
     zero_dur = dur == 0.0
     if np.any(zero_dur & (trace.nbytes > 0)):
@@ -339,34 +247,7 @@ def request_rates(
     keep = ~zero_dur
     if not np.any(keep):
         raise TraceValidationError("no requests with positive duration")
-    if unit_volume:
-        total = trace.volume
-        if total <= 0:
-            raise TraceValidationError("cannot normalize a zero-volume trace")
-        b = trace.nbytes[keep] / total
-    else:
-        b = trace.nbytes[keep].astype(np.float64)
-    return trace.start[keep], trace.end[keep], b / dur[keep]
-
-
-def merge_bandwidth(trace: Trace, *, unit_volume: bool = False) -> BandwidthSignal:
-    """Merge per-rank requests into one application-level bandwidth signal.
-
-    Each request contributes its uniform rate (see ``request_rates``, which
-    also gives the meaning of ``unit_volume``) over its interval;
-    overlapping contributions sum.  This is the exact breakpoint signal;
-    the analysis samples its grid straight from the requests instead.
-    """
-    start, end, rates = request_rates(trace, unit_volume=unit_volume)
-    times = np.concatenate([start, end])
-    deltas = np.concatenate([rates, -rates])
-    # sorting by (time, delta) fixes the accumulation order, making the
-    # merge bitwise independent of the request order in the trace
-    order = np.lexsort((deltas, times))
-    times = times[order]
-    deltas = deltas[order]
-    uniq, first = np.unique(times, return_index=True)
-    sums = np.add.reduceat(deltas, first)
-    bw = np.cumsum(sums)[:-1]
-    np.maximum(bw, 0.0, out=bw)  # clamp float residue of cancelling rates
-    return BandwidthSignal(uniq, bw)
+    total = trace.volume
+    if total <= 0:
+        raise TraceValidationError("cannot normalize a zero-volume trace")
+    return trace.start[keep], trace.end[keep], trace.nbytes[keep] / total / dur[keep]

@@ -7,16 +7,16 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from ioperiod import IoRequest, Trace
+from ioperiod import Trace
+from ioperiod.trace import KINDS
 
 
 def make_trace(rows, metadata=None):
     """Build a Trace from (rank, start, end, bytes[, kind]) tuples."""
-    reqs = []
-    for row in rows:
-        kind = row[4] if len(row) > 4 else "write"
-        reqs.append(IoRequest(row[0], row[1], row[2], int(row[3]), kind))
-    return Trace.from_requests(reqs, metadata=metadata)
+    kinds = [KINDS.index(row[4] if len(row) > 4 else "write") for row in rows]
+    return Trace([row[0] for row in rows], [row[1] for row in rows],
+                 [row[2] for row in rows], [int(row[3]) for row in rows], kinds,
+                 metadata=metadata)
 
 
 def trace_text(rows, meta=None):

@@ -1,8 +1,8 @@
 """Independent reference implementations used only to check the library.
 
 Everything here is deliberately slow and literal: the brute-force DFT
-evaluates the defining sum, and the interval merge scans the time line
-point by point.  None of it imports library internals.
+evaluates the defining sum, and the bandwidth, window volume and sampling
+error scan the requests one by one.  None of it imports library internals.
 """
 import numpy as np
 
@@ -31,6 +31,23 @@ def brute_bandwidth_at(requests, t):
         if start <= t < end:
             total += nbytes / (end - start)
     return total
+
+
+def brute_window_volume(requests, lo, hi):
+    """Volume the requests move inside [lo, hi), each at its uniform rate."""
+    total = 0.0
+    for start, end, nbytes in requests:
+        overlap = min(end, hi) - max(start, lo)
+        if overlap > 0:
+            total += nbytes / (end - start) * overlap
+    return total
+
+
+def brute_sampling_error(requests, t0, ts, n):
+    """(V_s - V_0) / V_0 for n point samples taken every ts from t0."""
+    v_s = ts * sum(brute_bandwidth_at(requests, t0 + i * ts) for i in range(n))
+    v_0 = brute_window_volume(requests, t0, t0 + n * ts)
+    return (v_s - v_0) / v_0
 
 
 def population_std(values):

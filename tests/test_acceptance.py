@@ -16,7 +16,7 @@ import pytest
 
 import conftest
 from conftest import make_trace, pulse_train, trace_text
-from oracles import brute_dft
+from oracles import brute_dft, brute_sampling_error
 
 from ioperiod import (
     Candidate,
@@ -30,9 +30,7 @@ from ioperiod import (
     classify,
     detect,
     dft,
-    discretize,
     fft,
-    merge_bandwidth,
     reconstruct,
     replay,
     sweep,
@@ -292,16 +290,15 @@ def test_criterion_9_byte_scale_invariance():
 
 def test_criterion_10_sampling_error_flag():
     # bursts of 0.1 s against a 1 s sampling interval
-    trace = make_trace([(0, j + 0.45, j + 0.55, 10 ** 6) for j in range(20)])
-    signal = merge_bandwidth(trace)
+    rows = [(0, j + 0.45, j + 0.55, 10 ** 6) for j in range(20)]
+    trace = make_trace(rows)
     with pytest.warns(SamplingQualityWarning):
         coarse = analyze_trace(trace, fs=1.0, window=(0.0, 20.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error", SamplingQualityWarning)
         fine = analyze_trace(trace, fs=100.0, window=(0.0, 20.0))
-    from ioperiod import sampling_error
-    fine_err = sampling_error(signal,
-                              discretize(signal, 100.0, window=(0.0, 20.0)))
+    # the brute-force error of the same 100 Hz grid over (0, 20)
+    fine_err = brute_sampling_error([row[1:] for row in rows], 0.0, 1.0 / 100.0, 2000)
     checks = [
         coarse.sampling_error is not None and abs(coarse.sampling_error) > 0.01,
         fine.sampling_error is not None and abs(fine.sampling_error) <= 0.01,

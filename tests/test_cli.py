@@ -89,13 +89,6 @@ class TestDetect:
         assert main(["detect", str(tmp_path / "nope.jsonl")]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_env_var_default(self, tmp_path, capsys, monkeypatch):
-        trace = write_pulses(tmp_path / "t.jsonl")
-        monkeypatch.setenv("IOPERIOD_FREQ", "10")
-        assert main(["detect", str(trace)]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["period_s"] == pytest.approx(10.0, rel=0.05)
-
     def test_window_flag(self, tmp_path, capsys):
         trace = write_pulses(tmp_path / "t.jsonl")
         assert main(["detect", str(trace), "--freq", "10",
@@ -141,6 +134,12 @@ class TestGenerateAndBench:
         path.write_text(config)
         assert main([command, "--out", str(tmp_path / "out"), "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["generate", "bench"])
+    def test_negative_seed_exits_with_error(self, tmp_path, capsys, command):
+        assert main([command, "--out", str(tmp_path / "out"), "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err and "Traceback" not in err
 
     @pytest.mark.filterwarnings("ignore::ioperiod.SamplingQualityWarning")
     def test_bench_config_overrides_flags(self, tmp_path):
@@ -224,4 +223,14 @@ class TestUsageErrors:
     def test_missing_required_argument(self):
         with pytest.raises(SystemExit) as exc:
             main(["generate"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["predict", "t.jsonl", "--window", "0", "1"],
+        ["bench", "--window", "0", "1"],
+        ["bench", "--kind", "read"],
+    ], ids=["predict-window", "bench-window", "bench-kind"])
+    def test_flag_the_command_does_not_read_exits_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         assert exc.value.code == 2

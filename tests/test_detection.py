@@ -18,10 +18,9 @@ from ioperiod import (
     analyze_trace,
     classify,
     detect,
-    find_candidates,
     suppress_harmonics,
-    zscores,
 )
+from ioperiod.detection import DEFAULT_TOLERANCE, DEFAULT_Z_MIN, _passing, _zscore_array
 
 
 def make_spectrum(adjusted, fs=1.0, n=None):
@@ -47,63 +46,52 @@ def cset(*entries):
     return CandidateSet(entries=tuple(entries), mean_amplitude=1.0, std_amplitude=1.0)
 
 
+def passing(z, spectrum_n, tolerance=DEFAULT_TOLERANCE, z_min=DEFAULT_Z_MIN):
+    """Bins k = 1, 2, ... whose Z-scores ``z`` pass the candidate filter."""
+    k = np.arange(1, len(z) + 1)
+    mask = _passing(k, np.array(z, dtype=np.float64), spectrum_n, tolerance, z_min)
+    return k[mask].tolist()
+
+
 class TestZscores:
     def test_hand_computed_vector(self):
         # non-DC amplitudes [0, 0, 0, 10]: mean 2.5, population std 4.33
         spec = make_spectrum([99.0, 0.0, 0.0, 0.0, 10.0])
-        zset = zscores(spec)
-        z = [c.zscore for c in zset.entries]
+        _, std, z = _zscore_array(spec)
         assert z[:3] == pytest.approx([-0.577, -0.577, -0.577], abs=5e-4)
         assert z[3] == pytest.approx(1.732, abs=5e-4)
-        assert zset.std_amplitude == pytest.approx(population_std([0, 0, 0, 10]))
+        assert std == pytest.approx(population_std([0, 0, 0, 10]))
 
     def test_dc_bin_excluded(self):
         spec = make_spectrum([1e9, 1.0, 2.0, 3.0, 4.0])
-        zset = zscores(spec)
-        assert zset.mean_amplitude == pytest.approx(2.5)
+        mean, _, _ = _zscore_array(spec)
+        assert mean == pytest.approx(2.5)
 
     def test_degenerate_spectrum(self):
         with pytest.raises(DegenerateSpectrumError):
-            zscores(make_spectrum([5.0, 2.0, 2.0, 2.0, 2.0]))
+            _zscore_array(make_spectrum([5.0, 2.0, 2.0, 2.0, 2.0]))
 
     def test_uses_population_std(self, rng):
         amps = rng.uniform(0, 10, 9)
         spec = make_spectrum(np.concatenate([[0.0], amps]))
-        zset = zscores(spec)
-        assert zset.std_amplitude == pytest.approx(population_std(amps))
+        _, std, _ = _zscore_array(spec)
+        assert std == pytest.approx(population_std(amps))
 
 
 class TestFindCandidates:
     def test_unique_outlier(self):
-        zset = cset(
-            cand(0.1, 1.0, k=1, z=1.0), cand(0.2, 1.0, k=2, z=1.0),
-            cand(0.3, 5.0, k=3, z=5.0), cand(0.4, 1.0, k=4, z=1.0),
-        )
-        kept = find_candidates(zset, spectrum_n=10)
-        assert [c.k for c in kept.entries] == [3]
+        assert passing([1.0, 1.0, 5.0, 1.0], spectrum_n=10) == [3]
 
     def test_z_min_gate(self):
         # the relative tolerance alone would keep the max, but z < 3 drops it
-        zset = cset(cand(0.1, 1.0, k=1, z=2.9), cand(0.2, 0.5, k=2, z=1.0))
-        kept = find_candidates(zset, spectrum_n=10)
-        assert len(kept) == 0
+        assert passing([2.9, 1.0], spectrum_n=10) == []
 
     def test_tolerance_band_keeps_near_max(self):
-        zset = cset(
-            cand(0.1, 1.0, k=1, z=10.0), cand(0.2, 0.9, k=2, z=8.5),
-            cand(0.3, 0.5, k=3, z=7.0),
-        )
-        kept = find_candidates(zset, spectrum_n=10, tolerance=0.8)
-        assert [c.k for c in kept.entries] == [1, 2]
+        assert passing([10.0, 8.5, 7.0], spectrum_n=10, tolerance=0.8) == [1, 2]
 
     def test_nyquist_bin_excluded_from_max(self):
         # n=8: bin 4 is the Nyquist bin; its large z must not set the bar
-        zset = cset(
-            cand(0.1, 1.0, k=1, z=4.0), cand(0.2, 1.0, k=2, z=1.0),
-            cand(0.3, 1.0, k=3, z=1.0), cand(0.4, 9.0, k=4, z=9.0),
-        )
-        kept = find_candidates(zset, spectrum_n=8)
-        assert [c.k for c in kept.entries] == [1, 4]
+        assert passing([4.0, 1.0, 1.0, 9.0], spectrum_n=8) == [1, 4]
 
 
 class TestSuppressHarmonics:
@@ -255,7 +243,7 @@ class TestAgainstPerBinOracle:
         want = brute_candidates(adjusted, n, tolerance, z_min)
         if want is None:
             with pytest.raises(DegenerateSpectrumError):
-                zscores(spec)
+                _zscore_array(spec)
             assert result.confidence == Confidence.NO_CANDIDATE
             assert result.frequency is None and result.suppressed_harmonics == ()
             assert len(result.candidates) == 0
@@ -268,11 +256,9 @@ class TestAgainstPerBinOracle:
         assume(all(_clear_of(zk, cut) or (tolerance == 1.0 and zk == cut) for zk in z))
         assume(all(_clear_of(zk, z_min) for zk in z))
 
-        zset = zscores(spec)
-        assert [c.k for c in zset.entries] == list(range(1, len(z) + 1))
-        assert [c.zscore for c in zset.entries] == pytest.approx(z, rel=0, abs=1e-12)
-        filtered = find_candidates(zset, n, tolerance=tolerance, z_min=z_min)
-        assert [c.k for c in filtered.entries] == kept
+        _, _, got_z = _zscore_array(spec)
+        assert got_z.tolist() == pytest.approx(z, rel=0, abs=1e-12)
+        assert passing(got_z, n, tolerance=tolerance, z_min=z_min) == kept
 
         oracle_set = CandidateSet(
             entries=tuple(Candidate(k=k, frequency=float(spec.frequencies[k]),

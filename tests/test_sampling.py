@@ -5,16 +5,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_trace
-from oracles import brute_bandwidth_at
+from oracles import brute_bandwidth_at, brute_sampling_error, brute_window_volume
 
-from ioperiod import (
-    BandwidthSignal,
-    NoVolumeError,
-    TraceValidationError,
-    discretize,
-    merge_bandwidth,
-    sampling_error,
-)
+from ioperiod import NoVolumeError, TraceValidationError
 from ioperiod.sampling import MAX_SAMPLES, sample_requests, snap_floor, volume_error
 
 
@@ -36,77 +29,65 @@ class TestSnapFloor:
 
 class TestDiscretize:
     def test_constant_signal(self):
-        signal = BandwidthSignal([0.0, 2.0], [2e9])
-        sampled = discretize(signal, fs=1.0)
+        sampled = sample_requests(make_trace([(0, 0.0, 2.0, 4 * 10 ** 9)]), fs=1.0)[1]
         assert sampled.n == 2
-        assert np.allclose(sampled.samples, [2e9, 2e9])
+        assert np.allclose(sampled.samples * 4e9, [2e9, 2e9])
 
     def test_window_count_matches_product(self):
         # 76.05 s at 100 Hz gives 7605 samples (3803 single-sided bins)
-        signal = BandwidthSignal([0.0, 76.05], [1.0])
-        sampled = discretize(signal, fs=100.0)
+        sampled = sample_requests(make_trace([(0, 0.0, 76.05, 7605)]), fs=100.0)[1]
         assert sampled.n == 7605
         assert sampled.n // 2 + 1 == 3803
 
     def test_point_sampling_misses_short_burst(self):
-        signal = BandwidthSignal([0.25, 0.75], [8.0])
-        sampled = discretize(signal, fs=1.0, window=(0.0, 2.0))
+        sampled = sample_requests(make_trace([(0, 0.25, 0.75, 4)]), 1.0, (0.0, 2.0))[1]
         assert np.all(sampled.samples == 0.0)
 
     def test_sample_count_is_bounded(self):
-        signal = BandwidthSignal([0.0, 1.0], [1.0])
         trace = make_trace([(0, 0.0, 1.0, 10)])
         window = (0.0, (MAX_SAMPLES + 1) / 10.0)
         with pytest.raises(ValueError, match=str(MAX_SAMPLES)):
-            discretize(signal, fs=10.0, window=window)
-        with pytest.raises(ValueError, match=str(MAX_SAMPLES)):
             sample_requests(trace, 10.0, window)
-        assert discretize(signal, fs=10.0, window=(0.0, MAX_SAMPLES / 10.0)).n == MAX_SAMPLES
+        assert sample_requests(trace, 10.0, (0.0, MAX_SAMPLES / 10.0))[1].n == MAX_SAMPLES
 
     def test_window_beyond_domain_samples_zero(self):
-        signal = BandwidthSignal([0.0, 1.0], [5.0])
-        sampled = discretize(signal, fs=1.0, window=(0.0, 4.0))
-        assert list(sampled.samples) == [5.0, 0.0, 0.0, 0.0]
+        sampled = sample_requests(make_trace([(0, 0.0, 1.0, 5)]), 1.0, (0.0, 4.0))[1]
+        assert list(sampled.samples * 5) == [5.0, 0.0, 0.0, 0.0]
 
     def test_invalid_arguments(self):
-        signal = BandwidthSignal([0.0, 1.0], [1.0])
+        trace = make_trace([(0, 0.0, 1.0, 1)])
         with pytest.raises(ValueError):
-            discretize(signal, fs=0.0)
+            sample_requests(trace, fs=0.0)
         with pytest.raises(ValueError):
-            discretize(signal, fs=1.0, window=(1.0, 1.0))
+            sample_requests(trace, fs=1.0, window=(1.0, 1.0))
 
     def test_times_property(self):
-        signal = BandwidthSignal([0.0, 1.0], [1.0])
-        sampled = discretize(signal, fs=4.0)
+        sampled = sample_requests(make_trace([(0, 0.0, 1.0, 1)]), fs=4.0)[1]
         assert np.allclose(sampled.times, [0.0, 0.25, 0.5, 0.75])
 
 
 class TestSamplingError:
+    @staticmethod
+    def error(rows, fs, window=None):
+        _, sampled, v_0 = sample_requests(make_trace(rows), fs, window)
+        return volume_error(sampled, v_0)
+
     def test_constant_aligned_signal_is_exact(self):
-        signal = BandwidthSignal([0.0, 4.0], [3.0])
-        sampled = discretize(signal, fs=2.0)
-        assert sampling_error(signal, sampled) == pytest.approx(0.0, abs=1e-12)
+        assert self.error([(0, 0.0, 4.0, 12)], fs=2.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_fully_missed_burst(self):
         # every sample lands outside the burst, so V_s = 0 against V_0 = 4
-        signal = BandwidthSignal([0.25, 0.75], [8.0])
-        sampled = discretize(signal, fs=1.0, window=(0.0, 2.0))
-        assert sampling_error(signal, sampled) == pytest.approx(-1.0)
+        assert self.error([(0, 0.25, 0.75, 4)], 1.0, (0.0, 2.0)) == pytest.approx(-1.0)
 
     def test_window_without_volume(self):
-        signal = BandwidthSignal([0.25, 0.75], [8.0])
-        sampled = discretize(signal, fs=1.0, window=(1.0, 3.0))
         with pytest.raises(NoVolumeError):
-            sampling_error(signal, sampled)
+            self.error([(0, 0.25, 0.75, 4)], 1.0, (1.0, 3.0))
 
     def test_under_sampling_grows_error(self):
         # short bursts relative to the sampling interval distort the volume
-        trace = make_trace([(0, j + 0.45, j + 0.55, 1000) for j in range(20)])
-        signal = merge_bandwidth(trace)
-        coarse = discretize(signal, fs=1.0, window=(0.0, 20.0))
-        fine = discretize(signal, fs=100.0, window=(0.0, 20.0))
-        assert abs(sampling_error(signal, coarse)) > 0.03
-        assert abs(sampling_error(signal, fine)) <= 0.01
+        rows = [(0, j + 0.45, j + 0.55, 1000) for j in range(20)]
+        assert abs(self.error(rows, 1.0, (0.0, 20.0))) > 0.03
+        assert abs(self.error(rows, 100.0, (0.0, 20.0))) <= 0.01
 
     @given(st.floats(0.5, 20.0), st.integers(1, 6))
     @settings(max_examples=40, deadline=None)
@@ -114,9 +95,8 @@ class TestSamplingError:
         # breakpoints on the sampling grid: zero-order hold is exact
         times = np.arange(5) / fs
         values = scale * np.array([1.0, 3.0, 0.5, 2.0])
-        signal = BandwidthSignal(times, values)
-        sampled = discretize(signal, fs=float(fs))
-        assert sampling_error(signal, sampled) == pytest.approx(0.0, abs=1e-12)
+        rows = [(0, times[i], times[i + 1], round(1e6 * values[i] / fs)) for i in range(4)]
+        assert self.error(rows, float(fs)) == pytest.approx(0.0, abs=1e-12)
 
 
 @st.composite
@@ -150,38 +130,35 @@ def request_sets(draw):
 
 
 class TestSampleRequests:
-    """The request sampler against the breakpoint merge and the oracle."""
-
-    @staticmethod
-    def reference(rows, fs, window):
-        signal = merge_bandwidth(make_trace(rows), unit_volume=True)
-        return signal, discretize(signal, fs, window=window)
+    """The request sampler against the brute-force oracles."""
 
     @given(request_sets())
     @settings(max_examples=100, deadline=None)
     def test_matches_merge_and_oracle(self, case):
         rows, fs, window = case
-        try:
-            signal, want = self.reference(rows, fs, window)
-        except ValueError as exc:   # a span shorter than one interval
-            with pytest.raises(ValueError, match=str(exc)):
+        spans = [(start, end) for _, start, end, _ in rows if end > start]
+        want_win = window if window is not None else (
+            min(start for start, _ in spans), max(end for _, end in spans))
+        want_n = snap_floor((want_win[1] - want_win[0]) * fs)
+        if want_n < 1:   # a span shorter than one interval
+            with pytest.raises(ValueError, match="shorter than one sampling interval"):
                 sample_requests(make_trace(rows), fs, window)
             return
         win, got, v_0 = sample_requests(make_trace(rows), fs, window)
-        assert win == (window if window is not None else signal.domain)
-        assert (got.t0, got.ts, got.n) == (want.t0, want.ts, want.n)
-        peak = signal.values.max()
-        assert np.allclose(got.samples, want.samples, rtol=0.0, atol=1e-12 * peak)
+        assert win == want_win
+        assert (got.t0, got.ts, got.n) == (want_win[0], 1.0 / fs, want_n)
         volume = sum(nbytes for *_, nbytes in rows)
         requests = [(start, end, nbytes / volume) for _, start, end, nbytes in rows]
+        # the bandwidth is piecewise constant and peaks where a request starts
+        peak = max(brute_bandwidth_at(requests, start) for start, _, _ in requests)
         oracle = [brute_bandwidth_at(requests, t) for t in got.times]
         assert np.allclose(got.samples, oracle, rtol=0.0, atol=1e-12 * peak)
-        # volumes carry the merge's rounding, which scales with peak x window
-        scale = peak * want.duration
-        want_v_0 = signal.integral(want.t0, want.t0 + want.duration)
+        # volumes carry rounding that scales with peak x window
+        scale = peak * got.duration
+        want_v_0 = brute_window_volume(requests, got.t0, got.t0 + got.duration)
         assert v_0 == pytest.approx(want_v_0, rel=0.0, abs=1e-12 * scale)
-        if want_v_0 > 1e-9 * scale:   # not just the merge's cancellation residue
-            want_err = sampling_error(signal, want)
+        if want_v_0 > 1e-9 * scale:   # not just rounding residue
+            want_err = brute_sampling_error(requests, got.t0, got.ts, got.n)
             assert volume_error(got, v_0) == pytest.approx(
                 want_err, rel=0.0, abs=1e-12 * scale * (2.0 + abs(want_err)) / want_v_0)
 
@@ -208,11 +185,8 @@ class TestSampleRequests:
         [],
     ])
     def test_rejects_what_the_merge_rejects(self, rows):
-        trace = make_trace(rows)
         with pytest.raises(TraceValidationError):
-            merge_bandwidth(trace, unit_volume=True)
-        with pytest.raises(TraceValidationError):
-            sample_requests(trace, 1.0, (0.0, 2.0))
+            sample_requests(make_trace(rows), 1.0, (0.0, 2.0))
 
     def test_window_without_volume(self):
         trace = make_trace([(0, 0.25, 0.75, 8)])

@@ -11,7 +11,6 @@ from ioperiod import (
     bundled_phase_templates,
     detection_error,
     generate,
-    merge_bandwidth,
     sweep,
     sweep_to_csv,
 )
@@ -57,6 +56,10 @@ class TestConfigValidation:
             SynthConfig(compute_mean=-1.0, templates=templates)
         with pytest.raises(SynthConfigError):
             SynthConfig(noise="deafening", templates=templates)
+
+    def test_rejects_negative_seed(self, templates):
+        with pytest.raises(SynthConfigError, match="seed"):
+            SynthConfig(seed=-1, templates=templates)
 
     def test_rejects_empty_template_library(self):
         with pytest.raises(SynthConfigError):

@@ -1,4 +1,4 @@
-"""Trace parsing, validation, and bandwidth merging."""
+"""Trace parsing, validation, and the bandwidth merged from the requests."""
 import io
 import json
 
@@ -11,16 +11,14 @@ from conftest import HOSTILE_RECORDS, make_trace, trace_text
 from oracles import brute_bandwidth_at
 
 from ioperiod import (
-    BandwidthSignal,
-    IoRequest,
     Trace,
     TraceParseError,
     TraceValidationError,
     analyze_trace,
-    merge_bandwidth,
     parse_trace,
     write_trace,
 )
+from ioperiod.sampling import sample_requests
 
 
 class TestParsing:
@@ -127,23 +125,20 @@ class TestParsing:
 class TestRequestModel:
     def test_request_validation(self):
         with pytest.raises(TraceValidationError):
-            IoRequest(-1, 0.0, 1.0, 1, "read")
+            Trace([-1], [0.0], [1.0], [1], [0])
         with pytest.raises(TraceValidationError):
-            IoRequest(0, 1.0, 0.0, 1, "read")
+            Trace([0], [1.0], [0.0], [1], [0])
         with pytest.raises(TraceValidationError):
-            IoRequest(0, 0.0, 1.0, -1, "read")
-        with pytest.raises(TraceValidationError):
-            IoRequest(0, 0.0, 1.0, 1, "append")
+            Trace([0], [0.0], [1.0], [-1], [0])
+        # kind codes are 0 (read) and 1 (write); as int8, 256 would wrap to 0
+        for code in ([2], [-1], np.array([256]), [0.5]):
+            with pytest.raises(TraceValidationError, match="kind code"):
+                Trace([0], [0.0], [1.0], [1], code)
 
     def test_trace_columns_are_immutable(self):
         trace = make_trace([(0, 0.0, 1.0, 10)])
         with pytest.raises(ValueError):
             trace.nbytes[0] = 99
-
-    def test_iteration_yields_requests(self):
-        trace = make_trace([(1, 0.5, 1.5, 77, "read")])
-        (req,) = list(trace)
-        assert req == IoRequest(1, 0.5, 1.5, 77, "read")
 
     def test_volume_is_exact_integer(self):
         # large counts that would lose precision as float64
@@ -164,46 +159,56 @@ class TestRequestModel:
         assert analysis.sampling_error == unit.sampling_error
 
 
+def bandwidth_at(trace, t):
+    """Merged bandwidth of the trace in bytes/s at instant t: one sample at t."""
+    _, sampled, _ = sample_requests(trace, 1.0, (t, t + 1.0))
+    return sampled.samples[0] * trace.volume
+
+
+def window_volume(trace, window):
+    """Bytes the merged bandwidth moves over a window, from V_0."""
+    return sample_requests(trace, 1.0, window)[2] * trace.volume
+
+
 class TestMergeBandwidth:
+    """The application bandwidth summed from per-rank requests, read
+    through ``sample_requests`` and scaled back to bytes by the volume."""
+
     def test_single_request(self):
         trace = make_trace([(0, 0.0, 2.0, 4_000_000_000)])
-        signal = merge_bandwidth(trace)
-        assert signal.value_at(0.0) == pytest.approx(2e9)
-        assert signal.value_at(1.999) == pytest.approx(2e9)
-        assert signal.value_at(2.0) == 0.0
+        assert bandwidth_at(trace, 0.0) == pytest.approx(2e9)
+        assert bandwidth_at(trace, 1.999) == pytest.approx(2e9)
+        assert bandwidth_at(trace, 2.0) == 0.0
 
     def test_two_overlapping_requests(self):
         # 4 GB over [0,2] and 2 GB over [1,3]: 2, 3, 1 GB/s on the pieces
         trace = make_trace([(0, 0.0, 2.0, 4_000_000_000), (1, 1.0, 3.0, 2_000_000_000)])
-        signal = merge_bandwidth(trace)
-        assert signal.value_at(0.5) == pytest.approx(2e9)
-        assert signal.value_at(1.5) == pytest.approx(3e9)
-        assert signal.value_at(2.5) == pytest.approx(1e9)
+        assert bandwidth_at(trace, 0.5) == pytest.approx(2e9)
+        assert bandwidth_at(trace, 1.5) == pytest.approx(3e9)
+        assert bandwidth_at(trace, 2.5) == pytest.approx(1e9)
 
     def test_identical_concurrent_requests(self):
         p, b = 8, 1000
         trace = make_trace([(k, 0.0, 1.0, b) for k in range(p)])
-        signal = merge_bandwidth(trace)
-        assert signal.value_at(0.3) == pytest.approx(p * b)
+        assert bandwidth_at(trace, 0.3) == pytest.approx(p * b)
 
     def test_zero_duration_zero_bytes_dropped(self):
         trace = make_trace([(0, 0.0, 1.0, 10), (0, 0.5, 0.5, 0)])
-        signal = merge_bandwidth(trace)
-        assert signal.volume == pytest.approx(10)
+        assert window_volume(trace, (0.0, 1.0)) == pytest.approx(10)
 
     def test_zero_duration_nonzero_bytes_rejected(self):
         trace = make_trace([(0, 0.5, 0.5, 10)])
         with pytest.raises(TraceValidationError):
-            merge_bandwidth(trace)
+            sample_requests(trace, 1.0)
 
     def test_empty_trace_rejected(self):
         with pytest.raises(TraceValidationError):
-            merge_bandwidth(make_trace([]))
+            sample_requests(make_trace([]), 1.0)
 
     def test_unit_volume_integrates_to_one(self):
         trace = make_trace([(0, 0.0, 2.0, 300), (1, 1.0, 4.0, 700)])
-        signal = merge_bandwidth(trace, unit_volume=True)
-        assert signal.volume == pytest.approx(1.0, rel=1e-12)
+        _, _, v_0 = sample_requests(trace, 1.0, (0.0, 4.0))
+        assert v_0 == pytest.approx(1.0, rel=1e-12)
 
     @given(st.lists(
         st.tuples(
@@ -217,8 +222,8 @@ class TestMergeBandwidth:
     @settings(max_examples=60, deadline=None)
     def test_volume_conserved(self, rows):
         trace = make_trace([(r, s, s + d, b) for r, s, d, b in rows])
-        signal = merge_bandwidth(trace)
-        assert signal.volume == pytest.approx(trace.volume, rel=1e-9)
+        # a window of whole seconds covering every request
+        assert window_volume(trace, (0.0, 61.0)) == pytest.approx(trace.volume, rel=1e-9)
 
     @given(st.lists(
         st.tuples(st.floats(0.0, 20.0), st.floats(0.1, 5.0), st.integers(1, 10 ** 6)),
@@ -229,10 +234,10 @@ class TestMergeBandwidth:
         reqs = [(0, s, s + d, b) for s, d, b in rows]
         shuffled = list(reqs)
         rand.shuffle(shuffled)
-        a = merge_bandwidth(make_trace(reqs))
-        b = merge_bandwidth(make_trace(shuffled))
-        assert np.array_equal(a.times, b.times)
-        assert np.array_equal(a.values, b.values)
+        _, a, a_v_0 = sample_requests(make_trace(reqs), 10.0, (0.0, 25.0))
+        _, b, b_v_0 = sample_requests(make_trace(shuffled), 10.0, (0.0, 25.0))
+        assert np.array_equal(a.samples, b.samples)
+        assert a_v_0 == b_v_0
 
     def test_matches_pointwise_oracle(self, rng):
         rows = [
@@ -241,23 +246,7 @@ class TestMergeBandwidth:
             for _ in range(25)
         ]
         reqs = [(s, s + d, b) for _, s, d, b in rows]
-        signal = merge_bandwidth(make_trace([(r, s, s + d, b) for r, s, d, b in rows]))
+        trace = make_trace([(r, s, s + d, b) for r, s, d, b in rows])
         for t in rng.uniform(-1, 15, 50):
-            assert signal.value_at(t) == pytest.approx(
+            assert bandwidth_at(trace, t) == pytest.approx(
                 brute_bandwidth_at(reqs, t), rel=1e-9, abs=1e-6)
-
-
-class TestBandwidthSignal:
-    def test_requires_sorted_breakpoints(self):
-        with pytest.raises(ValueError):
-            BandwidthSignal([0.0, 0.0, 1.0], [1.0, 2.0])
-
-    def test_rejects_negative_bandwidth(self):
-        with pytest.raises(ValueError):
-            BandwidthSignal([0.0, 1.0], [-1.0])
-
-    def test_integral_subwindow(self):
-        signal = BandwidthSignal([0.0, 1.0, 2.0], [4.0, 2.0])
-        assert signal.integral(0.5, 1.5) == pytest.approx(3.0)
-        assert signal.integral(-5.0, 0.0) == 0.0
-        assert signal.integral() == pytest.approx(6.0)
