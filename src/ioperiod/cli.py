@@ -21,14 +21,16 @@ DEFAULT_FS = 10.0
 
 
 def _add_common(parser: argparse.ArgumentParser, freq: float = DEFAULT_FS,
-                kind: bool = True, window: bool = True) -> None:
-    """The analysis flags; ``--kind`` and ``--window`` only where they are read."""
+                kind: bool = True, window: bool = True, thresholds: bool = True) -> None:
+    """The analysis flags; ``--kind``, ``--window``, ``--tolerance`` and
+    ``--z-min`` only where they are read."""
     parser.add_argument("--freq", type=float, default=freq,
                         help=f"sampling frequency in Hz (default {freq:g})")
-    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
-                        help="candidate Z-score tolerance fraction (default 0.8)")
-    parser.add_argument("--z-min", type=float, default=DEFAULT_Z_MIN,
-                        help="minimum outlier Z-score (default 3)")
+    if thresholds:
+        parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+                            help="candidate Z-score tolerance in (0, 1] (default 0.8)")
+        parser.add_argument("--z-min", type=float, default=DEFAULT_Z_MIN,
+                            help="minimum outlier Z-score (default 3)")
     if kind:
         parser.add_argument("--kind", choices=["read", "write", "both"], default="both",
                             help="which request kinds to analyze")
@@ -187,8 +189,7 @@ def _cmd_bench(args) -> int:
 def _cmd_spectrum(args) -> int:
     trace = parse_trace(args.trace, kind_filter=args.kind)
     window = tuple(args.window) if args.window else None
-    analysis = analyze_trace(trace, args.freq, window=window,
-                             tolerance=args.tolerance, z_min=args.z_min)
+    analysis = analyze_trace(trace, args.freq, window=window)
     if analysis.spectrum is None:
         print("error: no I/O in the analysis window, so no spectrum", file=sys.stderr)
         return 1
@@ -263,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="export the single-sided spectrum as CSV")
     p.add_argument("trace")
-    _add_common(p)
+    _add_common(p, thresholds=False)  # the spectrum does not depend on them
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_spectrum)
 

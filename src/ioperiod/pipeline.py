@@ -12,6 +12,7 @@ before reporting.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -84,6 +85,17 @@ def _empty_result(window: tuple[float, float], err: float | None = None) -> Anal
     )
 
 
+def check_analysis_args(fs: float, tolerance: float, z_min: float) -> None:
+    """Raise ValueError unless fs is positive and finite, tolerance is in
+    (0, 1] and z_min is non-negative (NaN fails each test)."""
+    if not 0 < fs < math.inf:
+        raise ValueError(f"sampling frequency must be positive and finite, got {fs}")
+    if not 0 < tolerance <= 1:
+        raise ValueError(f"tolerance must be in (0, 1], got {tolerance}")
+    if not z_min >= 0:
+        raise ValueError(f"z_min must be non-negative, got {z_min}")
+
+
 def analyze_trace(
     trace: Trace,
     fs: float,
@@ -98,6 +110,7 @@ def analyze_trace(
     then runs ``dft``, ``detect`` and ``compute_metrics``.  The request kind
     is chosen when parsing (``parse_trace(kind_filter=...)``).
     """
+    check_analysis_args(fs, tolerance, z_min)
     volume = float(trace.volume)
     if volume == 0.0:
         return _empty_result(window if window is not None else (0.0, 0.0))

@@ -36,6 +36,15 @@ class TraceValidationError(ValueError):
     """A request violates the data-model invariants (negative duration, ...)."""
 
 
+def _integer_column(values, what: str, dtype=None) -> np.ndarray:
+    """``values`` as an array of an integral dtype, checked before any cast
+    (which would cut 5.7 to 5, or wrap a kind code of 256 to 0 as int8)."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "biu":
+        raise TraceValidationError(f"{what} must be integers, not {arr.dtype}")
+    return arr if dtype is None else np.ascontiguousarray(arr, dtype=dtype)
+
+
 class Trace:
     """Immutable, columnar collection of I/O requests plus string metadata.
 
@@ -47,14 +56,11 @@ class Trace:
     __slots__ = ("rank", "start", "end", "nbytes", "kind_code", "metadata")
 
     def __init__(self, rank, start, end, nbytes, kind_code, metadata=None):
-        rank = np.ascontiguousarray(rank, dtype=np.int64)
+        rank = _integer_column(rank, "ranks", np.int64)
         start = np.ascontiguousarray(start, dtype=np.float64)
         end = np.ascontiguousarray(end, dtype=np.float64)
-        nbytes = np.ascontiguousarray(nbytes, dtype=np.int64)
-        kind_code = np.asarray(kind_code)
-        # checked before the int8 cast, which would wrap 256 to 0 and cut 0.5 to 0
-        if kind_code.size and kind_code.dtype.kind not in "biu":
-            raise TraceValidationError(f"kind codes must be integers, not {kind_code.dtype}")
+        nbytes = _integer_column(nbytes, "byte counts", np.int64)
+        kind_code = _integer_column(kind_code, "kind codes")
         if kind_code.size and (kind_code.min() < 0 or kind_code.max() > 1):
             bad = kind_code[(kind_code < 0) | (kind_code > 1)][0]
             raise TraceValidationError(f"unknown kind code {bad}; expected 0 (read) or 1 (write)")
@@ -158,18 +164,19 @@ def _record_error(rank, start, end, nbytes, kind, lineno: int) -> ValueError:
     return TraceParseError(f"{name} {value} exceeds the 64-bit integer range", lineno)
 
 
-def parse_trace(source, kind_filter: str = "both") -> Trace:
+def parse_trace(source, kind_filter: str = "both", first_line: int = 1) -> Trace:
     """Parse a line-delimited trace from a path, stream, or bytes.
 
     Preserves append order, applies the read/write filter, and ignores a
     trailing partial line so it is safe to call on a file that is still
-    being appended to.
+    being appended to.  Errors number the lines from ``first_line``, so
+    a caller parsing a file's tail can count them from the file's start.
     """
     if kind_filter not in KINDS + ("both",):
         raise ValueError(f"unknown kind filter {kind_filter!r}")
     rank, start, end, nbytes, kind_code = [], [], [], [], []
     metadata: dict = {}
-    for lineno, line in enumerate(_iter_complete_lines(source), start=1):
+    for lineno, line in enumerate(_iter_complete_lines(source), start=first_line):
         if not line.strip():
             continue
         try:

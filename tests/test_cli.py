@@ -229,8 +229,45 @@ class TestUsageErrors:
         ["predict", "t.jsonl", "--window", "0", "1"],
         ["bench", "--window", "0", "1"],
         ["bench", "--kind", "read"],
-    ], ids=["predict-window", "bench-window", "bench-kind"])
+        ["spectrum", "t.jsonl", "--tolerance", "0.5"],
+        ["spectrum", "t.jsonl", "--z-min", "2"],
+    ], ids=["predict-window", "bench-window", "bench-kind", "spectrum-tolerance",
+            "spectrum-z-min"])
     def test_flag_the_command_does_not_read_exits_2(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+#: flags outside their range, by test id; each command would otherwise run
+OUT_OF_RANGE = {
+    "detect-freq-negative": ["detect", "TRACE", "--freq", "-1"],
+    "detect-freq-nan": ["detect", "TRACE", "--freq", "nan"],
+    "spectrum-freq-zero": ["spectrum", "TRACE", "--freq", "0"],
+    "bench-freq-negative": ["bench", "--freq", "-1", "--repetitions", "1"],
+    "detect-tolerance-above-1": ["detect", "TRACE", "--tolerance", "5"],
+    "detect-tolerance-zero": ["detect", "TRACE", "--tolerance", "0"],
+    "bench-tolerance-nan": ["bench", "--tolerance", "nan", "--repetitions", "1"],
+    "detect-z-min-negative": ["detect", "TRACE", "--z-min", "-1"],
+    "predict-freq-nan": ["predict", "TRACE", "--freq", "nan", "--idle-timeout", "0.02"],
+    "predict-tolerance-above-1": ["predict", "TRACE", "--tolerance", "1.5",
+                                  "--idle-timeout", "0.02"],
+    "predict-z-min-negative": ["predict", "TRACE", "--z-min", "-3", "--idle-timeout", "0.02"],
+    "predict-idle-timeout-negative": ["predict", "TRACE", "--idle-timeout", "-5"],
+    "predict-watch-interval-negative": ["predict", "TRACE", "--watch-interval", "-1",
+                                        "--idle-timeout", "0.02"],
+    "predict-watch-interval-nan": ["predict", "TRACE", "--watch-interval", "nan",
+                                   "--idle-timeout", "0.02"],
+    "predict-fixed-window-negative": ["predict", "TRACE", "--fixed-window", "-2",
+                                      "--idle-timeout", "0.02"],
+}
+
+
+@pytest.mark.parametrize("argv", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+def test_out_of_range_flag_exits_with_error(tmp_path, capsys, argv):
+    trace = write_pulses(tmp_path / "t.jsonl", n_pulses=5)
+    assert main([str(trace) if a == "TRACE" else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""  # rejected before any record or row is written

@@ -1,17 +1,45 @@
 """Online prediction: window adaptation, scripted replay, file tailing."""
 import json
+import os
 import warnings
 
+import numpy as np
 import pytest
 
 from conftest import trace_text
 
-from ioperiod import replay, watch
+from ioperiod import (
+    TraceParseError,
+    TraceValidationError,
+    analyze_trace,
+    online,
+    parse_trace,
+    replay,
+    watch,
+)
 from ioperiod.online import ADAPT_AFTER, MIN_WINDOW_BINS, WINDOW_PERIODS, _choose_window
 
 
 def pulse_rows(n_pulses, period=8.1, phase_len=2.0, nbytes=10 ** 9):
     return [(0, j * period, j * period + phase_len, nbytes) for j in range(n_pulses)]
+
+
+def watch_appends(path, chunks, **kwargs):
+    """Records of ``watch`` on ``path`` while each idle poll appends the next chunk."""
+    path.write_bytes(b"")
+    pending = list(chunks)
+
+    def append(_):
+        if pending:
+            with open(path, "ab") as f:
+                f.write(pending.pop(0).encode())
+
+    return list(watch(path, fs=10.0, poll_interval=0.01, idle_timeout=0.03,
+                      _sleep=append, **kwargs))
+
+
+def dumps(records):
+    return [json.dumps(r.to_dict(), sort_keys=True) for r in records]
 
 
 def pulse_schedule(triggers, period=8.1, phase_len=2.0):
@@ -153,6 +181,114 @@ class TestWatch:
         assert records == []
 
 
+    @pytest.mark.parametrize("replacement_rows", [
+        [(1, s, e, b) for _, s, e, b in pulse_rows(3)],
+        pulse_rows(4, period=9.0),
+    ], ids=["same-size", "larger"])
+    def test_rotation_resets_with_warning(self, tmp_path, replacement_rows):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(trace_text(pulse_rows(3)))
+        replacement = tmp_path / "rotated.jsonl"
+        replacement.write_text(trace_text(replacement_rows))
+        assert replacement.stat().st_size >= path.stat().st_size
+        pending = [replacement]
+
+        def fake_sleep(_):
+            if pending:
+                os.replace(pending.pop(), path)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            records = list(watch(path, fs=10.0, poll_interval=0.01,
+                                 idle_timeout=0.03, _sleep=fake_sleep))
+        assert any("replaced" in str(w.message) for w in caught)
+        assert len(records) == 2
+        # the second record sees the new file alone, with no history
+        text = trace_text(replacement_rows)
+        assert dumps(records[1:]) == dumps(
+            replay([(text, parse_trace(text.encode()).t_max)], fs=10.0))
+
+    def test_each_byte_parsed_once(self, tmp_path, monkeypatch):
+        received = []
+
+        def counting_parse(source, *args, **kwargs):
+            received.append(len(source))
+            return parse_trace(source, *args, **kwargs)
+
+        monkeypatch.setattr(online, "parse_trace", counting_parse)
+        chunks = [trace_text([row]) for row in pulse_rows(12)]
+        # one append ends mid-line; the next completes the line
+        cut = len(chunks[5]) // 2
+        chunks[5:6] = [chunks[5][:cut], chunks[5][cut:]]
+        path = tmp_path / "trace.jsonl"
+        records = watch_appends(path, chunks)
+        assert len(records) == 12
+        assert len(received) == 12
+        assert sum(received) == path.stat().st_size
+
+    @pytest.mark.parametrize("bad_line, error", [
+        ("not json", TraceParseError),
+        ('{"rank": 0, "start": 2.0, "end": 1.0, "bytes": 1, "kind": "read"}',
+         TraceValidationError),
+    ], ids=["parse", "validation"])
+    def test_error_names_line_counted_from_file_start(self, tmp_path, bad_line, error):
+        rows = pulse_rows(6)
+        chunks = [trace_text(rows[:2], meta={"job": "7"}), trace_text(rows[2:4]),
+                  trace_text(rows[4:5]) + bad_line + "\n" + trace_text(rows[5:])]
+        path = tmp_path / "trace.jsonl"
+        with pytest.raises(error, match="^line 7: ") as tailed:
+            watch_appends(path, chunks)
+        with pytest.raises(error) as whole:
+            parse_trace(path)
+        assert str(tailed.value) == str(whole.value)
+
+    def test_metadata_of_first_append_survives(self, tmp_path, monkeypatch):
+        analyzed = []
+
+        def capture(trace, *args, **kwargs):
+            analyzed.append(trace)
+            return analyze_trace(trace, *args, **kwargs)
+
+        monkeypatch.setattr(online, "analyze_trace", capture)
+        rows = pulse_rows(5)
+        chunks = [trace_text(rows[:2], meta={"job": "42"})] + [trace_text([r]) for r in rows[2:]]
+        path = tmp_path / "trace.jsonl"
+        assert len(watch_appends(path, chunks)) == 4
+        assert [t.metadata for t in analyzed] == [{"job": "42"}] * 4
+        # the tail holds what one parse of the whole file gives
+        whole = parse_trace(path)
+        for col in ("rank", "start", "end", "nbytes", "kind_code"):
+            np.testing.assert_array_equal(getattr(analyzed[-1], col), getattr(whole, col))
+
+    def test_replay_matches_watch(self, tmp_path):
+        rows = pulse_rows(9)
+        chunks = [trace_text(rows[:3])] + [trace_text([r]) for r in rows[3:]]
+        watched = watch_appends(tmp_path / "trace.jsonl", chunks)
+        snapshots, text = [], ""
+        for chunk in chunks:
+            text += chunk
+            snapshots.append((text, parse_trace(text.encode()).t_max))
+        replayed = replay(snapshots, fs=10.0)
+        assert any(r.window[0] > 0 for r in replayed)  # the window adapted
+        assert dumps(watched) == dumps(replayed)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"fs": -1.0}, {"fs": float("nan")}, {"tolerance": 5.0}, {"tolerance": 0.0},
+        {"z_min": -1.0}, {"poll_interval": -1.0}, {"idle_timeout": -5.0},
+        {"fixed_window": -2.0}, {"kind": "readwrite"},
+    ], ids=lambda kwargs: "{}={}".format(*next(iter(kwargs.items()))))
+    def test_bad_arguments_raise_before_first_poll(self, tmp_path, kwargs):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(trace_text(pulse_rows(4)))
+
+        def no_sleep(_):
+            raise AssertionError("watch polled")
+
+        records = watch(path, **{"fs": 10.0, "idle_timeout": 0.0, **kwargs}, _sleep=no_sleep)
+        with pytest.raises(ValueError):
+            next(records)
+
+
 class TestKindFilter:
     """``kind`` selects requests at parse time in both online front ends."""
 
@@ -160,24 +296,20 @@ class TestKindFilter:
     mixed = sorted(reads + [(1, s + 4.0, s + 5.0, 3 * 10 ** 8, "write")
                             for _, s, *_ in reads], key=lambda row: row[1])
 
-    @staticmethod
-    def dumps(records):
-        return [json.dumps(r.to_dict(), sort_keys=True) for r in records]
-
     def test_replay(self):
         def schedule(rows):
             return [(trace_text([r for r in rows if r[1] < now]), now)
                     for now in (24.3, 32.4, 40.5, 47.4)]
 
-        want = self.dumps(replay(schedule(self.reads), fs=10.0))
-        assert self.dumps(replay(schedule(self.mixed), fs=10.0, kind="read")) == want
-        assert self.dumps(replay(schedule(self.mixed), fs=10.0)) != want
+        want = dumps(replay(schedule(self.reads), fs=10.0))
+        assert dumps(replay(schedule(self.mixed), fs=10.0, kind="read")) == want
+        assert dumps(replay(schedule(self.mixed), fs=10.0)) != want
 
     def test_watch(self, tmp_path):
         def run(rows, **kwargs):
             path = tmp_path / "trace.jsonl"
             path.write_text(trace_text(rows))
-            return self.dumps(watch(path, fs=10.0, poll_interval=0.01, idle_timeout=0.02,
+            return dumps(watch(path, fs=10.0, poll_interval=0.01, idle_timeout=0.02,
                                     _sleep=lambda s: None, **kwargs))
 
         want = run(self.reads)

@@ -135,6 +135,17 @@ class TestRequestModel:
             with pytest.raises(TraceValidationError, match="kind code"):
                 Trace([0], [0.0], [1.0], [1], code)
 
+    @pytest.mark.parametrize("rank, nbytes, what", [
+        ([1.7], [5], "ranks"),
+        ([1], [5.7], "byte counts"),
+        ([1], np.array([5.0]), "byte counts"),
+        (["1"], [5], "ranks"),
+    ], ids=["fractional-rank", "fractional-bytes", "float-bytes", "string-rank"])
+    def test_rank_and_bytes_must_be_integers(self, rank, nbytes, what):
+        # cast unchecked, 1.7 would become rank 1 and 5.7 would become 5 bytes
+        with pytest.raises(TraceValidationError, match=f"{what} must be integers"):
+            Trace(rank, [0.0], [1.0], nbytes, [0])
+
     def test_trace_columns_are_immutable(self):
         trace = make_trace([(0, 0.0, 1.0, 10)])
         with pytest.raises(ValueError):
