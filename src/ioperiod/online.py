@@ -52,12 +52,7 @@ class PredictionRecord:
 
 
 def _dominant_streak(history: Sequence[PredictionRecord]) -> int:
-    streak = 0
-    for rec in reversed(history):
-        if not rec.has_dominant:
-            break
-        streak += 1
-    return streak
+    return history[-1].dominant_streak if history else 0
 
 
 def _choose_window(
@@ -90,8 +85,10 @@ def on_new_data(
     """Analyze a consistent snapshot of the trace at trace time ``now``.
 
     ``history`` must contain only analyses already completed when this one
-    triggers; after three consecutive completed analyses with a dominant
-    frequency, the window shrinks to three times the last found period.
+    triggers, and only its last record is read; after three consecutive
+    completed analyses with a dominant frequency (that record's
+    ``dominant_streak``), the window shrinks to three times the last found
+    period.
     """
     window = _choose_window(history, now, fs, fixed_window)
     analysis = analyze_trace(trace_snapshot, fs, window=window, tolerance=tolerance,
@@ -200,7 +197,7 @@ def watch(
     """
     _check_args(fs, tolerance, z_min, kind, fixed_window, poll_interval, idle_timeout)
     tail = _Tail(kind)
-    records: list[PredictionRecord] = []
+    last: list[PredictionRecord] = []   # the latest record: all the next one reads
     file_id = None        # (device, inode) of the file last read
     idle = 0.0
     while True:
@@ -221,16 +218,16 @@ def watch(
         if data is None:
             warnings.warn(f"{os.fspath(path)} was truncated or replaced; "
                           "restarting analysis state")
-            records = []
+            last = []
             tail.reset()
             continue
         if tail.feed(data):
             if len(tail.trace) > 0:
                 rec = on_new_data(
-                    records, tail.trace, tail.trace.t_max, fs, tolerance=tolerance,
+                    last, tail.trace, tail.trace.t_max, fs, tolerance=tolerance,
                     z_min=z_min, fixed_window=fixed_window,
                 )
-                records.append(rec)
+                last = [rec]
                 yield rec
             idle = 0.0
             continue

@@ -121,13 +121,26 @@ def sample_requests(
     t_lo = win[0]
     n, ts = _grid_size(t_lo, win[1], fs)
     grid = t_lo + np.arange(n) * ts
+    overlap = np.minimum(end, t_lo + n * ts) - np.maximum(start, t_lo)
+    np.maximum(overlap, 0.0, out=overlap)
+    # summed over every request in sorted order, so V_0 is independent of
+    # request order
+    v_0 = float(np.sort(rate * overlap).sum())
+    # only a request that ends past the first sample and starts by the last
+    # can cover one.  Gathering those costs about one search over the whole
+    # trace, so it pays when at most half of the requests are near (a short
+    # online window over a long trace), not for a whole-trace window.
+    near = (end > grid[0]) & (start <= grid[-1])
+    if 2 * np.count_nonzero(near) <= near.size:
+        start, end, rate = start[near], end[near], rate[near]
     # each request covers the samples [first, stop); searchsorted on the
     # grid itself puts an instant equal to start inside, one equal to end out
     first = np.searchsorted(grid, start)
     stop = np.searchsorted(grid, end)
     # bincount adds in input order; ordering by rate fixes that order
-    # whatever the request order (equal rates are equal values).  Requests
-    # that cover no sample are left out rather than added and cancelled.
+    # whatever the request order or the gather (equal rates are equal
+    # values).  Requests that cover no sample are left out rather than
+    # added and cancelled.
     covering = np.flatnonzero(first < stop)
     order = covering[np.argsort(rate[covering])]
     weights = rate[order]
@@ -136,10 +149,6 @@ def sample_requests(
     # float even when no request covers a sample (bincount then gives ints)
     samples = np.cumsum(steps[:n], dtype=np.float64)
     np.maximum(samples, 0.0, out=samples)  # clamp float residue of cancelling rates
-    overlap = np.minimum(end, t_lo + n * ts) - np.maximum(start, t_lo)
-    np.maximum(overlap, 0.0, out=overlap)
-    # summed in sorted order, so V_0 too is independent of request order
-    v_0 = float(np.sort(rate * overlap).sum())
     return win, SampledSignal(t0=float(t_lo), ts=ts, samples=samples), v_0
 
 

@@ -114,6 +114,11 @@ class Trace:
         return (high << 32) + low
 
 
+#: bytes of whole lines decoded at once; the strings of one block are all
+#: that is held besides the file's bytes
+_BLOCK_BYTES = 1 << 16
+
+
 def _iter_complete_lines(source) -> Iterator[str]:
     """Yield whole lines of a path/stream, dropping an unterminated tail."""
     if isinstance(source, (str, os.PathLike)):
@@ -129,17 +134,25 @@ def _iter_complete_lines(source) -> Iterator[str]:
             data = data.encode()
     # appends are whole lines, so anything after the last newline is a
     # partial write from a concurrent producer
-    last_nl = data.rfind(b"\n")
-    if last_nl < 0:
-        return
-    for line in data[:last_nl].split(b"\n"):
-        yield line.decode("utf-8", errors="replace")
+    end = data.rfind(b"\n") + 1
+    lo = 0
+    while lo < end:
+        # a block of whole lines of about _BLOCK_BYTES; a newline byte is
+        # never part of a UTF-8 sequence, so one decode of the block gives
+        # the strings a decode of each line would
+        hi = data.find(b"\n", min(lo + _BLOCK_BYTES, end) - 1) + 1
+        yield from data[lo:hi - 1].decode("utf-8", errors="replace").split("\n")
+        lo = hi
 
 
 #: JSON number types a time may have; bool is excluded by exact type tests
 _TIME_TYPES = (float, int)
 _FLOAT_MAX = sys.float_info.max
 _INT64_MAX = np.iinfo(np.int64).max
+#: the C scanner behind ``json.loads``, which reads a value at an index
+_scan_once = json.JSONDecoder().scan_once
+#: what ``json.loads`` accepts after a value
+_JSON_SPACE = " \t\r\n"
 
 
 def _record_error(rank, start, end, nbytes, kind, lineno: int) -> ValueError:
@@ -177,12 +190,25 @@ def parse_trace(source, kind_filter: str = "both", first_line: int = 1) -> Trace
     rank, start, end, nbytes, kind_code = [], [], [], [], []
     metadata: dict = {}
     for lineno, line in enumerate(_iter_complete_lines(source), start=first_line):
-        if not line.strip():
-            continue
+        # the scanner takes a record with none of json.loads' Python
+        # layers; a line it does not read whole (blank, leading space, BOM,
+        # bad JSON) goes to json.loads, whose result or error is the same
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceParseError(f"invalid JSON: {exc.msg}", lineno) from exc
+            rec, stop = _scan_once(line, 0)
+            whole = stop == len(line) or not line[stop:].strip(_JSON_SPACE)
+        except (StopIteration, ValueError, RecursionError):
+            whole = False
+        if not whole:
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TraceParseError(f"invalid JSON: {exc.msg}", lineno) from exc
+            except ValueError as exc:  # an integer past int()'s digit limit
+                raise TraceParseError(f"invalid JSON: {exc}", lineno) from exc
+            except RecursionError as exc:
+                raise TraceParseError("invalid JSON: nested too deeply", lineno) from exc
         if not isinstance(rec, dict):
             raise TraceParseError("record is not an object", lineno)
         if rec.get("meta"):

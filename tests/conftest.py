@@ -40,6 +40,11 @@ HOSTILE_RECORDS = {
     "start-nan": '{"rank": 0, "start": NaN, "end": 1.0, "bytes": 1, "kind": "read"}',
     "start-bool": '{"rank": 0, "start": true, "end": 1.0, "bytes": 1, "kind": "read"}',
     "fractional-bytes": '{"rank": 0, "start": 0.0, "end": 1.0, "bytes": 5.7, "kind": "read"}',
+    # past the decoder's recursion limit
+    "deep-nesting": "[" * 100_000,
+    # past int()'s limit on the digits of a decimal string
+    "bytes-5000-digits": '{"rank": 0, "start": 0.0, "end": 1.0, "bytes": ' + "9" * 5000
+                         + ', "kind": "read"}',
 }
 
 

@@ -1,10 +1,19 @@
 """Independent reference implementations used only to check the library.
 
 Everything here is deliberately slow and literal: the brute-force DFT
-evaluates the defining sum, and the bandwidth, window volume and sampling
-error scan the requests one by one.  None of it imports library internals.
+evaluates the defining sum, the bandwidth, window volume and sampling
+error scan the requests one by one, the trace reader decodes and loads
+each line on its own, and the grid sampler searches every request.  None
+of it imports library internals; it uses only the package's public names.
 """
+import json
+import sys
+
 import numpy as np
+
+from ioperiod import TraceParseError, TraceValidationError
+from ioperiod.sampling import SampledSignal, snap_floor
+from ioperiod.trace import request_rates
 
 
 def brute_dft(x, chunk=256):
@@ -76,3 +85,87 @@ def brute_candidates(adjusted, n, tolerance, z_min):
     cut = tolerance * max(pool)
     kept = [k for k in range(1, len(amps) + 1) if z[k - 1] >= cut and z[k - 1] >= z_min]
     return mean, std, z, cut, kept
+
+
+def loads_per_line(data, kind_filter="both", first_line=1):
+    """Columns and metadata of trace-file bytes, read line by line.
+
+    Each whole line is decoded on its own and read by ``json.loads``, and
+    each field is checked in turn; errors carry the same types and messages
+    as ``parse_trace``'s.  Returns ``({column: list}, metadata)``.
+    """
+    last_nl = data.rfind(b"\n")
+    raw_lines = data[:last_nl].split(b"\n") if last_nl >= 0 else []
+    columns = {"rank": [], "start": [], "end": [], "nbytes": [], "kind_code": []}
+    metadata = {}
+    for lineno, raw in enumerate(raw_lines, start=first_line):
+        line = raw.decode("utf-8", errors="replace")
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceParseError(f"invalid JSON: {exc.msg}", lineno) from exc
+        except ValueError as exc:
+            raise TraceParseError(f"invalid JSON: {exc}", lineno) from exc
+        except RecursionError as exc:
+            raise TraceParseError("invalid JSON: nested too deeply", lineno) from exc
+        if not isinstance(rec, dict):
+            raise TraceParseError("record is not an object", lineno)
+        if rec.get("meta"):
+            metadata.update({k: str(v) for k, v in rec.items() if k != "meta"})
+            continue
+        for field in ("rank", "start", "end", "bytes", "kind"):
+            if field not in rec:
+                raise TraceParseError(f"missing field {field!r}", lineno)
+        rank, start, end, nbytes, kind = (rec[f] for f in ("rank", "start", "end", "bytes", "kind"))
+        for name, value in (("rank", rank), ("bytes", nbytes)):
+            if type(value) is not int:
+                raise TraceParseError(f"{name} must be an integer, got {value!r}", lineno)
+        for name, value in (("start", start), ("end", end)):
+            if type(value) not in (float, int):
+                raise TraceParseError(f"{name} must be a number, got {value!r}", lineno)
+            if not abs(value) <= sys.float_info.max:
+                raise TraceParseError(f"{name} must be finite, got {value!r}", lineno)
+        if kind not in ("read", "write"):
+            raise TraceParseError(f"unknown kind {kind!r}", lineno)
+        if end < start:
+            raise TraceValidationError(f"line {lineno}: negative duration")
+        if nbytes < 0:
+            raise TraceValidationError(f"line {lineno}: negative byte count")
+        if rank < 0:
+            raise TraceValidationError(f"line {lineno}: negative rank")
+        for name, value in (("rank", rank), ("bytes", nbytes)):
+            if value > 2 ** 63 - 1:
+                raise TraceParseError(f"{name} {value} exceeds the 64-bit integer range", lineno)
+        if kind_filter in ("both", kind):
+            for column, value in zip(columns.values(),
+                                     (rank, start, end, nbytes, int(kind == "write"))):
+                column.append(value)
+    return columns, metadata
+
+
+def sample_every_request(trace, fs, window=None):
+    """``sample_requests`` with every request searched on the sample grid.
+
+    The same window, grid, summation order and V_0, with no selection of
+    the requests near the window; the sampler must match it bit for bit.
+    """
+    start, end, rate = request_rates(trace)
+    win = window if window is not None else (float(start.min()), float(end.max()))
+    t_lo = win[0]
+    n, ts = snap_floor((win[1] - t_lo) * fs), 1.0 / fs
+    grid = t_lo + np.arange(n) * ts
+    first = np.searchsorted(grid, start)
+    stop = np.searchsorted(grid, end)
+    covering = np.flatnonzero(first < stop)
+    order = covering[np.argsort(rate[covering])]
+    weights = rate[order]
+    steps = (np.bincount(first[order], weights, minlength=n + 1)
+             - np.bincount(stop[order], weights, minlength=n + 1))
+    samples = np.cumsum(steps[:n], dtype=np.float64)
+    np.maximum(samples, 0.0, out=samples)
+    overlap = np.minimum(end, t_lo + n * ts) - np.maximum(start, t_lo)
+    np.maximum(overlap, 0.0, out=overlap)
+    v_0 = float(np.sort(rate * overlap).sum())
+    return win, SampledSignal(t0=float(t_lo), ts=ts, samples=samples), v_0

@@ -1,6 +1,8 @@
 """Online prediction: window adaptation, scripted replay, file tailing."""
+import gc
 import json
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -99,6 +101,7 @@ class TestWindowAdaptation:
 
         class FakeRecord:
             has_dominant = True
+            dominant_streak = ADAPT_AFTER
             period = 0.001
 
         history = [FakeRecord()] * ADAPT_AFTER
@@ -271,6 +274,31 @@ class TestWatch:
         replayed = replay(snapshots, fs=10.0)
         assert any(r.window[0] > 0 for r in replayed)  # the window adapted
         assert dumps(watched) == dumps(replayed)
+
+    def test_memory_stays_flat_over_a_session(self, tmp_path):
+        # only the last record is kept, so 100 more appends add their parsed
+        # columns (five numbers each), not their records (about 6 KB each
+        # with a 263-sample window)
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(b"")
+        records = watch(path, fs=10.0, poll_interval=0.0, idle_timeout=0.0,
+                        fixed_window=26.3, _sleep=lambda s: None)
+        sizes = []
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                for j, row in enumerate(pulse_rows(200)):
+                    with open(path, "a") as f:
+                        f.write(trace_text([row]))
+                    next(records)
+                    if j + 1 in (100, 200):
+                        gc.collect()
+                        sizes.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+            records.close()
+        assert sizes[1] - sizes[0] < 100 * 1024
 
     @pytest.mark.parametrize("kwargs", [
         {"fs": -1.0}, {"fs": float("nan")}, {"tolerance": 5.0}, {"tolerance": 0.0},

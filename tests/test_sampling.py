@@ -5,7 +5,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_trace
-from oracles import brute_bandwidth_at, brute_sampling_error, brute_window_volume
+from oracles import (
+    brute_bandwidth_at,
+    brute_sampling_error,
+    brute_window_volume,
+    sample_every_request,
+)
 
 from ioperiod import NoVolumeError, TraceValidationError
 from ioperiod.sampling import MAX_SAMPLES, sample_requests, snap_floor, volume_error
@@ -129,6 +134,36 @@ def request_sets(draw):
     return rows, fs, window
 
 
+@st.composite
+def windowed_requests(draw):
+    """Requests over [0, 100 s], a sampling rate, and a window: the default,
+    a short one that most requests miss, or one reaching past them all.
+    Instants are drawn on the sampling grid too, so edges meet samples."""
+    fs = draw(st.sampled_from([0.5, 1.0, 3.0, 10.0]))
+    ts = 1.0 / fs
+
+    def instant(lo, hi):
+        return draw(st.one_of(st.floats(lo, hi),
+                              st.integers(int(lo * fs), int(hi * fs)).map(lambda i: i * ts)))
+
+    rows = []
+    for _ in range(draw(st.integers(1, 60))):
+        start = instant(0.0, 100.0)
+        end = start + draw(st.floats(0.0, 8.0))
+        rows.append((draw(st.integers(0, 3)), start, end,
+                     draw(st.integers(1, 10 ** 9)) if end > start else 0))
+    assume(any(end > start for _, start, end, _ in rows))
+    shape = draw(st.sampled_from(["default", "short", "past"]))
+    if shape == "default":
+        window = None
+    elif shape == "short":
+        t_lo = instant(-5.0, 100.0)
+        window = (t_lo, t_lo + draw(st.floats(3 * ts, 3 * ts + 10.0)))
+    else:
+        window = (instant(-50.0, -1.0), instant(110.0, 150.0))
+    return rows, fs, window
+
+
 class TestSampleRequests:
     """The request sampler against the brute-force oracles."""
 
@@ -177,6 +212,35 @@ class TestSampleRequests:
             _, got, v_0 = sample_requests(make_trace(variant), fs, window)
             assert np.array_equal(got.samples, base.samples)
             assert v_0 == base_v_0
+
+    @staticmethod
+    def assert_matches_every_request(trace, fs, window):
+        want_win, want, want_v_0 = sample_every_request(trace, fs, window)
+        win, got, v_0 = sample_requests(trace, fs, window)
+        assert win == want_win
+        assert (got.t0, got.ts, got.n) == (want.t0, want.ts, want.n)
+        assert got.samples.tobytes() == want.samples.tobytes()
+        assert np.float64(v_0).tobytes() == np.float64(want_v_0).tobytes()
+
+    # a subnormal duration gives an infinite rate (numpy warns); both
+    # samplers must still agree bit for bit
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @given(windowed_requests())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sampling_every_request(self, case):
+        rows, fs, window = case
+        try:
+            sample_requests(make_trace(rows), fs, window)
+        except ValueError:   # a span shorter than one interval
+            assume(False)
+        self.assert_matches_every_request(make_trace(rows), fs, window)
+
+    def test_short_window_over_long_trace(self):
+        # 3 of 400 requests reach into the window: the others are left out
+        rows = [(j % 4, 2.5 * j, 2.5 * j + 1.0 + 0.1 * (j % 3), 10 ** 6 * (1 + j % 5))
+                for j in range(400)]
+        self.assert_matches_every_request(make_trace(rows), 10.0, (500.3, 507.6))
 
     @pytest.mark.parametrize("rows", [
         [(0, 0.5, 0.5, 10), (0, 0.0, 1.0, 10)],   # zero duration with bytes

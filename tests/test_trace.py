@@ -1,6 +1,7 @@
 """Trace parsing, validation, and the bandwidth merged from the requests."""
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import HOSTILE_RECORDS, make_trace, trace_text
-from oracles import brute_bandwidth_at
+from oracles import brute_bandwidth_at, loads_per_line
 
 from ioperiod import (
     Trace,
@@ -18,7 +19,55 @@ from ioperiod import (
     parse_trace,
     write_trace,
 )
+from ioperiod import trace as trace_module
 from ioperiod.sampling import sample_requests
+
+
+#: lines that are no record on their own: blank, not JSON, not an object,
+#: two halves of one object, nested past the recursion limit, an integer
+#: past int()'s digit limit
+ODD_LINES = [b"", b"  ", b"\t\r", b"\xc2\xa0", b"not json", b"[1, 2]", b'{"a":[', b"1]}",
+             b"[" * 3000, b'{"rank": 0, "bytes": ' + b"9" * 4400 + b"}"]
+FIELD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["read", "write", "1.0"]), st.lists(st.integers(), max_size=2),
+)
+
+
+@st.composite
+def trace_lines(draw):
+    """One line of a trace file, as bytes without its newline."""
+    choice = draw(st.sampled_from(["record", "record", "record", "bad field", "meta", "odd"]))
+    if choice == "odd":
+        return draw(st.sampled_from(ODD_LINES))
+    if choice == "meta":
+        line = json.dumps({"meta": draw(st.sampled_from([True, 1, False])),
+                           draw(st.sampled_from(["app", "job"])): draw(FIELD_VALUES)})
+    else:
+        start = draw(st.floats(0.0, 1e4))
+        record = {"rank": draw(st.integers(0, 7)), "start": start,
+                  "end": start + draw(st.floats(0.0, 10.0)),
+                  "bytes": draw(st.integers(0, 10 ** 12)),
+                  "kind": draw(st.sampled_from(["read", "write"]))}
+        if choice == "bad field":
+            record.update(draw(st.dictionaries(st.sampled_from(list(record)), FIELD_VALUES,
+                                               min_size=1)))
+            if draw(st.booleans()):
+                del record[draw(st.sampled_from(list(record)))]
+        line = json.dumps(record, separators=draw(st.sampled_from([(", ", ": "), (",", ":")])))
+    # JSON and non-JSON whitespace, CRLF endings, a BOM, invalid UTF-8
+    lead = draw(st.sampled_from([b"", b"", b" ", b"\t", b"\xef\xbb\xbf", b"\xff"]))
+    trail = draw(st.sampled_from([b"", b"", b"\r", b" \t", b"\xc2\xa0", b"\xe2\x82"]))
+    return lead + line.encode() + trail
+
+
+@st.composite
+def trace_files(draw):
+    """Trace-file bytes: whole lines, then maybe an unterminated tail."""
+    lines = draw(st.lists(trace_lines(), max_size=8))
+    tail = draw(st.sampled_from([b"", b'{"rank": 0, "st', b"\r"]))
+    return b"".join(line + b"\n" for line in lines) + tail
 
 
 class TestParsing:
@@ -96,6 +145,30 @@ class TestParsing:
             assert len(trace) == 2
             assert np.all(np.isfinite(trace.start)) and np.all(np.isfinite(trace.end))
             assert trace.nbytes[1] == record["bytes"]
+
+    @given(trace_files(), st.sampled_from(["both", "read", "write"]), st.integers(1, 99),
+           st.sampled_from([1, 7, 64, trace_module._BLOCK_BYTES]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_line_by_line_loads(self, data, kind_filter, first_line, block_bytes):
+        # small blocks start the search for a block's end inside lines and
+        # UTF-8 sequences, and hold one line or several
+        def parse():
+            with mock.patch.object(trace_module, "_BLOCK_BYTES", block_bytes):
+                return parse_trace(data, kind_filter, first_line)
+
+        try:
+            want = loads_per_line(data, kind_filter, first_line)
+        except (TraceParseError, TraceValidationError) as exc:
+            with pytest.raises(type(exc)) as got:
+                parse()
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+            return
+        trace = parse()
+        columns, metadata = want
+        for name, values in columns.items():
+            got = getattr(trace, name)
+            assert np.array_equal(got, np.asarray(values, dtype=got.dtype))
+        assert trace.metadata == metadata
 
     def test_kind_filter(self):
         text = trace_text([(0, 0.0, 1.0, 100, "read"), (0, 1.0, 2.0, 200, "write")])
