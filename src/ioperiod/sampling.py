@@ -100,6 +100,55 @@ def _grid_size(t_lo: float, t_hi: float, fs: float) -> tuple[int, float]:
     return n, 1.0 / fs
 
 
+def _covering_candidates(start, end, t_lo, fs, n, lo, hi):
+    """Indices of the requests that can cover a sample of the grid
+    t_lo + arange(n)/fs, or None when every request can.
+
+    A request covers sample i when start <= g_i < end, where g_i =
+    fl(t_lo + fl(i * ts)), ts = fl(1/fs), is the grid instant as computed.
+    The map c(x) = fl(fl(x - t_lo) * fs) is monotone, so such a request has
+    c(start) <= c(g_i) <= c(end).  To bound |c(g_i) - i|, let eps = 2^-53:
+    each rounding is a factor (1 + a), |a| <= eps, and a subnormal product
+    or quotient is also off by up to 2^-1075 (sums are exact there), under
+    4 eps once scaled by fs < 2^1024.  Then
+
+    - the relative roundings of ts, i * ts, the subtraction and the
+      product give at most 4.01 eps * i;
+    - the subnormal parts of ts and i * ts give at most 4.01 eps * (i + 1);
+    - rounding t_lo + i * ts gives at most 1.01 eps * (|t_lo| fs + i + 1);
+    - a subnormal c(g_i) adds under eps.
+
+    For 0 <= i < n that totals under eps * (1.01 |t_lo| fs + 10.1 n), and
+    delta = 16 eps * (|t_lo| fs + n) exceeds it even as computed.  So
+    c(start) - delta <= i <= c(end) + delta; i is an exact float and
+    rounding is monotone, so the computed ceil and floor keep i between:
+
+        max(ceil(c(start) - delta), 0) <= min(floor(c(end) + delta), n - 1)
+
+    holds for every covering request, and a request failing it covers
+    nothing.  A huge time offset only widens delta; once delta reaches a
+    whole sample the test is not worth its passes and every request is
+    searched.  ``lo`` and ``hi`` are scratch columns of the requests' length.
+    """
+    delta = (abs(float(t_lo)) * fs + n) * 2.0 ** -49
+    if not delta < 1.0:
+        return None
+    np.subtract(start, t_lo, out=lo)
+    np.multiply(lo, fs, out=lo)
+    np.subtract(lo, delta, out=lo)
+    np.ceil(lo, out=lo)
+    np.maximum(lo, 0.0, out=lo)
+    np.subtract(end, t_lo, out=hi)
+    np.multiply(hi, fs, out=hi)
+    np.add(hi, delta, out=hi)
+    np.floor(hi, out=hi)
+    np.minimum(hi, n - 1, out=hi)
+    candidate = lo <= hi
+    if candidate.all():
+        return None
+    return np.flatnonzero(candidate)
+
+
 def sample_requests(
     trace: Trace,
     fs: float,
@@ -120,25 +169,26 @@ def sample_requests(
     win = window if window is not None else (float(start.min()), float(end.max()))
     t_lo = win[0]
     n, ts = _grid_size(t_lo, win[1], fs)
-    grid = t_lo + np.arange(n) * ts
-    overlap = np.minimum(end, t_lo + n * ts) - np.maximum(start, t_lo)
-    np.maximum(overlap, 0.0, out=overlap)
+    # two scratch columns hold every per-request intermediate below
+    lo = np.maximum(start, t_lo)
+    hi = np.minimum(end, t_lo + n * ts)
+    np.subtract(hi, lo, out=hi)
+    np.maximum(hi, 0.0, out=hi)
+    np.multiply(rate, hi, out=hi)
     # summed over every request in sorted order, so V_0 is independent of
     # request order
-    v_0 = float(np.sort(rate * overlap).sum())
-    # only a request that ends past the first sample and starts by the last
-    # can cover one.  Gathering those costs about one search over the whole
-    # trace, so it pays when at most half of the requests are near (a short
-    # online window over a long trace), not for a whole-trace window.
-    near = (end > grid[0]) & (start <= grid[-1])
-    if 2 * np.count_nonzero(near) <= near.size:
-        start, end, rate = start[near], end[near], rate[near]
+    hi.sort()
+    v_0 = float(hi.sum())
+    candidate = _covering_candidates(start, end, t_lo, fs, n, lo, hi)
+    if candidate is not None:
+        start, end, rate = start[candidate], end[candidate], rate[candidate]
+    grid = t_lo + np.arange(n) * ts
     # each request covers the samples [first, stop); searchsorted on the
     # grid itself puts an instant equal to start inside, one equal to end out
     first = np.searchsorted(grid, start)
     stop = np.searchsorted(grid, end)
     # bincount adds in input order; ordering by rate fixes that order
-    # whatever the request order or the gather (equal rates are equal
+    # whatever the request order or the selection (equal rates are equal
     # values).  Requests that cover no sample are left out rather than
     # added and cancelled.
     covering = np.flatnonzero(first < stop)

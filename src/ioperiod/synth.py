@@ -192,6 +192,15 @@ def _noise_requests(rng: np.random.Generator, t_end: float, rate: float, rank: i
     )
 
 
+def _phase_rows(tmpl: PhaseTemplate, processes: int):
+    """Rank, start, end and byte columns of a template's first ``processes`` ranks."""
+    cols = (tmpl.rank, tmpl.start, tmpl.end, tmpl.nbytes)
+    if tmpl.processes == processes:
+        return cols
+    keep = tmpl.rank < processes
+    return tuple(col[keep] for col in cols)
+
+
 def generate(config: SynthConfig) -> tuple[Trace, GroundTruth]:
     """Generate one semi-synthetic trace plus its ground truth.
 
@@ -206,45 +215,50 @@ def generate(config: SynthConfig) -> tuple[Trace, GroundTruth]:
                 f"template has {tmpl.processes} processes, need {config.processes}"
             )
     rng = np.random.default_rng(config.seed)
-    ranks, starts, ends, sizes = [], [], [], []
-    io_starts, bounds = [], []
-    t = 0.0
+    processes = config.processes
+    # every draw comes first, in the order the phases use them, so that the
+    # columns can be sized once and each phase written into them in place
+    draws = []
     for _ in range(config.iterations):
         t_cpu = _draw_positive_normal(rng, config.compute_mean, config.compute_std)
-        tmpl = config.templates[rng.integers(len(config.templates))]
-        keep = tmpl.rank < config.processes
+        pick = int(rng.integers(len(config.templates)))
         if config.desync_mean > 0.0:
-            delta = rng.exponential(config.desync_mean, config.processes)
+            delta = rng.exponential(config.desync_mean, processes)
             delta[0] = 0.0  # process 0 anchors the phase boundary
         else:
-            delta = np.zeros(config.processes)
+            delta = None
+        draws.append((t_cpu, pick, delta))
+    phases = {pick: _phase_rows(config.templates[pick], processes) for _, pick, _ in draws}
+    size = sum(phases[pick][0].shape[0] for _, pick, _ in draws)
+    rank = np.empty(size, np.result_type(*(p[0] for p in phases.values())))
+    start = np.empty(size)
+    end = np.empty(size)
+    nbytes = np.empty(size, np.result_type(*(p[3] for p in phases.values())))
+    io_starts, bounds = [], []
+    t = 0.0
+    lo = 0
+    for t_cpu, pick, delta in draws:
+        r, s, e, b = phases[pick]
+        hi = lo + r.shape[0]
         io_start = t + t_cpu
-        shift = io_start + delta[tmpl.rank[keep]]
-        s = tmpl.start[keep] + shift
-        e = tmpl.end[keep] + shift
-        ranks.append(tmpl.rank[keep])
-        starts.append(s)
-        ends.append(e)
-        sizes.append(tmpl.nbytes[keep])
-        io_end = float(e.max())
+        shift = np.float64(io_start) if delta is None else io_start + delta[r]
+        np.add(s, shift, out=start[lo:hi])
+        np.add(e, shift, out=end[lo:hi])
+        rank[lo:hi] = r
+        nbytes[lo:hi] = b
+        io_end = float(end[lo:hi].max())
         io_starts.append(io_start)
         bounds.append((io_start, io_end))
         t = io_end
+        lo = hi
     if config.noise != "none":
-        noise = _noise_requests(rng, t, NOISE_RATES[config.noise], config.processes)
+        noise = _noise_requests(rng, t, NOISE_RATES[config.noise], processes)
         if noise is not None:
-            nr, ns, ne, nb = noise
-            ranks.append(nr)
-            starts.append(ns)
-            ends.append(ne)
-            sizes.append(nb)
-    n_total = sum(len(a) for a in ranks)
+            rank, start, end, nbytes = (
+                np.concatenate(pair) for pair in zip((rank, start, end, nbytes), noise))
     trace = Trace(
-        np.concatenate(ranks),
-        np.concatenate(starts),
-        np.concatenate(ends),
-        np.concatenate(sizes),
-        np.ones(n_total, dtype=np.int8),  # write
+        rank, start, end, nbytes,
+        np.ones(rank.shape[0], dtype=np.int8),  # write
         metadata={"origin": "synthetic", "seed": str(config.seed)},
     )
     io_starts = np.asarray(io_starts)

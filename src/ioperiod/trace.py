@@ -53,7 +53,7 @@ class Trace:
     1 for a write.
     """
 
-    __slots__ = ("rank", "start", "end", "nbytes", "kind_code", "metadata")
+    __slots__ = ("rank", "start", "end", "nbytes", "kind_code", "metadata", "_volume")
 
     def __init__(self, rank, start, end, nbytes, kind_code, metadata=None):
         rank = _integer_column(rank, "ranks", np.int64)
@@ -82,6 +82,7 @@ class Trace:
         self.nbytes = nbytes
         self.kind_code = kind_code
         self.metadata = dict(metadata or {})
+        self._volume = None
 
     def __len__(self) -> int:
         return self.rank.shape[0]
@@ -107,11 +108,14 @@ class Trace:
 
         The 32-bit halves of the byte counts are summed apart, so neither
         int64 sum can wrap (below 2^31 requests); the total itself may
-        exceed the int64 range.
+        exceed the int64 range.  Computed on first read, then kept: the
+        columns cannot change.
         """
-        high = int((self.nbytes >> 32).sum())
-        low = int((self.nbytes & 0xFFFFFFFF).sum())
-        return (high << 32) + low
+        if self._volume is None:
+            high = int((self.nbytes >> 32).sum())
+            low = int((self.nbytes & 0xFFFFFFFF).sum())
+            self._volume = (high << 32) + low
+        return self._volume
 
 
 #: bytes of whole lines decoded at once; the strings of one block are all
@@ -264,7 +268,8 @@ def request_rates(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Zero-duration requests with zero bytes are dropped; with nonzero bytes
     they have no defined rate and are rejected, as is a trace with no
-    request of positive duration or no volume.
+    request of positive duration or no volume, and requests so short
+    (subnormal durations) that their rates sum past the float range.
 
     Byte counts are divided by the exact integer total volume V, so the
     rates integrate to 1.  Because the division (c*b)/(c*V) rounds
@@ -273,14 +278,27 @@ def request_rates(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     if len(trace) == 0:
         raise TraceValidationError("cannot sample an empty trace")
-    dur = trace.end - trace.start
+    start, end, nbytes = trace.start, trace.end, trace.nbytes
+    dur = end - start
     zero_dur = dur == 0.0
-    if np.any(zero_dur & (trace.nbytes > 0)):
-        raise TraceValidationError("zero-duration request with nonzero bytes")
-    keep = ~zero_dur
-    if not np.any(keep):
-        raise TraceValidationError("no requests with positive duration")
+    if zero_dur.any():
+        if np.any(nbytes[zero_dur] > 0):
+            raise TraceValidationError("zero-duration request with nonzero bytes")
+        keep = ~zero_dur
+        if not keep.any():
+            raise TraceValidationError("no requests with positive duration")
+        start, end, nbytes, dur = start[keep], end[keep], nbytes[keep], dur[keep]
     total = trace.volume
     if total <= 0:
         raise TraceValidationError("cannot normalize a zero-volume trace")
-    return trace.start[keep], trace.end[keep], trace.nbytes[keep] / total / dur[keep]
+    rate = nbytes / total
+    # rates are >= 0: their sum is finite only if each rate is, and it
+    # bounds every sample, which sums the rates of overlapping requests
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        np.divide(rate, dur, out=rate)
+        rate_sum = rate.sum()
+    if not np.isfinite(rate_sum):
+        raise TraceValidationError(
+            f"requests as short as {float(dur.min())!r} s have byte rates "
+            "past the float range")
+    return start, end, rate

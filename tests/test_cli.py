@@ -58,6 +58,21 @@ class TestDetect:
         assert out["no_data"] is True
         assert out["confidence"] == "no_candidate"
 
+    # bytes / volume / duration overflows for one request, or two finite
+    # rates overlap past the float range: no NaN may reach the output
+    @pytest.mark.parametrize("short", [
+        [(0, 0.0, 5e-324, 1)],
+        [(0, 0.0, 4e-309, 1000), (1, 0.0, 4e-309, 1000)],
+    ], ids=["one-rate", "overlapping-rates"])
+    def test_subnormal_duration_exits_with_error(self, tmp_path, capsys, short):
+        rows = short + [(0, 1.0, 2.0, 10), (0, 3.0, 4.0, 10), (0, 5.0, 6.0, 10)]
+        path = tmp_path / "subnormal.jsonl"
+        path.write_text(trace_text(rows))
+        assert main(["detect", str(path), "--freq", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
         path.write_text("not json\n")

@@ -1,4 +1,6 @@
 """Discretization and the volume-based abstraction error."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -13,7 +15,14 @@ from oracles import (
 )
 
 from ioperiod import NoVolumeError, TraceValidationError
-from ioperiod.sampling import MAX_SAMPLES, sample_requests, snap_floor, volume_error
+from ioperiod.sampling import (
+    MAX_SAMPLES,
+    _covering_candidates,
+    sample_requests,
+    snap_floor,
+    volume_error,
+)
+from ioperiod.trace import request_rates
 
 
 class TestSnapFloor:
@@ -136,31 +145,43 @@ def request_sets(draw):
 
 @st.composite
 def windowed_requests(draw):
-    """Requests over [0, 100 s], a sampling rate, and a window: the default,
-    a short one that most requests miss, or one reaching past them all.
-    Instants are drawn on the sampling grid too, so edges meet samples."""
-    fs = draw(st.sampled_from([0.5, 1.0, 3.0, 10.0]))
+    """Requests over [off, off + 100 s], a sampling rate, and a window: the
+    default, a short one that most requests miss, or one reaching past them
+    all.  Offsets reach 1e15 s, where a float's spacing exceeds a sample
+    interval at the higher rates.  Instants are drawn on the sampling grid
+    too, computed as the sampler computes it, so edges meet samples."""
+    fs = draw(st.sampled_from([0.1, 0.5, 1.0, 3.0, 10.0, 150.0]))
     ts = 1.0 / fs
+    off = draw(st.sampled_from([0.0, 1e9, 3.7e12, 1e15]))
+    shape = draw(st.sampled_from(["default", "short", "past"]))
+    # the grid starts at the window's start; the default window starts at
+    # the first request, which starts at off and every other one after it
+    if shape == "short":
+        rel = draw(st.floats(-5.0, 100.0))
+    elif shape == "past":
+        rel = draw(st.floats(-50.0, -1.0))
+    else:
+        rel = 0.0
+    t_lo = off + rel
 
     def instant(lo, hi):
-        return draw(st.one_of(st.floats(lo, hi),
-                              st.integers(int(lo * fs), int(hi * fs)).map(lambda i: i * ts)))
+        # seconds past off, or the grid instant nearest such a time
+        grid = st.integers(math.floor((lo - rel) * fs), math.ceil((hi - rel) * fs))
+        return draw(st.one_of(st.floats(lo, hi).map(lambda x: off + x),
+                              grid.map(lambda i: t_lo + i * ts)))
 
-    rows = []
-    for _ in range(draw(st.integers(1, 60))):
+    rows = [(0, off, off + draw(st.floats(1.0, 8.0)), draw(st.integers(1, 10 ** 9)))]
+    for _ in range(draw(st.integers(0, 60))):
         start = instant(0.0, 100.0)
-        end = start + draw(st.floats(0.0, 8.0))
+        end = max(start, instant(start - off, start - off + 8.0))
         rows.append((draw(st.integers(0, 3)), start, end,
                      draw(st.integers(1, 10 ** 9)) if end > start else 0))
-    assume(any(end > start for _, start, end, _ in rows))
-    shape = draw(st.sampled_from(["default", "short", "past"]))
     if shape == "default":
         window = None
     elif shape == "short":
-        t_lo = instant(-5.0, 100.0)
-        window = (t_lo, t_lo + draw(st.floats(3 * ts, 3 * ts + 10.0)))
+        window = (t_lo, t_lo + draw(st.floats(max(3 * ts, 1.0), 3 * ts + 10.0)))
     else:
-        window = (instant(-50.0, -1.0), instant(110.0, 150.0))
+        window = (t_lo, instant(110.0, 150.0))
     return rows, fs, window
 
 
@@ -222,10 +243,6 @@ class TestSampleRequests:
         assert got.samples.tobytes() == want.samples.tobytes()
         assert np.float64(v_0).tobytes() == np.float64(want_v_0).tobytes()
 
-    # a subnormal duration gives an infinite rate (numpy warns); both
-    # samplers must still agree bit for bit
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     @given(windowed_requests())
     @settings(max_examples=200, deadline=None)
     def test_matches_sampling_every_request(self, case):
@@ -242,11 +259,23 @@ class TestSampleRequests:
                 for j in range(400)]
         self.assert_matches_every_request(make_trace(rows), 10.0, (500.3, 507.6))
 
+    def test_offset_beyond_one_sample_of_rounding(self):
+        # at 1e15 s and 10 Hz the grid's rounding bound is about 18 samples,
+        # so every request is searched, and the result is still exact
+        rows = [(j % 4, 1e15 + 2.5 * j, 1e15 + 2.5 * j + 1.0 + 0.125 * (j % 3), 10 ** 6)
+                for j in range(40)]
+        trace = make_trace(rows)
+        start, end, _ = request_rates(trace)
+        scratch = np.empty((2, len(trace)))
+        assert _covering_candidates(start, end, 1e15 + 30.0, 10.0, 180, *scratch) is None
+        self.assert_matches_every_request(trace, 10.0, (1e15 + 30.0, 1e15 + 48.0))
+
     @pytest.mark.parametrize("rows", [
         [(0, 0.5, 0.5, 10), (0, 0.0, 1.0, 10)],   # zero duration with bytes
         [(0, 0.5, 0.5, 0)],                       # no positive duration
         [(0, 0.0, 1.0, 0), (1, 0.5, 2.0, 0)],     # zero volume
         [],
+        [(0, 0.0, 5e-324, 1), (0, 1.0, 2.0, 10)],  # subnormal duration: no finite rate
     ])
     def test_rejects_what_the_merge_rejects(self, rows):
         with pytest.raises(TraceValidationError):

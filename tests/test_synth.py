@@ -1,4 +1,5 @@
 """Semi-synthetic trace generation, templates, and the sweep harness."""
+import hashlib
 import io
 
 import numpy as np
@@ -119,6 +120,33 @@ class TestGenerate:
         span = trace.t_max
         extra = vol_noisy - vol_quiet
         assert extra / span == pytest.approx(0.5e9, rel=0.25)
+
+    # sha256 of the five trace columns, the phase bounds and lambda_avg,
+    # recorded from the generator before it wrote phases into preallocated
+    # columns; any change to the generated bytes shows here
+    @pytest.mark.parametrize("params, rows, digest", [
+        (dict(desync_mean=0.0, noise="none", processes=32, compute_std=3.3, seed=5),
+         55808, "ca036ac287d2d87070c0685a7873a3d720f6473eb14fdf06b8b3718de4a74261"),
+        (dict(desync_mean=2.0, noise="none", processes=32, compute_std=0.0, seed=6),
+         55808, "e769f116cec4ed6b5fc8092992975a17eaaeecdcc407b36beed584927d2cae86"),
+        (dict(desync_mean=0.0, noise="high", processes=32, compute_std=6.05, seed=7),
+         55879, "cede6641f82c84c028046149105369e01ce956e18677e124c9a5f7b57c2a3234"),
+        (dict(desync_mean=2.0, noise="high", processes=32, compute_std=14.3, seed=8),
+         55936, "bf384d3ed881098fac0b7f12a37364277ec5898b246cbca9069e28072054cf18"),
+        (dict(desync_mean=0.0, noise="low", processes=7, compute_std=3.3, seed=9),
+         12285, "8d6a2df105485130075c7f030551f7803edfc6d2792fc02cfba038182d54c014"),
+        (dict(desync_mean=2.0, noise="high", processes=20, compute_std=0.0, seed=10),
+         34982, "faab9a3965181e56fc7bff4f61f5220070a0a3859151861760048499e56d3a73"),
+    ], ids=["plain", "desync", "noise", "desync-noise", "rank-subset", "subset-desync-noise"])
+    def test_golden_digest(self, templates, params, rows, digest):
+        trace, truth = generate(SynthConfig(iterations=8, templates=templates, **params))
+        h = hashlib.sha256()
+        for col in (trace.rank, trace.start, trace.end, trace.nbytes, trace.kind_code):
+            h.update(col.tobytes())
+        h.update(np.asarray(truth.phase_bounds, dtype=np.float64).tobytes())
+        h.update(np.float64(truth.lambda_avg).tobytes())
+        assert len(trace) == rows
+        assert h.hexdigest() == digest
 
     def test_io_time_fraction(self):
         truth = GroundTruth(
