@@ -15,17 +15,7 @@ from .detection import (
     detect,
     suppress_harmonics,
 )
-from .metrics import (
-    InsufficientPeriodsError,
-    MetricsReport,
-    SubstantialIo,
-    compute_metrics,
-    data_per_period,
-    periodicity_score,
-    sigma_time,
-    sigma_vol,
-    substantial_io,
-)
+from .metrics import MetricsReport, compute_metrics
 from .online import PredictionRecord, on_new_data, replay, watch
 from .pipeline import AnalysisResult, analyze_trace
 from .sampling import (
@@ -34,7 +24,7 @@ from .sampling import (
     SampledSignal,
     SamplingQualityWarning,
 )
-from .spectral import Spectrum, dft, fft, reconstruct
+from .spectral import Spectrum, dft, reconstruct
 from .synth import (
     GroundTruth,
     PhaseTemplate,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from . import synth
@@ -39,6 +40,17 @@ def _add_common(parser: argparse.ArgumentParser, freq: float = DEFAULT_FS,
                             default=None, help="analysis time window in seconds")
 
 
+def _window(args) -> tuple[float, float] | None:
+    """The ``--window`` bounds, checked before any analysis: a trace with no
+    volume returns before the window is used, and would echo it unchecked."""
+    if args.window is None:
+        return None
+    lo, hi = args.window
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"--window needs finite bounds with LO < HI, got {lo} {hi}")
+    return lo, hi
+
+
 def _open_out(path: str | None):
     return open(path, "w") if path else sys.stdout
 
@@ -65,8 +77,8 @@ def _format_text(result: dict) -> str:
 
 
 def _cmd_detect(args) -> int:
+    window = _window(args)
     trace = parse_trace(args.trace, kind_filter=args.kind)
-    window = tuple(args.window) if args.window else None
     analysis = analyze_trace(trace, args.freq, window=window,
                              tolerance=args.tolerance, z_min=args.z_min)
     if args.spectrum_out and analysis.spectrum is not None:
@@ -187,8 +199,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    window = _window(args)
     trace = parse_trace(args.trace, kind_filter=args.kind)
-    window = tuple(args.window) if args.window else None
     analysis = analyze_trace(trace, args.freq, window=window)
     if analysis.spectrum is None:
         print("error: no I/O in the analysis window, so no spectrum", file=sys.stderr)
@@ -223,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trace")
     _add_common(p, window=False)
     p.add_argument("--watch-interval", type=float, default=1.0,
-                   help="polling interval in seconds")
+                   help="polling interval in seconds, positive (default 1)")
     p.add_argument("--idle-timeout", type=float, default=None,
                    help="stop after this many seconds without new data")
     p.add_argument("--fixed-window", type=float, default=None,

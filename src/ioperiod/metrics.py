@@ -7,25 +7,11 @@ sampling frequency, and the window.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .sampling import SampledSignal, _snap_floor_array, snap_floor
-
-
-class InsufficientPeriodsError(ValueError):
-    """Fewer than two full periods fit in the window."""
-
-
-@dataclass(frozen=True)
-class SubstantialIo:
-    """Bins whose volume exceeds the trace-average threshold V(T)/L(T)."""
-
-    threshold: float           # bytes/second
-    mask: np.ndarray           # per-bin boolean
-    r_io: float                # fraction of time spent on substantial I/O
-    b_io: float | None         # characteristic bandwidth of that time
 
 
 @dataclass(frozen=True)
@@ -40,98 +26,7 @@ class MetricsReport:
     periods_used: int | None
 
     def to_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "r_io": self.r_io,
-            "b_io": self.b_io,
-            "sigma_vol": self.sigma_vol,
-            "sigma_time": self.sigma_time,
-            "data_per_period": self.data_per_period,
-            "score": self.score,
-            "periods_used": self.periods_used,
-        }
-
-
-def substantial_io(sampled: SampledSignal) -> SubstantialIo:
-    """Split bins into noise and substantial I/O at the V(T)/L(T) threshold.
-
-    The threshold equals the mean sample; a bin counts as substantial only
-    when strictly above it, so a perfectly constant signal has R_IO = 0.
-    """
-    samples = sampled.samples
-    if samples.shape[0] == 0:
-        raise ValueError("empty sampled signal")
-    threshold = float(samples.mean())
-    mask = samples > threshold
-    r_io = float(mask.mean())
-    b_io = float(samples[mask].mean()) if mask.any() else None
-    return SubstantialIo(threshold=threshold, mask=mask, r_io=r_io, b_io=b_io)
-
-
-def _period_index(sampled: SampledSignal, f_d: float) -> tuple[np.ndarray, int]:
-    """Assign each bin to a period of length 1/f_d; return (index, count).
-
-    The partition starts at the first sample of the window and the trailing
-    partial period is discarded.
-    """
-    if f_d <= 0:
-        raise ValueError("dominant frequency must be positive")
-    lf = snap_floor(sampled.duration * f_d)
-    if lf < 2:
-        raise InsufficientPeriodsError(
-            f"only {lf} full period(s) of 1/f_d = {1.0 / f_d:.6g} s in the window"
-        )
-    rel = np.arange(sampled.n) * (sampled.ts * f_d)
-    idx = _snap_floor_array(rel)
-    return idx, lf
-
-
-def sigma_vol(sampled: SampledSignal, f_d: float) -> float:
-    """Population std of per-period volumes normalized by their maximum."""
-    idx, lf = _period_index(sampled, f_d)
-    keep = idx < lf
-    vols = np.bincount(idx[keep], weights=sampled.samples[keep], minlength=lf)
-    vmax = vols.max()
-    if vmax == 0.0:
-        return 0.0
-    return float((vols / vmax).std())
-
-
-def sigma_time(
-    sampled: SampledSignal,
-    f_d: float,
-    threshold: float | None = None,
-    r_io: float | None = None,
-) -> float:
-    """RMS deviation of each period's substantial-I/O time fraction from R_IO."""
-    if threshold is None or r_io is None:
-        sub = substantial_io(sampled)
-        threshold = sub.threshold if threshold is None else threshold
-        r_io = sub.r_io if r_io is None else r_io
-    idx, lf = _period_index(sampled, f_d)
-    keep = idx < lf
-    counts = np.bincount(idx[keep], minlength=lf)
-    sub_counts = np.bincount(
-        idx[keep], weights=(sampled.samples[keep] > threshold).astype(np.float64),
-        minlength=lf,
-    )
-    frac = sub_counts / np.maximum(counts, 1)
-    return float(np.sqrt(np.mean((frac - r_io) ** 2)))
-
-
-def data_per_period(sampled: SampledSignal, f_d: float, threshold: float | None = None) -> float:
-    """Substantial volume divided by the number of periods, V(S)/(L(T)*f_d)."""
-    if f_d <= 0:
-        raise ValueError("dominant frequency must be positive")
-    if threshold is None:
-        threshold = substantial_io(sampled).threshold
-    v_s = sampled.ts * float(sampled.samples[sampled.samples > threshold].sum())
-    return v_s / (sampled.duration * f_d)
-
-
-def periodicity_score(sigma_vol: float, sigma_time: float) -> float:
-    """Periodicity score 1 - sigma_vol - sigma_time, in [0, 1]."""
-    return 1.0 - sigma_vol - sigma_time
+        return asdict(self)
 
 
 def compute_metrics(
@@ -141,33 +36,48 @@ def compute_metrics(
 ) -> MetricsReport:
     """Assemble the full metrics report for one analysis window.
 
+    A bin is substantial I/O when strictly above the threshold V(T)/L(T),
+    the mean sample, so a constant signal has R_IO = 0; B_IO is the mean of
+    the substantial bins.  The window is cut into periods of 1/f_d from its
+    first sample and the trailing partial period is dropped: sigma_vol is
+    the population std of the per-period volumes over their maximum,
+    sigma_time the RMS deviation of each period's substantial fraction from
+    R_IO, the score 1 - sigma_vol - sigma_time, and data per period the
+    substantial volume over L(T)*f_d.
+
     ``volume_scale`` converts byte-unit outputs back to real units when the
     analysis ran on a volume-normalized signal.  Without a dominant
     frequency (or with fewer than two full periods) the per-period metrics
     are reported absent.
     """
-    if float(sampled.samples.sum()) == 0.0:
+    samples = sampled.samples
+    if float(samples.sum()) == 0.0:
         return MetricsReport(None, 0.0, None, None, None, None, None, None)
-    sub = substantial_io(sampled)
-    sv = st = dpp = score = None
-    lf = None
-    if f_d is not None and f_d > 0:
-        try:
-            _, lf = _period_index(sampled, f_d)
-        except InsufficientPeriodsError:
-            lf = None
-        if lf is not None:
-            sv = sigma_vol(sampled, f_d)
-            st = sigma_time(sampled, f_d, sub.threshold, sub.r_io)
-            dpp = data_per_period(sampled, f_d, sub.threshold) * volume_scale
-            score = periodicity_score(sv, st)
+    threshold = float(samples.mean())
+    mask = samples > threshold
+    r_io = float(mask.mean())
+    substantial = samples[mask]
+    b_io = float(substantial.mean()) * volume_scale if mask.any() else None
+    lf = snap_floor(sampled.duration * f_d) if f_d is not None and f_d > 0 else None
+    if lf is None or lf < 2:
+        return MetricsReport(threshold * volume_scale, r_io, b_io, None, None, None, None, None)
+    idx = _snap_floor_array(np.arange(sampled.n) * (sampled.ts * f_d))
+    keep = idx < lf
+    idx = idx[keep]
+    vols = np.bincount(idx, weights=samples[keep], minlength=lf)
+    counts = np.bincount(idx, minlength=lf)
+    sub_counts = np.bincount(idx, weights=mask[keep].astype(np.float64), minlength=lf)
+    vmax = vols.max()
+    sv = 0.0 if vmax == 0.0 else float((vols / vmax).std())
+    st = float(np.sqrt(np.mean((sub_counts / np.maximum(counts, 1) - r_io) ** 2)))
+    v_s = sampled.ts * float(substantial.sum())
     return MetricsReport(
-        threshold=sub.threshold * volume_scale,
-        r_io=sub.r_io,
-        b_io=None if sub.b_io is None else sub.b_io * volume_scale,
+        threshold=threshold * volume_scale,
+        r_io=r_io,
+        b_io=b_io,
         sigma_vol=sv,
         sigma_time=st,
-        data_per_period=dpp,
-        score=score,
+        data_per_period=v_s / (sampled.duration * f_d) * volume_scale,
+        score=1.0 - sv - st,
         periods_used=lf,
     )

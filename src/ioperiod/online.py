@@ -10,7 +10,7 @@ import os
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -51,12 +51,8 @@ class PredictionRecord:
         return out
 
 
-def _dominant_streak(history: Sequence[PredictionRecord]) -> int:
-    return history[-1].dominant_streak if history else 0
-
-
 def _choose_window(
-    history: Sequence[PredictionRecord],
+    previous: PredictionRecord | None,
     now: float,
     fs: float,
     fixed_window: float | None,
@@ -64,17 +60,15 @@ def _choose_window(
     lo = 0.0
     if fixed_window is not None:
         lo = max(0.0, now - fixed_window)
-    elif _dominant_streak(history) >= ADAPT_AFTER:
-        last_period = history[-1].period
-        if last_period is not None:
-            lo = max(0.0, now - WINDOW_PERIODS * last_period)
+    elif previous is not None and previous.dominant_streak >= ADAPT_AFTER:
+        lo = max(0.0, now - WINDOW_PERIODS * previous.period)
     # guard against a spuriously high frequency collapsing the window
     lo = min(lo, max(0.0, now - MIN_WINDOW_BINS / fs))
     return lo, now
 
 
 def on_new_data(
-    history: Sequence[PredictionRecord],
+    previous: PredictionRecord | None,
     trace_snapshot: Trace,
     now: float,
     fs: float,
@@ -84,18 +78,18 @@ def on_new_data(
 ) -> PredictionRecord:
     """Analyze a consistent snapshot of the trace at trace time ``now``.
 
-    ``history`` must contain only analyses already completed when this one
-    triggers, and only its last record is read; after three consecutive
-    completed analyses with a dominant frequency (that record's
-    ``dominant_streak``), the window shrinks to three times the last found
-    period.
+    ``previous`` is the last analysis completed when this one triggers, or
+    None; once it ends a streak of three consecutive analyses with a
+    dominant frequency (its ``dominant_streak``), the window shrinks to
+    three times its period.
     """
-    window = _choose_window(history, now, fs, fixed_window)
+    window = _choose_window(previous, now, fs, fixed_window)
     analysis = analyze_trace(trace_snapshot, fs, window=window, tolerance=tolerance,
                              z_min=z_min)
-    streak = _dominant_streak(history) + 1 if analysis.has_dominant else 0
+    streak = previous.dominant_streak + 1 if previous is not None else 1
     return PredictionRecord(
-        trigger_time=now, window=window, analysis=analysis, dominant_streak=streak
+        trigger_time=now, window=window, analysis=analysis,
+        dominant_streak=streak if analysis.has_dominant else 0,
     )
 
 
@@ -129,7 +123,7 @@ class _Tail:
         return True
 
 
-def _check_args(fs, tolerance, z_min, kind, fixed_window, poll_interval=0.0,
+def _check_args(fs, tolerance, z_min, kind, fixed_window, poll_interval=1.0,
                 idle_timeout=None):
     """Raise ValueError on an argument no analysis or poll could use."""
     check_analysis_args(fs, tolerance, z_min)
@@ -137,8 +131,9 @@ def _check_args(fs, tolerance, z_min, kind, fixed_window, poll_interval=0.0,
         raise ValueError(f"unknown kind filter {kind!r}")
     if fixed_window is not None and not fixed_window > 0:
         raise ValueError(f"fixed window must be positive, got {fixed_window}")
-    if not 0 <= poll_interval < math.inf:
-        raise ValueError(f"poll interval must be non-negative and finite, got {poll_interval}")
+    if not 0 < poll_interval < math.inf:
+        # idle time is counted in poll intervals, so 0 would never time out
+        raise ValueError(f"poll interval must be positive and finite, got {poll_interval}")
     if idle_timeout is not None and not idle_timeout >= 0:
         raise ValueError(f"idle timeout must be non-negative, got {idle_timeout}")
 
@@ -168,8 +163,8 @@ def replay(
         tail.feed(data[tail.offset:])
         consumed = data[:tail.offset]
         records.append(
-            on_new_data(records, tail.trace, now, fs, tolerance=tolerance,
-                        z_min=z_min, fixed_window=fixed_window)
+            on_new_data(records[-1] if records else None, tail.trace, now, fs,
+                        tolerance=tolerance, z_min=z_min, fixed_window=fixed_window)
         )
     return records
 
@@ -197,7 +192,7 @@ def watch(
     """
     _check_args(fs, tolerance, z_min, kind, fixed_window, poll_interval, idle_timeout)
     tail = _Tail(kind)
-    last: list[PredictionRecord] = []   # the latest record: all the next one reads
+    last = None           # the latest record: all the next one reads
     file_id = None        # (device, inode) of the file last read
     idle = 0.0
     while True:
@@ -218,17 +213,16 @@ def watch(
         if data is None:
             warnings.warn(f"{os.fspath(path)} was truncated or replaced; "
                           "restarting analysis state")
-            last = []
+            last = None
             tail.reset()
             continue
         if tail.feed(data):
             if len(tail.trace) > 0:
-                rec = on_new_data(
+                last = on_new_data(
                     last, tail.trace, tail.trace.t_max, fs, tolerance=tolerance,
                     z_min=z_min, fixed_window=fixed_window,
                 )
-                last = [rec]
-                yield rec
+                yield last
             idle = 0.0
             continue
         idle += poll_interval

@@ -19,14 +19,6 @@ import numpy as np
 from .sampling import SampledSignal, _snap_floor_array
 
 
-def fft(x) -> np.ndarray:
-    """Unnormalized complex DFT of a real or complex vector, any length >= 1."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape[0] == 0:
-        raise ValueError("empty input")
-    return np.fft.fft(x)
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Single-sided DFT spectrum of a real sampled signal.

@@ -11,7 +11,6 @@ it.
 """
 from __future__ import annotations
 
-import io
 import json
 import os
 import sys
@@ -130,8 +129,6 @@ def _iter_complete_lines(source) -> Iterator[str]:
             data = f.read()
     elif isinstance(source, bytes):
         data = source
-    elif isinstance(source, io.TextIOBase):
-        data = source.read().encode()
     else:
         data = source.read()
         if isinstance(data, str):

@@ -2,9 +2,10 @@
 
 Everything here is deliberately slow and literal: the brute-force DFT
 evaluates the defining sum, the bandwidth, window volume and sampling
-error scan the requests one by one, the trace reader decodes and loads
-each line on its own, and the grid sampler searches every request.  None
-of it imports library internals; it uses only the package's public names.
+error scan the requests one by one, the per-period metrics gather each
+period's samples in a loop, the trace reader decodes and loads each line
+on its own, and the grid sampler searches every request.  None of it
+imports library internals; it uses only the package's public names.
 """
 import json
 import sys
@@ -63,6 +64,29 @@ def population_std(values):
     values = np.asarray(values, dtype=np.float64)
     mean = values.mean()
     return float(np.sqrt(np.mean((values - mean) ** 2)))
+
+
+def per_period_metrics(samples, ts, f_d):
+    """sigma_vol, sigma_time, data per period and score of a window cut into
+    periods of 1/f_d from its first sample, the trailing partial period
+    dropped, each period gathered and summed in a plain loop."""
+    samples = [float(v) for v in samples]
+    n = len(samples)
+    threshold = sum(samples) / n
+    r_io = sum(v > threshold for v in samples) / n
+    periods = snap_floor(n * ts * f_d)
+    vols, fracs = [], []
+    for p in range(periods):
+        members = [v for i, v in enumerate(samples) if snap_floor(i * (ts * f_d)) == p]
+        vols.append(sum(members))
+        fracs.append(sum(v > threshold for v in members) / max(len(members), 1))
+    vmax = max(vols)
+    sigma_vol = population_std([v / vmax for v in vols]) if vmax > 0 else 0.0
+    sigma_time = (sum((f - r_io) ** 2 for f in fracs) / periods) ** 0.5
+    v_s = ts * sum(v for v in samples if v > threshold)
+    return {"sigma_vol": sigma_vol, "sigma_time": sigma_time,
+            "data_per_period": v_s / (n * ts * f_d),
+            "score": 1.0 - sigma_vol - sigma_time, "periods_used": periods}
 
 
 def brute_candidates(adjusted, n, tolerance, z_min):

@@ -271,6 +271,8 @@ OUT_OF_RANGE = {
     "predict-idle-timeout-negative": ["predict", "TRACE", "--idle-timeout", "-5"],
     "predict-watch-interval-negative": ["predict", "TRACE", "--watch-interval", "-1",
                                         "--idle-timeout", "0.02"],
+    "predict-watch-interval-zero": ["predict", "TRACE", "--watch-interval", "0",
+                                    "--idle-timeout", "1"],
     "predict-watch-interval-nan": ["predict", "TRACE", "--watch-interval", "nan",
                                    "--idle-timeout", "0.02"],
     "predict-fixed-window-negative": ["predict", "TRACE", "--fixed-window", "-2",
@@ -286,3 +288,20 @@ def test_out_of_range_flag_exits_with_error(tmp_path, capsys, argv):
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
     assert captured.out == ""  # rejected before any record or row is written
+
+
+@pytest.mark.parametrize("window", [["nan", "3"], ["0", "inf"], ["5", "1"], ["2", "2"]],
+                         ids=["nan", "infinity", "reversed", "empty"])
+@pytest.mark.parametrize("pulses", [0, 5], ids=["metadata-only", "pulses"])
+@pytest.mark.parametrize("command", ["detect", "spectrum"])
+def test_bad_window_exits_with_error(tmp_path, capsys, command, pulses, window):
+    # a trace with no volume skips the analysis, so the flag is checked first
+    path = tmp_path / "t.jsonl"
+    if pulses:
+        write_pulses(path, n_pulses=pulses)
+    else:
+        path.write_text(trace_text([], meta={"job": "1"}))
+    assert main([command, str(path), "--window", *window]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --window ")
+    assert captured.out == ""

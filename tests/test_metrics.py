@@ -1,19 +1,11 @@
-"""Substantial-I/O split, per-period deviation metrics, and the score."""
+"""Substantial-I/O split, per-period deviation metrics, and the score, all
+read from ``compute_metrics``."""
 import numpy as np
 import pytest
 
-from oracles import population_std
+from oracles import per_period_metrics, population_std
 
-from ioperiod import (
-    InsufficientPeriodsError,
-    SampledSignal,
-    compute_metrics,
-    data_per_period,
-    periodicity_score,
-    sigma_time,
-    sigma_vol,
-    substantial_io,
-)
+from ioperiod import SampledSignal, compute_metrics
 
 
 def sampled(values, fs=1.0):
@@ -29,30 +21,31 @@ def periodic_signal(period_bins, n_periods, duty_bins, rate=4.0):
 class TestSubstantialIo:
     def test_constant_signal_has_no_substantial_bins(self):
         # threshold equals the mean, and the comparison is strict
-        sub = substantial_io(sampled([3.0] * 10))
-        assert sub.r_io == 0.0
-        assert sub.b_io is None
+        report = compute_metrics(sampled([3.0] * 10), f_d=0.5)
+        assert report.threshold == 3.0
+        assert report.r_io == 0.0
+        assert report.b_io is None
 
     def test_half_on_half_off(self):
         rate = 6.0
-        sub = substantial_io(sampled([rate, 0.0] * 5))
-        assert sub.threshold == pytest.approx(rate / 2)
-        assert sub.r_io == pytest.approx(0.5)
-        assert sub.b_io == pytest.approx(rate)
+        report = compute_metrics(sampled([rate, 0.0] * 5))
+        assert report.threshold == pytest.approx(rate / 2)
+        assert report.r_io == pytest.approx(0.5)
+        assert report.b_io == pytest.approx(rate)
 
     def test_sixty_percent_duty(self):
-        sub = substantial_io(periodic_signal(10, 4, 6))
-        assert sub.r_io == pytest.approx(0.6)
+        assert compute_metrics(periodic_signal(10, 4, 6), f_d=0.1).r_io == pytest.approx(0.6)
 
 
 class TestSigmaVol:
     def test_perfectly_periodic_is_zero(self):
-        assert sigma_vol(periodic_signal(10, 5, 3), f_d=0.1) == pytest.approx(0.0)
+        report = compute_metrics(periodic_signal(10, 5, 3), f_d=0.1)
+        assert report.sigma_vol == pytest.approx(0.0)
 
     def test_two_periods_hand_value(self):
         # volumes 10 and 5 normalize to {1, 0.5}: population std 0.25
         s = sampled([10.0] + [0.0] * 9 + [5.0] + [0.0] * 9)
-        assert sigma_vol(s, f_d=0.1) == pytest.approx(0.25)
+        assert compute_metrics(s, f_d=0.1).sigma_vol == pytest.approx(0.25)
         assert population_std([1.0, 0.5]) == pytest.approx(0.25)
 
     def test_concentration_approaches_bound(self):
@@ -60,32 +53,45 @@ class TestSigmaVol:
         n_periods = 50
         values = np.zeros(n_periods * 4)
         values[0] = 8.0
-        sv = sigma_vol(sampled(values), f_d=0.25)
+        sv = compute_metrics(sampled(values), f_d=0.25).sigma_vol
         assert 0.1 < sv <= 0.5
         assert sv == pytest.approx(population_std([1.0] + [0.0] * (n_periods - 1)))
 
     def test_needs_two_periods(self):
-        with pytest.raises(InsufficientPeriodsError):
-            sigma_vol(sampled([1.0] * 10), f_d=0.05)
+        # 10 s at f_d = 0.19 Hz holds 1.9 periods, at 0.2 Hz exactly two
+        s = sampled([1.0, 0.0] * 5)
+        short = compute_metrics(s, f_d=0.19)
+        assert short.periods_used is None
+        assert short.sigma_vol is short.sigma_time is short.score is None
+        assert short.data_per_period is None
+        assert short.r_io == pytest.approx(0.5)
+        assert compute_metrics(s, f_d=0.2).periods_used == 2
 
     def test_trailing_partial_period_discarded(self):
         # 25 bins at f_d=0.1: two full periods, the 5-bin tail is dropped
         values = np.zeros(25)
         values[0] = values[10] = 4.0
         values[20:] = 100.0  # garbage in the tail must not matter
-        assert sigma_vol(sampled(values), f_d=0.1) == pytest.approx(0.0)
+        report = compute_metrics(sampled(values), f_d=0.1)
+        assert report.periods_used == 2
+        assert report.sigma_vol == pytest.approx(0.0)
+        # only the tail is substantial (R_IO 0.2), and no full period holds any
+        assert report.sigma_time == pytest.approx(0.2)
 
 
 class TestSigmaTime:
     def test_identical_phases_is_zero(self):
         s = periodic_signal(10, 4, 6)
-        assert sigma_time(s, f_d=0.1) == pytest.approx(0.0)
+        assert compute_metrics(s, f_d=0.1).sigma_time == pytest.approx(0.0)
 
     def test_hand_rms(self):
-        # period fractions {0.4, 0.8} against R_IO=0.6: RMS deviation 0.2
-        st = sigma_time(sampled([1.0] * 4 + [0.0] * 6 + [1.0] * 8 + [0.0] * 2),
-                        f_d=0.1, threshold=0.5, r_io=0.6)
-        assert st == pytest.approx(0.2)
+        # threshold and R_IO are both 0.6; period fractions {0.4, 0.8}
+        # deviate from R_IO by 0.2 each: RMS deviation 0.2
+        report = compute_metrics(sampled([1.0] * 4 + [0.0] * 6 + [1.0] * 8 + [0.0] * 2),
+                                 f_d=0.1)
+        assert report.threshold == pytest.approx(0.6)
+        assert report.r_io == pytest.approx(0.6)
+        assert report.sigma_time == pytest.approx(0.2)
 
     def test_grows_with_burst_scatter(self, rng):
         # same duty per period vs bursts scattered non-periodically
@@ -94,24 +100,30 @@ class TestSigmaTime:
         on = rng.choice(200, size=50, replace=False)
         values[on] = 4.0
         scattered = sampled(values)
-        assert sigma_time(scattered, f_d=0.05) > sigma_time(regular, f_d=0.05)
+        assert (compute_metrics(scattered, f_d=0.05).sigma_time
+                > compute_metrics(regular, f_d=0.05).sigma_time)
 
 
 class TestDataPerPeriod:
     def test_arithmetic(self):
         # 100 GB of substantial volume over 100 s at 0.1 Hz: 10 GB/period
         s = sampled([2e9] * 50 + [0.0] * 50)
-        assert data_per_period(s, f_d=0.1) == pytest.approx(100e9 / 10)
+        assert compute_metrics(s, f_d=0.1).data_per_period == pytest.approx(100e9 / 10)
 
     def test_zero_substantial_volume(self):
-        assert data_per_period(sampled([5.0] * 10), f_d=0.5) == 0.0
+        assert compute_metrics(sampled([5.0] * 10), f_d=0.5).data_per_period == 0.0
 
 
 class TestScore:
     def test_bounds(self):
-        assert periodicity_score(0.0, 0.0) == 1.0
-        assert periodicity_score(0.25, 0.1) == pytest.approx(0.65)
-        assert periodicity_score(0.5, 0.5) == 0.0
+        # score = 1 - sigma_vol - sigma_time
+        assert compute_metrics(periodic_signal(10, 5, 3), f_d=0.1).score == 1.0
+        # volumes {4, 8} give sigma_vol 0.25, hand_rms gives sigma_time 0.2
+        s = sampled([1.0] * 4 + [0.0] * 6 + [1.0] * 8 + [0.0] * 2)
+        assert compute_metrics(s, f_d=0.1).score == pytest.approx(0.55)
+        # volumes {10, 5}: sigma_vol 0.25, and one burst per period
+        s = sampled([10.0] + [0.0] * 9 + [5.0] + [0.0] * 9)
+        assert compute_metrics(s, f_d=0.1).score == pytest.approx(0.75)
 
 
 class TestComputeMetrics:
@@ -150,3 +162,18 @@ class TestComputeMetrics:
         report = compute_metrics(sampled(np.zeros(10)), f_d=0.5)
         assert report.r_io == 0.0
         assert report.score is None
+        assert [k for k, v in report.to_dict().items() if v is not None] == ["r_io"]
+
+    def test_matches_per_period_oracle(self, rng):
+        # windows of 2.1 to 12.9 periods: the trailing partial period varies
+        for _ in range(200):
+            n = int(rng.integers(26, 300))  # at least two bins per period
+            fs = float(rng.uniform(0.5, 50.0))
+            f_d = fs / (n / rng.uniform(2.1, 12.9))
+            values = rng.exponential(size=n) * (rng.random(n) < rng.uniform(0.1, 1.0))
+            s = sampled(values, fs=fs)
+            if not values.any():
+                continue
+            got = compute_metrics(s, f_d).to_dict()
+            want = per_period_metrics(values, s.ts, f_d)
+            assert {k: got[k] for k in want} == pytest.approx(want, rel=1e-9, abs=1e-12)

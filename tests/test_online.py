@@ -97,15 +97,12 @@ class TestWindowAdaptation:
     def test_min_window_guard(self):
         # a spuriously short period must not collapse the window below
         # MIN_WINDOW_BINS sampling intervals
-        history = []
-
         class FakeRecord:
             has_dominant = True
             dominant_streak = ADAPT_AFTER
             period = 0.001
 
-        history = [FakeRecord()] * ADAPT_AFTER
-        lo, hi = _choose_window(history, now=100.0, fs=1.0, fixed_window=None)
+        lo, hi = _choose_window(FakeRecord(), now=100.0, fs=1.0, fixed_window=None)
         assert hi - lo >= MIN_WINDOW_BINS / 1.0
 
     def test_replay_is_deterministic(self):
@@ -275,13 +272,22 @@ class TestWatch:
         assert any(r.window[0] > 0 for r in replayed)  # the window adapted
         assert dumps(watched) == dumps(replayed)
 
+    def test_zero_volume_at_time_zero_is_no_data(self, tmp_path):
+        # the window (0, now) is empty at now = 0: a no-data record, not an error
+        path = tmp_path / "trace.jsonl"
+        path.write_text(trace_text([(0, 0.0, 0.0, 0)]))
+        (rec,) = watch(path, fs=10.0, poll_interval=0.01, idle_timeout=0.02,
+                       _sleep=lambda s: None)
+        assert rec.window == (0.0, 0.0)
+        assert rec.analysis.no_data
+
     def test_memory_stays_flat_over_a_session(self, tmp_path):
         # only the last record is kept, so 100 more appends add their parsed
         # columns (five numbers each), not their records (about 6 KB each
         # with a 263-sample window)
         path = tmp_path / "trace.jsonl"
         path.write_bytes(b"")
-        records = watch(path, fs=10.0, poll_interval=0.0, idle_timeout=0.0,
+        records = watch(path, fs=10.0, poll_interval=0.01, idle_timeout=0.0,
                         fixed_window=26.3, _sleep=lambda s: None)
         sizes = []
         tracemalloc.start()
@@ -302,7 +308,8 @@ class TestWatch:
 
     @pytest.mark.parametrize("kwargs", [
         {"fs": -1.0}, {"fs": float("nan")}, {"tolerance": 5.0}, {"tolerance": 0.0},
-        {"z_min": -1.0}, {"poll_interval": -1.0}, {"idle_timeout": -5.0},
+        {"z_min": -1.0}, {"poll_interval": -1.0}, {"poll_interval": 0.0},
+        {"idle_timeout": -5.0},
         {"fixed_window": -2.0}, {"kind": "readwrite"},
     ], ids=lambda kwargs: "{}={}".format(*next(iter(kwargs.items()))))
     def test_bad_arguments_raise_before_first_poll(self, tmp_path, kwargs):
