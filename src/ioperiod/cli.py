@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 
 from . import synth
@@ -38,6 +39,8 @@ def _add_common(parser: argparse.ArgumentParser, freq: float = DEFAULT_FS,
     if window:
         parser.add_argument("--window", type=float, nargs=2, metavar=("LO", "HI"),
                             default=None, help="analysis time window in seconds")
+        # argparse reads -1000 as a value but -1e3 and -inf as flags
+        parser._negative_number_matcher = re.compile(r"-\.?\d|-inf|-nan", re.IGNORECASE)
 
 
 def _window(args) -> tuple[float, float] | None:

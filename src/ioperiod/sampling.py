@@ -5,6 +5,12 @@ point-sampled at a fixed rate over a time window straight from the requests
 (``sample_requests``); the relative volume mismatch between the
 zero-order-hold reconstruction and the continuous signal (``volume_error``)
 quantifies how faithful the discretization is.
+
+``sample_requests`` reads the requests once, a block at a time, for those
+that can cover a sample, the exact integer bytes of those inside the window
+and those straddling its edges.  V_0 is the inside bytes over the volume
+plus the straddlers' shares; only requests covering a sample get a rate,
+and only those rates are checked for overflow.
 """
 from __future__ import annotations
 
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trace import Trace, request_rates
+from .trace import Trace, TraceValidationError, exact_sum
 
 #: |sampling_error| beyond this value indicates the signal was under-sampled
 #: and the analysis should not be trusted.
@@ -100,9 +106,16 @@ def _grid_size(t_lo: float, t_hi: float, fs: float) -> tuple[int, float]:
     return n, 1.0 / fs
 
 
-def _covering_candidates(start, end, t_lo, fs, n, lo, hi):
-    """Indices of the requests that can cover a sample of the grid
-    t_lo + arange(n)/fs, or None when every request can.
+#: requests worked at once by ``sample_requests``: a block's scratch stays in cache
+_BLOCK = 1 << 15
+
+
+def _scan(trace: Trace, t_lo, fs, n, w_hi):
+    """One pass over the requests, ``_BLOCK`` rows at a time: the start, end
+    and byte columns of those that can cover a sample of the grid
+    t_lo + arange(n)/fs (the trace's own when all can), the exact byte total
+    of those wholly inside [t_lo, w_hi], and the indices of those straddling
+    an edge.  Rejects a zero-duration request with bytes.
 
     A request covers sample i when start <= g_i < end, where g_i =
     fl(t_lo + fl(i * ts)), ts = fl(1/fs), is the grid instant as computed.
@@ -128,25 +141,43 @@ def _covering_candidates(start, end, t_lo, fs, n, lo, hi):
     holds for every covering request, and a request failing it covers
     nothing.  A huge time offset only widens delta; once delta reaches a
     whole sample the test is not worth its passes and every request is
-    searched.  ``lo`` and ``hi`` are scratch columns of the requests' length.
+    searched.
     """
+    lo, hi = np.empty((2, min(len(trace), _BLOCK)))
     delta = (abs(float(t_lo)) * fs + n) * 2.0 ** -49
-    if not delta < 1.0:
-        return None
-    np.subtract(start, t_lo, out=lo)
-    np.multiply(lo, fs, out=lo)
-    np.subtract(lo, delta, out=lo)
-    np.ceil(lo, out=lo)
-    np.maximum(lo, 0.0, out=lo)
-    np.subtract(end, t_lo, out=hi)
-    np.multiply(hi, fs, out=hi)
-    np.add(hi, delta, out=hi)
-    np.floor(hi, out=hi)
-    np.minimum(hi, n - 1, out=hi)
-    candidate = lo <= hi
-    if candidate.all():
-        return None
-    return np.flatnonzero(candidate)
+    candidates = [] if delta < 1.0 else None
+    straddlers, inside_bytes = [np.empty(0, np.intp)], 0
+    for a in range(0, len(trace), _BLOCK):
+        s, e, b = (col[a:a + _BLOCK] for col in (trace.start, trace.end, trace.nbytes))
+        lo, hi = lo[:s.shape[0]], hi[:s.shape[0]]
+        zero = s == e
+        if zero.any() and b[zero].any():
+            raise TraceValidationError("zero-duration request with nonzero bytes")
+        if candidates is not None:
+            np.subtract(s, t_lo, out=lo)
+            np.multiply(lo, fs, out=lo)
+            np.subtract(lo, delta, out=lo)
+            np.ceil(lo, out=lo)
+            np.maximum(lo, 0.0, out=lo)
+            np.subtract(e, t_lo, out=hi)
+            np.multiply(hi, fs, out=hi)
+            np.add(hi, delta, out=hi)
+            np.floor(hi, out=hi)
+            np.minimum(hi, n - 1, out=hi)
+            candidates.append(np.flatnonzero(lo <= hi) + a)
+        inside = (s >= t_lo) & (e <= w_hi)
+        if inside.all():   # then none straddles
+            inside_bytes += exact_sum(b)
+            continue
+        inside_bytes += exact_sum(b[inside])
+        # overlapping the window without lying inside it
+        straddlers.append(np.flatnonzero((s < w_hi) & (e > t_lo) & ~inside) + a)
+    columns = trace.start, trace.end, trace.nbytes
+    if candidates is not None:
+        candidates = np.concatenate(candidates)
+        if candidates.shape[0] < len(trace):
+            columns = tuple(col[candidates] for col in columns)
+    return columns, inside_bytes, np.concatenate(straddlers)
 
 
 def sample_requests(
@@ -156,50 +187,62 @@ def sample_requests(
 ) -> tuple[tuple[float, float], SampledSignal, float]:
     """Point-sample the unit-volume bandwidth of a trace straight from its requests.
 
-    Sample i, at t_i = t0 + i*ts, is the summed rate (``request_rates``) of
-    every request j with start_j <= t_i < end_j.  Windows reaching beyond
-    the requests sample zeros there.
+    Sample i, at t_i = t0 + i*ts, is the summed rate bytes/(V*(end-start)),
+    V the exact integer volume, of every request with start <= t_i < end.
     The window defaults to the span of the requests with positive duration.
 
-    Returns the window, the samples, and V_0, the exact volume of the
-    unit-volume signal over the covered window [t0, t0 + n*ts), for
-    ``volume_error``.
+    Returns the window, the samples, and V_0, the volume of the unit-volume
+    signal over the covered window [t0, t0 + n*ts], for ``volume_error``:
+    the integer bytes of the requests wholly inside it over V, plus the
+    sorted terms (bytes/V)*(overlap/duration) of those straddling an edge.
     """
-    start, end, rate = request_rates(trace)
-    win = window if window is not None else (float(start.min()), float(end.max()))
-    t_lo = win[0]
-    n, ts = _grid_size(t_lo, win[1], fs)
-    # two scratch columns hold every per-request intermediate below
-    lo = np.maximum(start, t_lo)
-    hi = np.minimum(end, t_lo + n * ts)
-    np.subtract(hi, lo, out=hi)
-    np.maximum(hi, 0.0, out=hi)
-    np.multiply(rate, hi, out=hi)
-    # summed over every request in sorted order, so V_0 is independent of
-    # request order
-    hi.sort()
-    v_0 = float(hi.sum())
-    candidate = _covering_candidates(start, end, t_lo, fs, n, lo, hi)
-    if candidate is not None:
-        start, end, rate = start[candidate], end[candidate], rate[candidate]
+    volume = trace.volume
+    if volume == 0:   # an empty trace too
+        raise TraceValidationError("cannot normalize a zero-volume trace")
+    if window is None:
+        positive = trace.start < trace.end
+        if not positive.any():
+            raise TraceValidationError("no requests with positive duration")
+        window = (float(trace.start[positive].min()), float(trace.end[positive].max()))
+    t_lo = window[0]
+    n, ts = _grid_size(t_lo, window[1], fs)
+    w_hi = t_lo + n * ts
+    (start, end, nbytes), inside_bytes, straddler = _scan(trace, t_lo, fs, n, w_hi)
     grid = t_lo + np.arange(n) * ts
     # each request covers the samples [first, stop); searchsorted on the
     # grid itself puts an instant equal to start inside, one equal to end out
     first = np.searchsorted(grid, start)
     stop = np.searchsorted(grid, end)
+    # only the requests that cover a sample get a rate
+    covering = np.flatnonzero(first < stop)
+    dur = end[covering] - start[covering]
+    # rates are >= 0: their sum is finite only if each rate is, and it
+    # bounds every sample, which sums the rates of overlapping requests
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        rate = nbytes[covering] / volume / dur
+        rate_sum = rate.sum()
+    if not np.isfinite(rate_sum):
+        raise TraceValidationError(
+            f"requests as short as {float(dur.min())!r} s have byte rates "
+            "past the float range")
     # bincount adds in input order; ordering by rate fixes that order
     # whatever the request order or the selection (equal rates are equal
-    # values).  Requests that cover no sample are left out rather than
-    # added and cancelled.
-    covering = np.flatnonzero(first < stop)
-    order = covering[np.argsort(rate[covering])]
+    # values)
+    order = np.argsort(rate)
     weights = rate[order]
+    order = covering[order]
     steps = (np.bincount(first[order], weights, minlength=n + 1)
              - np.bincount(stop[order], weights, minlength=n + 1))
     # float even when no request covers a sample (bincount then gives ints)
     samples = np.cumsum(steps[:n], dtype=np.float64)
     np.maximum(samples, 0.0, out=samples)  # clamp float residue of cancelling rates
-    return win, SampledSignal(t0=float(t_lo), ts=ts, samples=samples), v_0
+    # a straddler's share, overlap/duration, is at most 1, so no term
+    # overflows; requests wholly outside add exactly 0
+    s, e = trace.start[straddler], trace.end[straddler]
+    share = (np.minimum(e, w_hi) - np.maximum(s, t_lo)) / (e - s)
+    terms = np.sort(trace.nbytes[straddler] / volume * share)
+    v_0 = inside_bytes / volume + float(terms.sum())
+    return window, SampledSignal(t0=float(t_lo), ts=ts, samples=samples), v_0
 
 
 def volume_error(sampled: SampledSignal, v_0: float) -> float:

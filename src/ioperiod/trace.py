@@ -1,4 +1,4 @@
-"""Trace data model: per-rank timed I/O requests and their bandwidth rates.
+"""Trace data model: per-rank timed I/O requests.
 
 A trace file is line-delimited JSON, one request per line with fields
 ``rank`` (int), ``start`` (finite number, seconds), ``end`` (finite number,
@@ -21,6 +21,7 @@ import numpy as np
 KINDS = ("read", "write")
 _KIND_CODE = {"read": 0, "write": 1}
 _CODE_KIND = {0: "read", 1: "write"}
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class TraceParseError(ValueError):
@@ -42,6 +43,16 @@ def _integer_column(values, what: str, dtype=None) -> np.ndarray:
     if arr.size and arr.dtype.kind not in "biu":
         raise TraceValidationError(f"{what} must be integers, not {arr.dtype}")
     return arr if dtype is None else np.ascontiguousarray(arr, dtype=dtype)
+
+
+def exact_sum(values: np.ndarray) -> int:
+    """The exact sum of non-negative int64 values: one int64 sum when it
+    cannot wrap, else the sums of their 32-bit halves (exact below 2^31)."""
+    if values.shape[0] == 0 or int(values.max()) <= _INT64_MAX // values.shape[0]:
+        return int(values.sum())
+    high = int((values >> 32).sum())
+    low = int((values & 0xFFFFFFFF).sum())
+    return (high << 32) + low
 
 
 class Trace:
@@ -103,17 +114,12 @@ class Trace:
 
     @property
     def volume(self) -> int:
-        """Total transferred bytes V(T), as an exact integer.
-
-        The 32-bit halves of the byte counts are summed apart, so neither
-        int64 sum can wrap (below 2^31 requests); the total itself may
-        exceed the int64 range.  Computed on first read, then kept: the
-        columns cannot change.
+        """Total transferred bytes V(T), as an exact integer (``exact_sum``);
+        it may exceed the int64 range.  Computed on first read, then kept:
+        the columns cannot change.
         """
         if self._volume is None:
-            high = int((self.nbytes >> 32).sum())
-            low = int((self.nbytes & 0xFFFFFFFF).sum())
-            self._volume = (high << 32) + low
+            self._volume = exact_sum(self.nbytes)
         return self._volume
 
 
@@ -149,7 +155,6 @@ def _iter_complete_lines(source) -> Iterator[str]:
 #: JSON number types a time may have; bool is excluded by exact type tests
 _TIME_TYPES = (float, int)
 _FLOAT_MAX = sys.float_info.max
-_INT64_MAX = np.iinfo(np.int64).max
 #: the C scanner behind ``json.loads``, which reads a value at an index
 _scan_once = json.JSONDecoder().scan_once
 #: what ``json.loads`` accepts after a value
@@ -258,44 +263,3 @@ def write_trace(trace: Trace, dest: IO[str] | str | os.PathLike) -> None:
     finally:
         if own:
             f.close()
-
-
-def request_rates(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Start, end and unit-volume rate bytes/(V*(end-start)) of each request.
-
-    Zero-duration requests with zero bytes are dropped; with nonzero bytes
-    they have no defined rate and are rejected, as is a trace with no
-    request of positive duration or no volume, and requests so short
-    (subnormal durations) that their rates sum past the float range.
-
-    Byte counts are divided by the exact integer total volume V, so the
-    rates integrate to 1.  Because the division (c*b)/(c*V) rounds
-    identically for any integer scale c, downstream dimensionless results
-    are bit-for-bit independent of a uniform byte-count rescaling.
-    """
-    if len(trace) == 0:
-        raise TraceValidationError("cannot sample an empty trace")
-    start, end, nbytes = trace.start, trace.end, trace.nbytes
-    dur = end - start
-    zero_dur = dur == 0.0
-    if zero_dur.any():
-        if np.any(nbytes[zero_dur] > 0):
-            raise TraceValidationError("zero-duration request with nonzero bytes")
-        keep = ~zero_dur
-        if not keep.any():
-            raise TraceValidationError("no requests with positive duration")
-        start, end, nbytes, dur = start[keep], end[keep], nbytes[keep], dur[keep]
-    total = trace.volume
-    if total <= 0:
-        raise TraceValidationError("cannot normalize a zero-volume trace")
-    rate = nbytes / total
-    # rates are >= 0: their sum is finite only if each rate is, and it
-    # bounds every sample, which sums the rates of overlapping requests
-    with np.errstate(over="ignore"):  # an overflow is reported just below
-        np.divide(rate, dur, out=rate)
-        rate_sum = rate.sum()
-    if not np.isfinite(rate_sum):
-        raise TraceValidationError(
-            f"requests as short as {float(dur.min())!r} s have byte rates "
-            "past the float range")
-    return start, end, rate

@@ -14,7 +14,6 @@ import numpy as np
 
 from ioperiod import TraceParseError, TraceValidationError
 from ioperiod.sampling import SampledSignal, snap_floor
-from ioperiod.trace import request_rates
 
 
 def brute_dft(x, chunk=256):
@@ -169,11 +168,44 @@ def loads_per_line(data, kind_filter="both", first_line=1):
     return columns, metadata
 
 
+def request_rates(trace):
+    """Start, end and unit-volume rate bytes/(V*(end-start)) of each request.
+
+    Zero-duration requests with zero bytes are dropped; with nonzero bytes
+    they have no defined rate and are rejected, as is a trace with no
+    request of positive duration or no volume.  A subnormal duration may
+    give an infinite rate.
+    """
+    if len(trace) == 0:
+        raise TraceValidationError("cannot sample an empty trace")
+    start, end, nbytes = trace.start, trace.end, trace.nbytes
+    dur = end - start
+    zero_dur = dur == 0.0
+    if zero_dur.any():
+        if np.any(nbytes[zero_dur] > 0):
+            raise TraceValidationError("zero-duration request with nonzero bytes")
+        keep = ~zero_dur
+        if not keep.any():
+            raise TraceValidationError("no requests with positive duration")
+        start, end, nbytes, dur = start[keep], end[keep], nbytes[keep], dur[keep]
+    total = trace.volume
+    if total <= 0:
+        raise TraceValidationError("cannot normalize a zero-volume trace")
+    with np.errstate(over="ignore"):
+        rate = nbytes / total / dur
+    return start, end, rate
+
+
 def sample_every_request(trace, fs, window=None):
     """``sample_requests`` with every request searched on the sample grid.
 
-    The same window, grid, summation order and V_0, with no selection of
-    the requests near the window; the sampler must match it bit for bit.
+    The same window, grid, summation order, overflow check (on the rates
+    of the requests that cover a sample) and V_0, with no selection of the
+    requests near the window; the sampler must match it bit for bit.
+    V_0 is the byte total of the requests wholly inside the covered window,
+    added up one Python integer at a time and divided by the volume, plus
+    the sorted terms (bytes/V)*(overlap/duration) of the requests that
+    overlap the window without lying inside it.
     """
     start, end, rate = request_rates(trace)
     win = window if window is not None else (float(start.min()), float(end.max()))
@@ -183,13 +215,21 @@ def sample_every_request(trace, fs, window=None):
     first = np.searchsorted(grid, start)
     stop = np.searchsorted(grid, end)
     covering = np.flatnonzero(first < stop)
+    if not np.isfinite(rate[covering].sum()):
+        raise TraceValidationError("byte rates past the float range")
     order = covering[np.argsort(rate[covering])]
     weights = rate[order]
     steps = (np.bincount(first[order], weights, minlength=n + 1)
              - np.bincount(stop[order], weights, minlength=n + 1))
     samples = np.cumsum(steps[:n], dtype=np.float64)
     np.maximum(samples, 0.0, out=samples)
-    overlap = np.minimum(end, t_lo + n * ts) - np.maximum(start, t_lo)
-    np.maximum(overlap, 0.0, out=overlap)
-    v_0 = float(np.sort(rate * overlap).sum())
+    w_hi = t_lo + n * ts
+    volume = trace.volume
+    inside_bytes, terms = 0, []
+    for s, e, b in zip(trace.start, trace.end, trace.nbytes):
+        if t_lo <= s and e <= w_hi:
+            inside_bytes += int(b)
+        elif s < w_hi and e > t_lo:
+            terms.append(b / volume * ((min(e, w_hi) - max(s, t_lo)) / (e - s)))
+    v_0 = inside_bytes / volume + float(np.sort(np.array(terms, dtype=np.float64)).sum())
     return win, SampledSignal(t0=float(t_lo), ts=ts, samples=samples), v_0

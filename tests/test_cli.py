@@ -290,18 +290,28 @@ def test_out_of_range_flag_exits_with_error(tmp_path, capsys, argv):
     assert captured.out == ""  # rejected before any record or row is written
 
 
-@pytest.mark.parametrize("window", [["nan", "3"], ["0", "inf"], ["5", "1"], ["2", "2"]],
-                         ids=["nan", "infinity", "reversed", "empty"])
+@pytest.mark.parametrize("window", [["nan", "3"], ["0", "inf"], ["5", "1"], ["2", "2"],
+                                    ["-inf", "3"], ["-1e3", "60"]],
+                         ids=["nan", "infinity", "reversed", "empty",
+                              "minus-infinity", "negative-exponent-accepted"])
 @pytest.mark.parametrize("pulses", [0, 5], ids=["metadata-only", "pulses"])
 @pytest.mark.parametrize("command", ["detect", "spectrum"])
 def test_bad_window_exits_with_error(tmp_path, capsys, command, pulses, window):
-    # a trace with no volume skips the analysis, so the flag is checked first
+    # a trace with no volume skips the analysis, so the flag is checked
+    # first; -inf and -1e3 are bounds, not flags
     path = tmp_path / "t.jsonl"
     if pulses:
         write_pulses(path, n_pulses=pulses)
     else:
         path.write_text(trace_text([], meta={"job": "1"}))
-    assert main([command, str(path), "--window", *window]) == 1
+    code = main([command, str(path), "--window", *window])
     captured = capsys.readouterr()
+    if window[0] == "-1e3":
+        # a good window: the analysis runs, and only spectrum fails, for
+        # want of I/O, on the metadata-only trace
+        assert "--window" not in captured.err
+        assert code == (1 if command == "spectrum" and not pulses else 0)
+        return
+    assert code == 1
     assert captured.err.startswith("error: --window ")
     assert captured.out == ""

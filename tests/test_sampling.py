@@ -14,15 +14,13 @@ from oracles import (
     sample_every_request,
 )
 
-from ioperiod import NoVolumeError, TraceValidationError
+from ioperiod import NoVolumeError, Trace, TraceValidationError, sampling
 from ioperiod.sampling import (
     MAX_SAMPLES,
-    _covering_candidates,
     sample_requests,
     snap_floor,
     volume_error,
 )
-from ioperiod.trace import request_rates
 
 
 class TestSnapFloor:
@@ -253,6 +251,35 @@ class TestSampleRequests:
             assume(False)
         self.assert_matches_every_request(make_trace(rows), fs, window)
 
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    @given(case=windowed_requests())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_sampling_every_request_across_blocks(self, block, case):
+        # blocks far smaller than a trace put every kind of request (inside,
+        # straddling, outside, candidate or not) on a block's edge
+        rows, fs, window = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampling, "_BLOCK", block)
+            try:
+                sample_requests(make_trace(rows), fs, window)
+            except ValueError:   # a span shorter than one interval
+                assume(False)
+            self.assert_matches_every_request(make_trace(rows), fs, window)
+
+    def test_trace_of_several_blocks(self, rng):
+        # 100,000 requests fill four blocks; the window lies inside the trace
+        # so its edges cut requests of every block
+        count = 100_000
+        assert count > 3 * sampling._BLOCK
+        start = rng.uniform(0.0, 5000.0, count)
+        end = start + rng.exponential(2.0, count)
+        end[::997] = start[::997]   # zero-duration requests...
+        nbytes = rng.integers(1, 10 ** 9, count)
+        nbytes[::997] = 0           # ...move no bytes
+        trace = Trace(rng.integers(0, 64, count), start, end, nbytes, np.ones(count, np.int8))
+        for fs in (0.5, 10.0):
+            self.assert_matches_every_request(trace, fs, (1234.5, 3210.25))
+
     def test_short_window_over_long_trace(self):
         # 3 of 400 requests reach into the window: the others are left out
         rows = [(j % 4, 2.5 * j, 2.5 * j + 1.0 + 0.1 * (j % 3), 10 ** 6 * (1 + j % 5))
@@ -261,14 +288,36 @@ class TestSampleRequests:
 
     def test_offset_beyond_one_sample_of_rounding(self):
         # at 1e15 s and 10 Hz the grid's rounding bound is about 18 samples,
-        # so every request is searched, and the result is still exact
+        # so the covering test is skipped and every request is searched,
+        # and the result is still exact
         rows = [(j % 4, 1e15 + 2.5 * j, 1e15 + 2.5 * j + 1.0 + 0.125 * (j % 3), 10 ** 6)
                 for j in range(40)]
         trace = make_trace(rows)
-        start, end, _ = request_rates(trace)
-        scratch = np.empty((2, len(trace)))
-        assert _covering_candidates(start, end, 1e15 + 30.0, 10.0, 180, *scratch) is None
+        t_lo = 1e15 + 30.0
+        assert sampling._scan(trace, t_lo, 10.0, 180, t_lo + 18.0)[0][0] is trace.start
         self.assert_matches_every_request(trace, 10.0, (1e15 + 30.0, 1e15 + 48.0))
+
+    def test_window_holding_every_request_has_unit_volume(self):
+        # the old sum of per-request volumes gave 0.9999999999999999 here
+        rows = [(0, 2.13, 4.98, 41), (0, 3.1, 4.53, 50), (0, 4.98, 7.28, 42)]
+        assert sample_requests(make_trace(rows), 1.0, (0.0, 10.0))[2] == 1.0
+
+    def test_subnormal_request_covering_no_sample_is_accepted(self):
+        # [0, 5e-324) holds no sample of the grid -0.5, 0.5: its rate is
+        # never formed, and its byte counts in V_0 as an integer
+        rows = [(0, 0.0, 5e-324, 1), (0, 1.0, 2.0, 10)]
+        _, sampled, v_0 = sample_requests(make_trace(rows), 1.0, (-0.5, 1.5))
+        assert list(sampled.samples) == [0.0, 0.0]
+        assert v_0 == 1 / 11 + 10 / 11 * 0.5
+        _, sampled, v_0 = sample_requests(make_trace(rows), 1.0, (-0.5, 2.5))
+        assert list(sampled.samples) == [0.0, 0.0, 10 / 11]
+        assert v_0 == 1.0
+
+    def test_inside_bytes_beyond_int64_are_exact(self):
+        # two of three requests of 2^62 bytes lie inside the window: their
+        # 2^63 bytes pass the int64 range, and V_0 is still exactly 2/3
+        rows = [(0, j * 10.0, j * 10.0 + 2.0, 2 ** 62) for j in range(3)]
+        assert sample_requests(make_trace(rows), 1.0, (0.0, 15.0))[2] == 2 / 3
 
     @pytest.mark.parametrize("rows", [
         [(0, 0.5, 0.5, 10), (0, 0.0, 1.0, 10)],   # zero duration with bytes

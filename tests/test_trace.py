@@ -230,6 +230,15 @@ class TestRequestModel:
         trace = make_trace([(0, 0.0, 1.0, big), (0, 1.0, 2.0, 1)])
         assert trace.volume == big + 1
 
+    @pytest.mark.parametrize("extra", [0, 1], ids=["one-sum", "halves"])
+    def test_volume_at_the_int64_bound(self, extra):
+        # at max <= INT64_MAX // len one int64 sum cannot wrap; one byte
+        # more per request and the total passes 2^63 - 1
+        count = 3
+        each = (2 ** 63 - 1) // count + extra
+        trace = make_trace([(0, float(j), j + 1.0, each) for j in range(count)])
+        assert trace.volume == count * each
+
     def test_volume_beyond_int64_is_exact(self):
         # three requests of 2^62 bytes: each is a valid int64, the total is not
         rows = [(0, j * 10.0, j * 10.0 + 2.0, 2 ** 62) for j in range(3)]
