@@ -106,7 +106,17 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    # the package neither imports nor configures logging (online._debug_log);
+    # the command shows its records on stderr
+    import logging
+
     out = _open_out(args.output)
+    log = logging.getLogger("ioperiod")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(args.log_level.upper())
     try:
         for record in watch(args.trace, args.freq,
                             poll_interval=args.watch_interval,
@@ -119,6 +129,8 @@ def _cmd_predict(args) -> int:
     except KeyboardInterrupt:
         pass
     finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
         if out is not sys.stdout:
             out.close()
     return 0
@@ -243,6 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stop after this many seconds without new data")
     p.add_argument("--fixed-window", type=float, default=None,
                    help="use a fixed-length window instead of period adaptation")
+    p.add_argument("--log-level", choices=["debug", "info", "warning", "error"],
+                   default="warning",
+                   help="log to stderr at this level; debug logs each append (default warning)")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_predict)
 

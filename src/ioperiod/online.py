@@ -1,12 +1,18 @@
 """Online prediction: watch a growing trace file and re-run detection as
 data arrives, shrinking the analysis window once a dominant frequency has
 been found repeatedly.  ``watch`` and ``replay`` both feed a ``_Tail``,
-which parses each appended whole line once.
+which parses each appended whole line once and copies its rows onto the
+end of growable columns.  Each analysis chooses its window first and reads
+only the rows of the appends that can reach it, so once the window has
+adapted an append costs O(its own lines + the window), not O(session).
+Every append is logged at DEBUG on the ``ioperiod`` logger.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import os
+import sys
 import time
 import warnings
 from dataclasses import dataclass
@@ -24,6 +30,20 @@ ADAPT_AFTER = 3
 WINDOW_PERIODS = 3
 #: a window is never shorter than this many sampling bins
 MIN_WINDOW_BINS = 3
+
+
+def _debug_log():
+    """The ``ioperiod`` logger when it logs at DEBUG, else None.
+
+    Only a program that has imported ``logging`` can have configured a
+    logger, so the package does not import it: that would cost every user
+    about 0.5 MB of resident memory and a few ms at import.
+    """
+    logging = sys.modules.get("logging")
+    if logging is None:
+        return None
+    log = logging.getLogger("ioperiod")
+    return log if log.isEnabledFor(logging.DEBUG) else None
 
 
 @dataclass(frozen=True)
@@ -51,20 +71,33 @@ class PredictionRecord:
         return out
 
 
+def _window_and_reason(
+    previous: PredictionRecord | None,
+    now: float,
+    fs: float,
+    fixed_window: float | None,
+) -> tuple[tuple[float, float], str]:
+    """``_choose_window``'s window and why it was chosen: "full", "fixed",
+    "adapted" or "min-bins guard"."""
+    lo, reason = 0.0, "full"
+    if fixed_window is not None:
+        lo, reason = max(0.0, now - fixed_window), "fixed"
+    elif previous is not None and previous.dominant_streak >= ADAPT_AFTER:
+        lo, reason = max(0.0, now - WINDOW_PERIODS * previous.period), "adapted"
+    # guard against a spuriously high frequency collapsing the window
+    guard = max(0.0, now - MIN_WINDOW_BINS / fs)
+    if guard < lo:
+        lo, reason = guard, "min-bins guard"
+    return (lo, now), reason
+
+
 def _choose_window(
     previous: PredictionRecord | None,
     now: float,
     fs: float,
     fixed_window: float | None,
 ) -> tuple[float, float]:
-    lo = 0.0
-    if fixed_window is not None:
-        lo = max(0.0, now - fixed_window)
-    elif previous is not None and previous.dominant_streak >= ADAPT_AFTER:
-        lo = max(0.0, now - WINDOW_PERIODS * previous.period)
-    # guard against a spuriously high frequency collapsing the window
-    lo = min(lo, max(0.0, now - MIN_WINDOW_BINS / fs))
-    return lo, now
+    return _window_and_reason(previous, now, fs, fixed_window)[0]
 
 
 def on_new_data(
@@ -93,9 +126,24 @@ def on_new_data(
     )
 
 
+#: the tail's columns, in ``Trace``'s argument order, and their dtypes
+_COLUMNS = (("rank", np.int64), ("start", np.float64), ("end", np.float64),
+            ("nbytes", np.int64), ("kind_code", np.int8))
+
+
 class _Tail:
     """The byte offset and count of the whole lines of a growing trace
-    consumed so far, and in ``trace`` what one parse of them would give."""
+    consumed so far, and the rows one parse of them would give.
+
+    The rows sit in growable columns whose capacity doubles, so an append
+    copies only its own rows.  For each append that brought rows the tail
+    keeps its first row and the running maximum of ``end`` up to it, and it
+    keeps the exact integer volume V, ``t_max`` and the metadata as running
+    values.  ``view(lo)`` leaves out the appends whose rows all end at or
+    before ``lo``: such rows cover no sample of a window starting at ``lo``
+    and neither lie inside it nor straddle it, so with V kept whole an
+    analysis of the view is bit for bit one of every row.
+    """
 
     def __init__(self, kind: str):
         self.kind = kind
@@ -104,23 +152,99 @@ class _Tail:
     def reset(self) -> None:
         self.offset = 0
         self.lines = 0
-        self.trace = Trace([], [], [], [], [])
+        self.rows = 0
+        self.volume = 0
+        self.metadata: dict = {}
+        # fresh columns, so rows under an earlier view are never overwritten
+        self._columns = [np.empty(0, dtype) for _, dtype in _COLUMNS]
+        self._first_row: list[int] = []   # per append that brought rows
+        self._max_end: list[float] = []   # nondecreasing, one per such append
+        self.fed = (0, 0, 0.0)   # bytes, lines, seconds of the last logged feed
+
+    @property
+    def t_max(self) -> float:
+        """The latest end time of any row; the tail must hold rows."""
+        return self._max_end[-1]
 
     def feed(self, data: bytes) -> bool:
         """Consume the whole lines of ``data``, the bytes past ``offset``;
         return whether there were any.  Errors count lines from the start."""
+        start = time.perf_counter() if _debug_log() else None
         end = data.rfind(b"\n") + 1
-        if end == 0:
-            return False
-        new = parse_trace(data[:end], kind_filter=self.kind, first_line=self.lines + 1)
-        old = self.trace
-        self.trace = Trace(
-            *(np.concatenate((getattr(old, col), getattr(new, col)))
-              for col in ("rank", "start", "end", "nbytes", "kind_code")),
-            metadata={**old.metadata, **new.metadata})
-        self.offset += end
-        self.lines += data.count(b"\n", 0, end)
-        return True
+        lines = data.count(b"\n", 0, end)
+        if end:
+            new = parse_trace(data[:end], kind_filter=self.kind, first_line=self.lines + 1)
+            if len(new):
+                self._append(new)
+            self.metadata.update(new.metadata)
+            self.offset += end
+            self.lines += lines
+        if start is not None:
+            self.fed = (len(data), lines, time.perf_counter() - start)
+        return end > 0
+
+    def _append(self, new: Trace) -> None:
+        rows = self.rows + len(new)
+        if rows > self._columns[0].shape[0]:
+            capacity = max(rows, 2 * self._columns[0].shape[0])
+            grown = [np.empty(capacity, dtype) for _, dtype in _COLUMNS]
+            for old, col in zip(self._columns, grown):
+                col[:self.rows] = old[:self.rows]
+            self._columns = grown
+        for (name, _), col in zip(_COLUMNS, self._columns):
+            col[self.rows:rows] = getattr(new, name)
+        self._first_row.append(self.rows)
+        self._max_end.append(max(new.t_max, self._max_end[-1]) if self._max_end
+                             else new.t_max)
+        self.volume += new.volume
+        self.rows = rows
+
+    def view(self, lo: float) -> Trace:
+        """The rows from the first append whose running maximum ``end`` is
+        past ``lo``, or the last append's when none is, without a copy, as
+        a Trace carrying the whole tail's volume.  The newest append is
+        always in the view, so the sampler's checks, such as its rejection
+        of a zero-duration request with bytes, see every row at the append
+        that brings it."""
+        i = min(bisect.bisect_right(self._max_end, lo), len(self._max_end) - 1)
+        first = self._first_row[i] if i >= 0 else 0
+        view = Trace(*(col[first:self.rows] for col in self._columns),
+                     metadata=self.metadata)
+        view._volume = self.volume   # the whole tail's, not the view's own
+        return view
+
+
+def _predict(
+    previous: PredictionRecord | None,
+    tail: _Tail,
+    now: float,
+    fs: float,
+    tolerance: float,
+    z_min: float,
+    fixed_window: float | None,
+) -> PredictionRecord:
+    """``on_new_data`` at trace time ``now`` over the rows of ``tail`` that
+    can reach the window it will choose; logs the append at DEBUG."""
+    window, reason = _window_and_reason(previous, now, fs, fixed_window)
+    view = tail.view(window[0])
+    log = _debug_log()
+    start = time.perf_counter() if log else None
+    record = on_new_data(previous, view, now, fs, tolerance=tolerance, z_min=z_min,
+                         fixed_window=fixed_window)
+    if log is None:
+        return record
+    analysis_s = time.perf_counter() - start
+    if reason == "adapted":
+        reason = (f"adapted after a streak of {previous.dominant_streak} "
+                  f"with period {previous.period:.6g} s")
+    elif reason == "fixed":
+        reason = f"fixed at {fixed_window:g} s"
+    read, lines, parse_s = tail.fed
+    log.debug("append: read %d bytes, %d lines; %d rows kept, %d analysed; "
+              "window (%.6g, %.6g) %s; parse %.3f ms, analysis %.3f ms",
+              read, lines, tail.rows, len(view), *window, reason,
+              parse_s * 1e3, analysis_s * 1e3)
+    return record
 
 
 def _check_args(fs, tolerance, z_min, kind, fixed_window, poll_interval=1.0,
@@ -162,10 +286,8 @@ def replay(
             tail.reset()
         tail.feed(data[tail.offset:])
         consumed = data[:tail.offset]
-        records.append(
-            on_new_data(records[-1] if records else None, tail.trace, now, fs,
-                        tolerance=tolerance, z_min=z_min, fixed_window=fixed_window)
-        )
+        records.append(_predict(records[-1] if records else None, tail, now, fs,
+                                tolerance, z_min, fixed_window))
     return records
 
 
@@ -217,11 +339,9 @@ def watch(
             tail.reset()
             continue
         if tail.feed(data):
-            if len(tail.trace) > 0:
-                last = on_new_data(
-                    last, tail.trace, tail.trace.t_max, fs, tolerance=tolerance,
-                    z_min=z_min, fixed_window=fixed_window,
-                )
+            if tail.rows:
+                last = _predict(last, tail, tail.t_max, fs, tolerance, z_min,
+                                fixed_window)
                 yield last
             idle = 0.0
             continue

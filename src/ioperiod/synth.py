@@ -230,10 +230,18 @@ def generate(config: SynthConfig) -> tuple[Trace, GroundTruth]:
         draws.append((t_cpu, pick, delta))
     phases = {pick: _phase_rows(config.templates[pick], processes) for _, pick, _ in draws}
     size = sum(phases[pick][0].shape[0] for _, pick, _ in draws)
-    rank = np.empty(size, np.result_type(*(p[0] for p in phases.values())))
-    start = np.empty(size)
-    end = np.empty(size)
-    nbytes = np.empty(size, np.result_type(*(p[3] for p in phases.values())))
+    rank_type = np.result_type(*(p[0] for p in phases.values()))
+    bytes_type = np.result_type(*(p[3] for p in phases.values()))
+    # one allocation holds the columns (8-byte numbers, as templates give):
+    # glibc serves the block by mmap once, and freeing it lifts its mmap and
+    # trim thresholds past a cell's arrays, so later cells reuse heap pages.
+    # Four separate columns left whether a sweep cell faulted in its ~4.5 MB
+    # afresh (about 1,100 minor faults, a third of its time) to the heap's
+    # history, which any import could change.
+    block = np.empty((4, size))
+    rank, start, end, nbytes = (
+        row.view(t) if t.kind in "iuf" and t.itemsize == 8 else np.empty(size, t)
+        for row, t in zip(block, (rank_type, block.dtype, block.dtype, bytes_type)))
     io_starts, bounds = [], []
     t = 0.0
     lo = 0

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior."""
 import csv
 import json
+import logging
 
 import pytest
 
@@ -227,6 +228,21 @@ class TestPredict:
         record = json.loads(lines[0])
         assert record["confidence"] == "high"
         assert "trigger_time" in record
+
+    def test_log_level_debug_logs_each_append_to_stderr(self, tmp_path, capsys):
+        trace = write_pulses(tmp_path / "t.jsonl", n_pulses=5)
+        argv = ["predict", str(trace), "--freq", "10", "--watch-interval", "0.01",
+                "--idle-timeout", "0.02"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert main(argv + ["--log-level", "debug"]) == 0
+        out, err = capsys.readouterr()
+        assert len(out.strip().split("\n")) == 1
+        (line,) = err.strip().split("\n")
+        assert line.startswith("DEBUG ioperiod: append: read ")
+        assert "; 5 rows kept, 5 analysed; window (0, 42) full; " in line
+        # the command's handler goes when it returns
+        assert logging.getLogger("ioperiod").handlers == []
 
 
 class TestUsageErrors:

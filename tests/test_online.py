@@ -1,12 +1,17 @@
 """Online prediction: window adaptation, scripted replay, file tailing."""
 import gc
 import json
+import logging
 import os
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import trace_text
 
@@ -14,6 +19,7 @@ from ioperiod import (
     TraceParseError,
     TraceValidationError,
     analyze_trace,
+    on_new_data,
     online,
     parse_trace,
     replay,
@@ -104,6 +110,8 @@ class TestWindowAdaptation:
 
         lo, hi = _choose_window(FakeRecord(), now=100.0, fs=1.0, fixed_window=None)
         assert hi - lo >= MIN_WINDOW_BINS / 1.0
+        window, reason = online._window_and_reason(FakeRecord(), 100.0, 1.0, None)
+        assert window == (lo, hi) and reason == "min-bins guard"
 
     def test_replay_is_deterministic(self):
         snapshots = pulse_schedule([24.3, 32.4, 40.5, 47.4])
@@ -350,3 +358,206 @@ class TestKindFilter:
         want = run(self.reads)
         assert len(want) == 1
         assert run(self.mixed, kind="read") == want
+
+
+
+def assert_same_records(got, want):
+    """Records equal field for field and bit for bit, spectra included."""
+    assert dumps(got) == dumps(want)
+    for g, w in zip(got, want):
+        assert g.window == w.window and g.dominant_streak == w.dominant_streak
+        gs, ws = g.analysis.spectrum, w.analysis.spectrum
+        assert (gs is None) == (ws is None)
+        if gs is not None:
+            for field in ("frequencies", "amplitudes", "phases"):
+                np.testing.assert_array_equal(getattr(gs, field), getattr(ws, field))
+
+
+def full_trace_records(schedule, kind, fixed_window):
+    """``on_new_data`` on one parse of the text so far, per step of a
+    schedule of (text so far, trigger time).  A text of None restarts as
+    ``watch`` does, forgetting the last record; a trigger time of None is
+    the trace's last end, as in ``watch``, and a step without rows then
+    makes no record."""
+    records, previous = [], None
+    for text, now in schedule:
+        if text is None:
+            previous = None
+            continue
+        trace = parse_trace(text.encode(), kind_filter=kind)
+        if now is None:
+            if len(trace) == 0:
+                continue
+            now = trace.t_max
+        previous = on_new_data(previous, trace, now, 10.0, fixed_window=fixed_window)
+        records.append(previous)
+    return records
+
+
+@st.composite
+def append_sessions(draw):
+    """The appends of a periodic multi-rank session: late rows out of time
+    order, meta lines and zero-byte zero-duration rows among them, a point
+    where the text restarts, and each append's trigger delay, kind filter
+    and fixed window."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    period = draw(st.sampled_from([2.5, 4.0, 5.3]))
+    ranks = draw(st.integers(1, 3))
+    kinds = ["write"] + list(rng.choice(["read", "write"], ranks - 1))
+    rows = []
+    for j in range(draw(st.integers(9, 16))):
+        for r in range(ranks):
+            start = j * period + rng.uniform(0, 0.3)
+            rows.append((r, start, start + rng.uniform(0.3, 1.0),
+                         int(rng.integers(1, 10 ** 9)), str(kinds[r])))
+    lines = [trace_text([row]) for row in rows]
+    last, moment = rows[-1][2], rng.uniform(0, rows[-1][2])
+    # ending far before, and far after, the window of the last appends
+    for row in [(0, 0.1, 0.4, 7 * 10 ** 8, "write"),
+                (1, last, last + 11.0 * period, 10 ** 8, "read")]:
+        lines.insert(len(lines) - draw(st.integers(0, 3 * ranks)), trace_text([row]))
+    lines.insert(draw(st.integers(0, len(lines))), trace_text([(0, moment, moment, 0, "read")]))
+    for at in draw(st.lists(st.integers(0, len(lines)), max_size=3)):
+        lines.insert(at, json.dumps({"meta": True, "at": str(at)}) + "\n")
+    cuts = sorted(rng.choice(np.arange(1, len(lines)), replace=False,
+                             size=draw(st.integers(len(lines) // 3, len(lines) - 1))))
+    chunks = ["".join(lines[a:b]) for a, b in zip([0] + cuts, cuts + [len(lines)])]
+    restart = draw(st.none() | st.integers(1, len(chunks) - 1))
+    delays = draw(st.lists(st.sampled_from([0.0, 0.0, 0.7, 30.0]), min_size=len(chunks),
+                           max_size=len(chunks)))
+    kind = draw(st.sampled_from(["both", "both", "read", "write"]))
+    fixed_window = draw(st.sampled_from([None, None, 0.3, 7.5]))
+    return chunks, restart, delays, kind, fixed_window
+
+
+class TestWindowedTail:
+    """An append's analysis reads only the rows that can reach its window,
+    and its record is bit for bit that of an analysis of every row."""
+
+    @staticmethod
+    def analyzed_lengths(monkeypatch):
+        lengths = []
+
+        def counting(trace, *args, **kwargs):
+            lengths.append(len(trace))
+            return analyze_trace(trace, *args, **kwargs)
+
+        monkeypatch.setattr(online, "analyze_trace", counting)
+        return lengths
+
+    def test_records_equal_full_trace_analysis(self, monkeypatch):
+        lengths, shortened = self.analyzed_lengths(monkeypatch), []
+
+        @settings(max_examples=40, deadline=None)
+        @given(append_sessions())
+        def check(session):
+            chunks, restart, delays, kind, fixed_window = session
+            # replay: a snapshot that does not extend the text restarts it
+            snapshots, text = [], ""
+            for j, chunk in enumerate(chunks):
+                text = chunk if j == restart else text + chunk
+                ends = [json.loads(line).get("end", 0.0) for line in text.splitlines()]
+                snapshots.append((text, max(ends) + delays[j]))
+            del lengths[:]
+            got = replay(snapshots, fs=10.0, kind=kind, fixed_window=fixed_window)
+            assert_same_records(got, full_trace_records(snapshots, kind, fixed_window))
+            shortened.append(any(
+                n < len(parse_trace(text.encode(), kind_filter=kind))
+                for n, (text, _) in zip(lengths, snapshots)))
+            # watch: a truncation empties the file and restarts the analysis
+            schedule, pending, text = [], [], ""
+            for j, chunk in enumerate(chunks):
+                if j == restart:
+                    schedule.append((None, None))
+                    pending.append(None)
+                    text = ""
+                text += chunk
+                schedule.append((text, None))
+                pending.append(chunk)
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "trace.jsonl"
+                path.write_bytes(b"")
+
+                def step(_):
+                    if pending:
+                        chunk = pending.pop(0)
+                        with open(path, "a" if chunk else "w") as f:
+                            f.write(chunk or "")
+
+                watched = list(watch(path, fs=10.0, poll_interval=0.01, idle_timeout=0.05,
+                                     kind=kind, fixed_window=fixed_window, _sleep=step))
+            assert_same_records(watched, full_trace_records(schedule, kind, fixed_window))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            check()
+        # the sessions exercise views shorter than the trace: about four in
+        # five analyse one at some append
+        assert sum(shortened) > len(shortened) // 4
+
+    def test_rows_analysed_stay_bounded_over_a_long_session(self, monkeypatch):
+        lengths = self.analyzed_lengths(monkeypatch)
+        period, ranks, iterations = 4.0, 4, 420
+        rows = [[(r, j * period + 0.1 * r, j * period + 0.1 * r + 1.0, 10 ** 8)
+                 for r in range(ranks)] for j in range(iterations)]
+        snapshots, text = [], ""
+        for iteration in rows:
+            text += trace_text(iteration)
+            snapshots.append((text, iteration[-1][2]))
+        records = replay(snapshots, fs=10.0)
+        adapted = [n for previous, n in zip(records, lengths[1:])
+                   if previous.dominant_streak >= ADAPT_AFTER]
+        assert len(adapted) > 0.9 * iterations
+        # the rows of the last WINDOW_PERIODS + 1 iterations, not the session's
+        assert max(adapted) <= 2 * (WINDOW_PERIODS + 1) * ranks
+        assert lengths[-1] < ranks * iterations / 50
+
+    @pytest.mark.parametrize("at", [1.0, 75.0], ids=["before-window", "in-window"])
+    def test_zero_duration_row_with_bytes_fails_its_append(self, tmp_path, at):
+        chunks = [trace_text([row]) for row in pulse_rows(12)]
+        bad = 10   # the append that brings the bad row, and only it
+        chunks.insert(bad, trace_text([(1, at, at, 5)]))
+        snapshots, text = [], ""
+        for chunk in chunks:
+            text += chunk
+            snapshots.append((text, parse_trace(text.encode()).t_max))
+        with pytest.raises(TraceValidationError) as whole:
+            analyze_trace(parse_trace(snapshots[bad][0].encode()), 10.0, window=(0.0, 90.0))
+        before = replay(snapshots[:bad], fs=10.0)
+        assert before[-1].window[0] > 1.0   # the window had adapted past the row
+        with pytest.raises(TraceValidationError) as replayed:
+            replay(snapshots, fs=10.0)
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(b"")
+        pending, watched = list(chunks), []
+
+        def append(_):
+            with open(path, "a") as f:
+                f.write(pending.pop(0))
+
+        with pytest.raises(TraceValidationError) as tailed:
+            for record in watch(path, fs=10.0, poll_interval=0.01, idle_timeout=0.03,
+                                _sleep=append):
+                watched.append(record)
+        assert str(replayed.value) == str(tailed.value) == str(whole.value)
+        assert dumps(watched) == dumps(before)
+
+    def test_debug_log_line_per_append(self, tmp_path, caplog):
+        caplog.set_level(logging.DEBUG, logger="ioperiod")
+        rows = pulse_rows(9)
+        chunks = [trace_text(rows[:3])] + [trace_text([r]) for r in rows[3:]]
+        records = watch_appends(tmp_path / "trace.jsonl", chunks)
+        lines = [r.getMessage() for r in caplog.records if r.name == "ioperiod"]
+        assert len(lines) == len(records) == 7
+        assert lines[0].startswith(f"append: read {len(chunks[0])} bytes, 3 lines; "
+                                   "3 rows kept, 3 analysed; window (0, 18.2) full; parse ")
+        assert "ms, analysis " in lines[0]
+        assert " full; " in lines[2]
+        assert "window (16.7, 42.5) adapted after a streak of 3 with period 8.6 s;" in lines[3]
+        assert "9 rows kept, 4 analysed" in lines[-1]
+
+    def test_no_log_records_below_debug(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="ioperiod")
+        records = watch_appends(tmp_path / "trace.jsonl", [trace_text(pulse_rows(4))])
+        assert len(records) == 1
+        assert not [r for r in caplog.records if r.name == "ioperiod"]

@@ -7,6 +7,7 @@ import pytest
 
 from ioperiod import (
     GroundTruth,
+    PhaseTemplate,
     SynthConfig,
     SynthConfigError,
     bundled_phase_templates,
@@ -80,6 +81,17 @@ class TestGenerate:
         assert np.array_equal(t1.start, t2.start)
         assert np.array_equal(t1.nbytes, t2.nbytes)
         assert np.array_equal(g1.iteration_starts, g2.iteration_starts)
+
+    def test_narrow_template_columns_give_the_same_trace(self, templates):
+        # int32 ranks and byte counts get columns of their own, not views of
+        # the 8-byte block the other columns share
+        narrow = tuple(PhaseTemplate(t.rank.astype(np.int32), t.start, t.end,
+                                     t.nbytes.astype(np.int32)) for t in templates)
+        config = SynthConfig(iterations=5, compute_std=3.0, templates=templates, seed=4)
+        want, _ = generate(config)
+        got, _ = generate(SynthConfig(iterations=5, compute_std=3.0, templates=narrow, seed=4))
+        for col in ("rank", "start", "end", "nbytes", "kind_code"):
+            np.testing.assert_array_equal(getattr(got, col), getattr(want, col))
 
     def test_degenerate_distributions_give_fixed_spacing(self, templates):
         # sigma=0 and no desync: iteration starts exactly t_cpu + phase apart
