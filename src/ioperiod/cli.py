@@ -79,12 +79,17 @@ def _format_text(result: dict) -> str:
     return "\n".join(lines)
 
 
+_NO_SPECTRUM = "no I/O in the analysis window, so no spectrum"
+
+
 def _cmd_detect(args) -> int:
     window = _window(args)
     trace = parse_trace(args.trace, kind_filter=args.kind)
     analysis = analyze_trace(trace, args.freq, window=window,
                              tolerance=args.tolerance, z_min=args.z_min)
-    if args.spectrum_out and analysis.spectrum is not None:
+    if args.spectrum_out and analysis.spectrum is None:
+        print(f"warning: {_NO_SPECTRUM}; {args.spectrum_out} not written", file=sys.stderr)
+    elif args.spectrum_out:
         analysis.spectrum.to_csv(args.spectrum_out,
                                  amplitude_scale=analysis.volume_scale)
     out = _open_out(args.output)
@@ -106,7 +111,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    # the package neither imports nor configures logging (online._debug_log);
+    # the package neither imports nor configures logging (online._log);
     # the command shows its records on stderr
     import logging
 
@@ -218,7 +223,7 @@ def _cmd_spectrum(args) -> int:
     trace = parse_trace(args.trace, kind_filter=args.kind)
     analysis = analyze_trace(trace, args.freq, window=window)
     if analysis.spectrum is None:
-        print("error: no I/O in the analysis window, so no spectrum", file=sys.stderr)
+        print(f"error: {_NO_SPECTRUM}", file=sys.stderr)
         return 1
     out = _open_out(args.out)
     try:

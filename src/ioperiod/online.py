@@ -5,7 +5,8 @@ which parses each appended whole line once and copies its rows onto the
 end of growable columns.  Each analysis chooses its window first and reads
 only the rows of the appends that can reach it, so once the window has
 adapted an append costs O(its own lines + the window), not O(session).
-Every append is logged at DEBUG on the ``ioperiod`` logger.
+Every append is logged at DEBUG on the ``ioperiod`` logger, and a truncated
+or replaced file at WARNING.
 """
 from __future__ import annotations
 
@@ -32,8 +33,8 @@ WINDOW_PERIODS = 3
 MIN_WINDOW_BINS = 3
 
 
-def _debug_log():
-    """The ``ioperiod`` logger when it logs at DEBUG, else None.
+def _log(level: str = "DEBUG"):
+    """The ``ioperiod`` logger when it logs at ``level``, else None.
 
     Only a program that has imported ``logging`` can have configured a
     logger, so the package does not import it: that would cost every user
@@ -43,7 +44,7 @@ def _debug_log():
     if logging is None:
         return None
     log = logging.getLogger("ioperiod")
-    return log if log.isEnabledFor(logging.DEBUG) else None
+    return log if log.isEnabledFor(getattr(logging, level)) else None
 
 
 @dataclass(frozen=True)
@@ -169,7 +170,7 @@ class _Tail:
     def feed(self, data: bytes) -> bool:
         """Consume the whole lines of ``data``, the bytes past ``offset``;
         return whether there were any.  Errors count lines from the start."""
-        start = time.perf_counter() if _debug_log() else None
+        start = time.perf_counter() if _log() else None
         end = data.rfind(b"\n") + 1
         lines = data.count(b"\n", 0, end)
         if end:
@@ -227,7 +228,7 @@ def _predict(
     can reach the window it will choose; logs the append at DEBUG."""
     window, reason = _window_and_reason(previous, now, fs, fixed_window)
     view = tail.view(window[0])
-    log = _debug_log()
+    log = _log()
     start = time.perf_counter() if log else None
     record = on_new_data(previous, view, now, fs, tolerance=tolerance, z_min=z_min,
                          fixed_window=fixed_window)
@@ -307,7 +308,8 @@ def watch(
     Only whole lines are consumed, so a writer flushing mid-line is safe,
     and each is parsed once.  A file that shrinks below what was consumed
     (truncation) or is replaced by another file (rotation, seen by its
-    inode) resets the analysis state with a warning.  With an
+    inode) resets the analysis state with a warning, which is also logged
+    at WARNING on the ``ioperiod`` logger.  With an
     ``idle_timeout`` the generator returns after that many seconds without
     growth; otherwise it polls forever.  Bad arguments raise ValueError
     before the first poll.
@@ -333,8 +335,10 @@ def watch(
             if tail.offset:
                 data = None
         if data is None:
-            warnings.warn(f"{os.fspath(path)} was truncated or replaced; "
-                          "restarting analysis state")
+            message = f"{os.fspath(path)} was truncated or replaced; restarting analysis state"
+            warnings.warn(message)
+            if log := _log("WARNING"):
+                log.warning(message)
             last = None
             tail.reset()
             continue

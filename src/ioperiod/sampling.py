@@ -26,8 +26,9 @@ from .trace import Trace, TraceValidationError, exact_sum
 BAD_SAMPLING_THRESHOLD = 0.01
 
 #: most samples one analysis window may hold (window x fs).  At the bound
-#: one DFT + detect takes about 75 + 14 ms (0.9 s + 15 ms at the prime
-#: length 2097143) with a tracemalloc peak of 62 MB besides the samples
+#: one DFT + detect takes about 55 + 11 ms and raises peak RSS by 60 MB;
+#: 630 + 11 ms and 305 MB at the prime length 2097143, and 480 + 14 ms and
+#: 145 MB at 2 x 1048573, an even length with a large prime factor
 #: (numpy 2.4, one core of a 2-core Xeon VM).
 MAX_SAMPLES = 1 << 21
 

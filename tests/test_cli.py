@@ -213,9 +213,14 @@ class TestSpectrumCommand:
         spectrum, exported = tmp_path / "spectrum.csv", tmp_path / "detect.csv"
         assert main(["spectrum", str(path), *window, "--out", str(spectrum)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
-        # where detect writes no spectrum either
+        # where detect writes no spectrum either: it says why on stderr and
+        # still prints its result
         assert main(["detect", str(path), *window, "--spectrum-out", str(exported)]) == 0
         assert not exported.exists()
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["no_data"] is True
+        assert captured.err == ("warning: no I/O in the analysis window, so no spectrum; "
+                                f"{exported} not written\n")
 
 
 class TestPredict:

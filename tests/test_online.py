@@ -166,7 +166,8 @@ class TestWatch:
         assert len(records) == 2
         assert records[0].trigger_time < records[1].trigger_time
 
-    def test_truncation_resets_with_warning(self, tmp_path):
+    def test_truncation_resets_with_warning(self, tmp_path, caplog):
+        caplog.set_level(logging.WARNING, logger="ioperiod")
         path = tmp_path / "trace.jsonl"
         path.write_text(trace_text(pulse_rows(5)))
         shorter = [trace_text(pulse_rows(3))]
@@ -181,6 +182,9 @@ class TestWatch:
                                  idle_timeout=0.03, _sleep=fake_sleep))
         assert any("truncated" in str(w.message) for w in caught)
         assert len(records) == 2
+        # the same message goes to the ioperiod logger at WARNING
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("WARNING", f"{path} was truncated or replaced; restarting analysis state")]
 
     def test_no_appends_no_records(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -193,7 +197,8 @@ class TestWatch:
         [(1, s, e, b) for _, s, e, b in pulse_rows(3)],
         pulse_rows(4, period=9.0),
     ], ids=["same-size", "larger"])
-    def test_rotation_resets_with_warning(self, tmp_path, replacement_rows):
+    def test_rotation_resets_with_warning(self, tmp_path, caplog, replacement_rows):
+        caplog.set_level(logging.WARNING, logger="ioperiod")
         path = tmp_path / "trace.jsonl"
         path.write_text(trace_text(pulse_rows(3)))
         replacement = tmp_path / "rotated.jsonl"
@@ -211,6 +216,8 @@ class TestWatch:
                                  idle_timeout=0.03, _sleep=fake_sleep))
         assert any("replaced" in str(w.message) for w in caught)
         assert len(records) == 2
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("WARNING", f"{path} was truncated or replaced; restarting analysis state")]
         # the second record sees the new file alone, with no history
         text = trace_text(replacement_rows)
         assert dumps(records[1:]) == dumps(

@@ -1,13 +1,15 @@
 """DFT correctness against a brute-force oracle, spectrum conventions,
 and cosine reconstruction."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_dft
+from oracles import brute_dft, pocketfft_rfft_is_bluestein
 
-from ioperiod import SampledSignal, Spectrum, dft, reconstruct
+from ioperiod import SampledSignal, Spectrum, dft, reconstruct, spectral
 
 
 def _sampled(values, fs=1.0, t0=0.0):
@@ -20,7 +22,10 @@ def _bins(spec):
 
 
 class TestFft:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 12, 16, 31, 32, 100, 128])
+    # 478 = 2*239, 1018 = 2*509 and 2018 = 2*1009 take the packed path;
+    # 106 = 2*53 has a large prime factor too but stays on rfft
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 12, 16, 31, 32, 100, 128,
+                                   106, 478, 1018, 2018])
     def test_matches_oracle(self, n, rng):
         x = rng.normal(size=n)
         got = _bins(dft(_sampled(x)))
@@ -34,6 +39,43 @@ class TestFft:
         got = _bins(dft(_sampled(x)))
         want = brute_dft(x)[:7605 // 2 + 1]
         assert np.abs(got - want).max() / np.abs(want).max() < 1e-9
+
+    def test_packed_path_at_real_size(self, rng):
+        # 34446 = 2*3*5741: rfft would run Bluestein over 34446 complex points
+        x = rng.normal(size=34446)
+        got = _bins(dft(_sampled(x)))
+        want = np.fft.fft(x)[:34446 // 2 + 1]
+        assert np.abs(got - want).max() / np.abs(want).max() < 1e-12
+
+    def test_selection_picks_the_bluestein_lengths_of_even_n(self, monkeypatch, rng):
+        packed = []
+        real_packed = spectral._packed_rfft
+
+        def spy(samples):
+            packed.append(samples.shape[0])
+            return real_packed(samples)
+
+        monkeypatch.setattr(spectral, "_packed_rfft", spy)
+        lengths = [48, 50, 106, 477, 478, 479, 1018, 1019, 2018, 2019, 4096, 34446, 34447]
+        for n in lengths:
+            dft(_sampled(rng.normal(size=n)))
+        assert packed == [478, 1018, 2018, 34446]
+
+    def test_selection_rule_matches_pocketfft(self):
+        even = list(range(2, 3000, 2)) + list(range(33700, 34700, 2)) + [2 * 1048573]
+        got = [n for n in even if spectral._rfft_is_bluestein(n)]
+        assert got == [n for n in even if pocketfft_rfft_is_bluestein(n)]
+        assert got[:3] == [478, 502, 554]
+
+    @pytest.mark.parametrize("n", [106, 478, 2018, 1019])
+    def test_dc_and_nyquist_phases_are_exact(self, n, rng):
+        # rfft gives these bins an imaginary part of exactly 0.0, so their
+        # phase is 0 or pi; a rounding residue would show in the CSV
+        for offset in (5.0, -5.0):
+            spec = dft(_sampled(rng.normal(size=n) + offset))
+            assert spec.phases[0] == (0.0 if offset > 0 else math.pi)
+            if n % 2 == 0:
+                assert spec.phases[n // 2] in (0.0, math.pi)
 
     @given(st.integers(2, 128))
     @settings(max_examples=40, deadline=None)
