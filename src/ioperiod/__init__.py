@@ -9,7 +9,6 @@ from .detection import (
     Candidate,
     CandidateSet,
     Confidence,
-    DegenerateSpectrumError,
     PeriodicityResult,
     classify,
     detect,
@@ -20,14 +19,12 @@ from .online import PredictionRecord, on_new_data, replay, watch
 from .pipeline import AnalysisResult, analyze_trace
 from .sampling import (
     BAD_SAMPLING_THRESHOLD,
-    NoVolumeError,
     SampledSignal,
     SamplingQualityWarning,
 )
 from .spectral import Spectrum, dft, reconstruct
 from .synth import (
     GroundTruth,
-    PhaseTemplate,
     SynthConfig,
     SynthConfigError,
     bundled_phase_templates,

@@ -17,7 +17,7 @@ from . import synth
 from .detection import DEFAULT_TOLERANCE, DEFAULT_Z_MIN
 from .online import watch
 from .pipeline import analyze_trace
-from .trace import TraceParseError, TraceValidationError, parse_trace, write_trace
+from .trace import TraceParseError, TraceValidationError, open_output, parse_trace, write_trace
 
 DEFAULT_FS = 10.0
 
@@ -54,10 +54,6 @@ def _window(args) -> tuple[float, float] | None:
     return lo, hi
 
 
-def _open_out(path: str | None):
-    return open(path, "w") if path else sys.stdout
-
-
 def _format_text(result: dict) -> str:
     lines = [f"confidence: {result['confidence']}"]
     if result["period_s"] is not None:
@@ -92,21 +88,19 @@ def _cmd_detect(args) -> int:
     elif args.spectrum_out:
         analysis.spectrum.to_csv(args.spectrum_out,
                                  amplitude_scale=analysis.volume_scale)
-    out = _open_out(args.output)
     result = analysis.to_dict()
-    if args.format == "json":
-        out.write(json.dumps(result) + "\n")
-    elif args.format == "text":
-        out.write(_format_text(result) + "\n")
-    else:  # csv: single flat row
-        m = result.get("metrics") or {}
-        cols = ["period_s", "frequency_hz", "confidence", "sampling_error"]
-        mcols = ["r_io", "b_io", "sigma_vol", "sigma_time", "data_per_period", "score"]
-        out.write(",".join(cols + mcols) + "\n")
-        vals = [result[c] for c in cols] + [m.get(c) for c in mcols]
-        out.write(",".join("" if v is None else str(v) for v in vals) + "\n")
-    if out is not sys.stdout:
-        out.close()
+    with open_output(args.output or sys.stdout) as out:
+        if args.format == "json":
+            out.write(json.dumps(result) + "\n")
+        elif args.format == "text":
+            out.write(_format_text(result) + "\n")
+        else:  # csv: single flat row
+            m = result.get("metrics") or {}
+            cols = ["period_s", "frequency_hz", "confidence", "sampling_error"]
+            mcols = ["r_io", "b_io", "sigma_vol", "sigma_time", "data_per_period", "score"]
+            out.write(",".join(cols + mcols) + "\n")
+            vals = [result[c] for c in cols] + [m.get(c) for c in mcols]
+            out.write(",".join("" if v is None else str(v) for v in vals) + "\n")
     return 0
 
 
@@ -115,7 +109,6 @@ def _cmd_predict(args) -> int:
     # the command shows its records on stderr
     import logging
 
-    out = _open_out(args.output)
     log = logging.getLogger("ioperiod")
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
@@ -123,21 +116,20 @@ def _cmd_predict(args) -> int:
     log.addHandler(handler)
     log.setLevel(args.log_level.upper())
     try:
-        for record in watch(args.trace, args.freq,
-                            poll_interval=args.watch_interval,
-                            idle_timeout=args.idle_timeout,
-                            tolerance=args.tolerance, z_min=args.z_min,
-                            kind=args.kind,
-                            fixed_window=args.fixed_window):
-            out.write(json.dumps(record.to_dict()) + "\n")
-            out.flush()
+        with open_output(args.output or sys.stdout) as out:
+            for record in watch(args.trace, args.freq,
+                                poll_interval=args.watch_interval,
+                                idle_timeout=args.idle_timeout,
+                                tolerance=args.tolerance, z_min=args.z_min,
+                                kind=args.kind,
+                                fixed_window=args.fixed_window):
+                out.write(json.dumps(record.to_dict()) + "\n")
+                out.flush()
     except KeyboardInterrupt:
         pass
     finally:
         log.removeHandler(handler)
         log.setLevel(level)
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -186,8 +178,9 @@ def _cmd_generate(args) -> int:
             json.dump({
                 "iteration_starts": truth.iteration_starts.tolist(),
                 "phase_bounds": [list(b) for b in truth.phase_bounds],
-                "lambda_avg": truth.lambda_avg,
-            }, f)
+                # one iteration has no mean length: null, not NaN
+                "lambda_avg": None if math.isnan(truth.lambda_avg) else truth.lambda_avg,
+            }, f, allow_nan=False)
     print(f"wrote {len(trace)} requests to {args.out} "
           f"(mean iteration length {truth.lambda_avg:.3g} s)", file=sys.stderr)
     return 0
@@ -209,12 +202,7 @@ def _cmd_bench(args) -> int:
                                 "processes": args.processes, "seed": args.seed})
     rows = synth.sweep(grid, args.repetitions, base, fs=args.freq, seed=args.seed,
                        tolerance=args.tolerance, z_min=args.z_min)
-    out = _open_out(args.out)
-    try:
-        synth.sweep_to_csv(rows, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    synth.sweep_to_csv(rows, args.out or sys.stdout)
     return 0
 
 
@@ -225,13 +213,8 @@ def _cmd_spectrum(args) -> int:
     if analysis.spectrum is None:
         print(f"error: {_NO_SPECTRUM}", file=sys.stderr)
         return 1
-    out = _open_out(args.out)
-    try:
-        # amplitudes in bytes/s, as ``detect --spectrum-out`` writes them
-        analysis.spectrum.to_csv(out, amplitude_scale=analysis.volume_scale)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    # amplitudes in bytes/s, as ``detect --spectrum-out`` writes them
+    analysis.spectrum.to_csv(args.out or sys.stdout, amplitude_scale=analysis.volume_scale)
     return 0
 
 

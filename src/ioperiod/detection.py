@@ -21,10 +21,6 @@ class Confidence(str, Enum):
     NO_CANDIDATE = "no_candidate"
 
 
-class DegenerateSpectrumError(ValueError):
-    """Fewer than two non-DC bins, or all of them equal; Z-scores are undefined."""
-
-
 @dataclass(frozen=True)
 class Candidate:
     k: int
@@ -74,15 +70,22 @@ class PeriodicityResult:
         }
 
 
-def _zscore_array(spectrum: Spectrum) -> tuple[float, float, np.ndarray]:
-    """Mean, population std and Z-scores of the non-DC adjusted amplitudes."""
+#: the result when there is nothing to score: no spectrum, or a degenerate one
+NO_CANDIDATE_RESULT = PeriodicityResult(
+    None, None, Confidence.NO_CANDIDATE,
+    CandidateSet(entries=(), mean_amplitude=math.nan, std_amplitude=0.0))
+
+
+def _zscore_array(spectrum: Spectrum) -> tuple[float, float, np.ndarray] | None:
+    """Mean, population std and Z-scores of the non-DC adjusted amplitudes;
+    None when Z-scores are undefined: fewer than two non-DC bins, or all equal."""
     amps = spectrum.adjusted_amplitudes[1:]
     if amps.shape[0] < 2:
-        raise DegenerateSpectrumError("need at least two non-DC bins")
+        return None
     mean = float(amps.mean())
     std = float(amps.std())
     if std == 0.0:
-        raise DegenerateSpectrumError("all amplitudes equal; no outliers exist")
+        return None
     return mean, std, (amps - mean) / std
 
 
@@ -183,14 +186,12 @@ def detect(
     arrays; Candidate objects are made only for the bins that pass.
 
     A degenerate spectrum (fewer than two non-DC bins, or all amplitudes
-    equal, e.g. a constant signal) yields a NO_CANDIDATE result rather than
-    an error.
+    equal, e.g. a constant signal) yields ``NO_CANDIDATE_RESULT``.
     """
-    try:
-        mean, std, z = _zscore_array(spectrum)
-    except DegenerateSpectrumError:
-        empty = CandidateSet(entries=(), mean_amplitude=math.nan, std_amplitude=0.0)
-        return PeriodicityResult(None, None, Confidence.NO_CANDIDATE, empty)
+    scores = _zscore_array(spectrum)
+    if scores is None:
+        return NO_CANDIDATE_RESULT
+    mean, std, z = scores
     k = np.arange(1, z.shape[0] + 1)
     idx = np.flatnonzero(_passing(k, z, spectrum.n, tolerance, z_min))
     cands = CandidateSet(entries=_candidates(spectrum, z, idx), mean_amplitude=mean,

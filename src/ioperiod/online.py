@@ -6,7 +6,7 @@ end of growable columns.  Each analysis chooses its window first and reads
 only the rows of the appends that can reach it, so once the window has
 adapted an append costs O(its own lines + the window), not O(session).
 Every append is logged at DEBUG on the ``ioperiod`` logger, and a truncated
-or replaced file at WARNING.
+or replaced file at WARNING (a ``UserWarning`` if ``logging`` is not loaded).
 """
 from __future__ import annotations
 
@@ -33,8 +33,8 @@ WINDOW_PERIODS = 3
 MIN_WINDOW_BINS = 3
 
 
-def _log(level: str = "DEBUG"):
-    """The ``ioperiod`` logger when it logs at ``level``, else None.
+def _log():
+    """The ``ioperiod`` logger when it logs at DEBUG, else None.
 
     Only a program that has imported ``logging`` can have configured a
     logger, so the package does not import it: that would cost every user
@@ -44,17 +44,24 @@ def _log(level: str = "DEBUG"):
     if logging is None:
         return None
     log = logging.getLogger("ioperiod")
-    return log if log.isEnabledFor(getattr(logging, level)) else None
+    return log if log.isEnabledFor(logging.DEBUG) else None
 
 
 @dataclass(frozen=True)
 class PredictionRecord:
     """One online analysis: what was looked at and what came out."""
 
-    trigger_time: float
-    window: tuple[float, float]
     analysis: AnalysisResult
     dominant_streak: int
+
+    @property
+    def window(self) -> tuple[float, float]:
+        return self.analysis.window
+
+    @property
+    def trigger_time(self) -> float:
+        """The trace time of the analysis, the end of its window."""
+        return self.analysis.window[1]
 
     @property
     def has_dominant(self) -> bool:
@@ -67,7 +74,6 @@ class PredictionRecord:
     def to_dict(self) -> dict:
         out = self.analysis.to_dict()
         out["trigger_time"] = self.trigger_time
-        out["window"] = list(self.window)
         out["dominant_streak"] = self.dominant_streak
         return out
 
@@ -78,8 +84,8 @@ def _window_and_reason(
     fs: float,
     fixed_window: float | None,
 ) -> tuple[tuple[float, float], str]:
-    """``_choose_window``'s window and why it was chosen: "full", "fixed",
-    "adapted" or "min-bins guard"."""
+    """The window of an analysis at trace time ``now`` and why it was
+    chosen: "full", "fixed", "adapted" or "min-bins guard"."""
     lo, reason = 0.0, "full"
     if fixed_window is not None:
         lo, reason = max(0.0, now - fixed_window), "fixed"
@@ -90,15 +96,6 @@ def _window_and_reason(
     if guard < lo:
         lo, reason = guard, "min-bins guard"
     return (lo, now), reason
-
-
-def _choose_window(
-    previous: PredictionRecord | None,
-    now: float,
-    fs: float,
-    fixed_window: float | None,
-) -> tuple[float, float]:
-    return _window_and_reason(previous, now, fs, fixed_window)[0]
 
 
 def on_new_data(
@@ -117,14 +114,11 @@ def on_new_data(
     dominant frequency (its ``dominant_streak``), the window shrinks to
     three times its period.
     """
-    window = _choose_window(previous, now, fs, fixed_window)
+    window = _window_and_reason(previous, now, fs, fixed_window)[0]
     analysis = analyze_trace(trace_snapshot, fs, window=window, tolerance=tolerance,
                              z_min=z_min)
     streak = previous.dominant_streak + 1 if previous is not None else 1
-    return PredictionRecord(
-        trigger_time=now, window=window, analysis=analysis,
-        dominant_streak=streak if analysis.has_dominant else 0,
-    )
+    return PredictionRecord(analysis, streak if analysis.has_dominant else 0)
 
 
 #: the tail's columns, in ``Trace``'s argument order, and their dtypes
@@ -308,8 +302,9 @@ def watch(
     Only whole lines are consumed, so a writer flushing mid-line is safe,
     and each is parsed once.  A file that shrinks below what was consumed
     (truncation) or is replaced by another file (rotation, seen by its
-    inode) resets the analysis state with a warning, which is also logged
-    at WARNING on the ``ioperiod`` logger.  With an
+    inode) resets the analysis state with a warning: a WARNING record on
+    the ``ioperiod`` logger once the program has imported ``logging``,
+    else a ``UserWarning``.  With an
     ``idle_timeout`` the generator returns after that many seconds without
     growth; otherwise it polls forever.  Bad arguments raise ValueError
     before the first poll.
@@ -336,9 +331,10 @@ def watch(
                 data = None
         if data is None:
             message = f"{os.fspath(path)} was truncated or replaced; restarting analysis state"
-            warnings.warn(message)
-            if log := _log("WARNING"):
-                log.warning(message)
+            if (logging := sys.modules.get("logging")) is None:
+                warnings.warn(message)
+            else:
+                logging.getLogger("ioperiod").warning(message)
             last = None
             tail.reset()
             continue

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .detection import (
     DEFAULT_TOLERANCE,
     DEFAULT_Z_MIN,
-    CandidateSet,
+    NO_CANDIDATE_RESULT,
     Confidence,
     PeriodicityResult,
     detect,
@@ -27,7 +27,6 @@ from .detection import (
 from .metrics import MetricsReport, compute_metrics
 from .sampling import (
     BAD_SAMPLING_THRESHOLD,
-    NoVolumeError,
     SamplingQualityWarning,
     sample_requests,
     volume_error,
@@ -74,9 +73,8 @@ class AnalysisResult:
 
 
 def _empty_result(window: tuple[float, float], err: float | None = None) -> AnalysisResult:
-    empty = CandidateSet(entries=(), mean_amplitude=float("nan"), std_amplitude=0.0)
     return AnalysisResult(
-        result=PeriodicityResult(None, None, Confidence.NO_CANDIDATE, empty),
+        result=NO_CANDIDATE_RESULT,
         metrics=None,
         sampling_error=err,
         spectrum=None,
@@ -115,10 +113,7 @@ def analyze_trace(
     if volume == 0.0:
         return _empty_result(window if window is not None else (0.0, 0.0))
     win, sampled, v_0 = sample_requests(trace, fs, window)
-    try:
-        err = volume_error(sampled, v_0)
-    except NoVolumeError:
-        err = None
+    err = volume_error(sampled, v_0)
     if err is not None and abs(err) > BAD_SAMPLING_THRESHOLD:
         warnings.warn(
             f"abstraction error {err:.3g} exceeds {BAD_SAMPLING_THRESHOLD}; "

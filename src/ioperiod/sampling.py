@@ -37,10 +37,6 @@ class SamplingQualityWarning(UserWarning):
     """Raised as a warning when the abstraction error flags bad sampling."""
 
 
-class NoVolumeError(ValueError):
-    """The window contains no I/O volume, so the error ratio is undefined."""
-
-
 def snap_floor(x: float) -> int:
     """floor() that forgives values a hair below an integer (float products)."""
     n = math.floor(x)
@@ -246,14 +242,15 @@ def sample_requests(
     return window, SampledSignal(t0=float(t_lo), ts=ts, samples=samples), v_0
 
 
-def volume_error(sampled: SampledSignal, v_0: float) -> float:
+def volume_error(sampled: SampledSignal, v_0: float) -> float | None:
     """Relative volume mismatch (V_s - V_0) / V_0 of the discretization.
 
     V_s is the zero-order-hold volume of the samples and V_0 the exact
-    integral of the continuous signal over the covered window.
+    integral of the continuous signal over the covered window.  None when
+    V_0 = 0: a window without I/O volume has no error ratio.
     """
-    v_s = sampled.ts * float(sampled.samples.sum())
     if v_0 == 0.0:
-        raise NoVolumeError("no I/O volume in the sampled window")
+        return None
+    v_s = sampled.ts * float(sampled.samples.sum())
     return (v_s - v_0) / v_0
 

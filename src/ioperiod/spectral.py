@@ -17,11 +17,12 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
 from .sampling import SampledSignal, _snap_floor_array
+from .trace import open_output
 
 
 @dataclass(frozen=True)
@@ -54,31 +55,16 @@ class Spectrum:
         """Spacing of the frequency grid, fs/n = 1/window length."""
         return self.fs / self.n
 
-    def rows(self) -> Iterable[dict]:
-        for k in range(self.frequencies.shape[0]):
-            yield {
-                "k": k,
-                "f_k": float(self.frequencies[k]),
-                "amplitude": float(self.amplitudes[k]),
-                "adjusted_amplitude": float(self.adjusted_amplitudes[k]),
-                "phase": float(self.phases[k]),
-            }
-
     def to_csv(self, dest: IO[str] | str | os.PathLike, amplitude_scale: float = 1.0) -> None:
-        own = isinstance(dest, (str, os.PathLike))
-        f = open(dest, "w", newline="") if own else dest
-        try:
-            writer = csv.DictWriter(
-                f, fieldnames=["k", "f_k", "amplitude", "adjusted_amplitude", "phase"]
-            )
-            writer.writeheader()
-            for row in self.rows():
-                row["amplitude"] *= amplitude_scale
-                row["adjusted_amplitude"] *= amplitude_scale
-                writer.writerow(row)
-        finally:
-            if own:
-                f.close()
+        """Write one row per bin, amplitudes times ``amplitude_scale``."""
+        with open_output(dest) as f:
+            writer = csv.writer(f)
+            writer.writerow(("k", "f_k", "amplitude", "adjusted_amplitude", "phase"))
+            writer.writerows(zip(
+                range(self.frequencies.shape[0]), self.frequencies.tolist(),
+                (self.amplitudes * amplitude_scale).tolist(),
+                (self.adjusted_amplitudes * amplitude_scale).tolist(),
+                self.phases.tolist()))
 
 
 def _prime_factors(n: int) -> list[int]:

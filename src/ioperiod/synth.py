@@ -2,10 +2,13 @@
 
 An application is modeled as J non-overlapping iterations, each a compute
 gap (truncated normal) followed by an I/O phase taken from a library of
-recorded per-process phase templates, with optional exponential per-process
-desynchronization and low/high background noise.  Ground truth (iteration
-starts, phase bounds, mean iteration length) is recorded alongside so the
-detected period can be scored.
+per-process phase templates, with optional exponential per-process
+desynchronization and low/high background noise.  A template is a
+``Trace`` whose times start at 0: ``bundled_phase_templates`` builds them
+procedurally, and a recorded phase is loaded with ``parse_trace``; its
+request kinds are ignored, as every generated request is a write.  Ground
+truth (iteration starts, phase bounds, mean iteration length) is recorded
+alongside so the detected period can be scored.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ import numpy as np
 from .detection import DEFAULT_TOLERANCE, DEFAULT_Z_MIN
 from .pipeline import analyze_trace
 from .sampling import SamplingQualityWarning
-from .trace import Trace
+from .trace import Trace, open_output
 
 DEFAULT_PROCESSES = 32
 DEFAULT_BYTES_PER_PROCESS = int(3.5e9)
@@ -38,48 +41,22 @@ class SynthConfigError(ValueError):
     """The generator configuration is inconsistent."""
 
 
-@dataclass(frozen=True)
-class PhaseTemplate:
-    """One recorded (or procedurally built) I/O phase, times relative to 0."""
-
-    rank: np.ndarray
-    start: np.ndarray
-    end: np.ndarray
-    nbytes: np.ndarray
-
-    def __post_init__(self):
-        for name in ("rank", "start", "end", "nbytes"):
-            arr = np.ascontiguousarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def duration(self) -> float:
-        return float(self.end.max())
-
-    @property
-    def processes(self) -> int:
-        return int(self.rank.max()) + 1
-
-    @property
-    def volume(self) -> int:
-        return int(self.nbytes.sum())
-
-
 def bundled_phase_templates(
     count: int = 10,
     processes: int = DEFAULT_PROCESSES,
     bytes_per_process: int = DEFAULT_BYTES_PER_PROCESS,
     request_bytes: int = DEFAULT_REQUEST_BYTES,
     seed: int = 0,
-) -> list[PhaseTemplate]:
-    """Procedurally built phase-template library.
+) -> list[Trace]:
+    """Procedurally built phase-template library of write traces.
 
     Defaults mimic a write phase of 32 processes streaming 3.5 GB each in
     1 MB requests: roughly 11 s long at about 10 GB/s aggregate, durations
-    inside [10.4, 14.7] s.  Recorded templates can be substituted by
-    loading a trace file and slicing phases out of it.
+    inside [10.4, 14.7] s.  Recorded templates can be substituted: a trace
+    file of one phase, times from 0, parsed with ``parse_trace``.
     """
+    if request_bytes < 1:
+        raise SynthConfigError(f"request size must be >= 1 byte, got {request_bytes}")
     rng = np.random.default_rng(seed)
     n_req = max(1, bytes_per_process // request_bytes)
     templates = []
@@ -105,12 +82,9 @@ def bundled_phase_templates(
             starts.append(s)
             ends.append(e)
             sizes.append(b)
-        templates.append(PhaseTemplate(
-            rank=np.concatenate(ranks),
-            start=np.concatenate(starts),
-            end=np.concatenate(ends),
-            nbytes=np.concatenate(sizes),
-        ))
+        templates.append(Trace(np.concatenate(ranks), np.concatenate(starts),
+                               np.concatenate(ends), np.concatenate(sizes),
+                               np.ones(processes * n_req, dtype=np.int8)))  # write
     return templates
 
 
@@ -127,7 +101,7 @@ class SynthConfig:
     compute_std: float = 0.0
     desync_mean: float = 0.0               # mean of the per-process shift
     noise: str = "none"
-    templates: tuple[PhaseTemplate, ...] = ()
+    templates: tuple[Trace, ...] = ()      # phases from time 0; kinds ignored
     seed: int = 0
 
     def __post_init__(self):
@@ -192,10 +166,10 @@ def _noise_requests(rng: np.random.Generator, t_end: float, rate: float, rank: i
     )
 
 
-def _phase_rows(tmpl: PhaseTemplate, processes: int):
+def _phase_rows(tmpl: Trace, processes: int):
     """Rank, start, end and byte columns of a template's first ``processes`` ranks."""
     cols = (tmpl.rank, tmpl.start, tmpl.end, tmpl.nbytes)
-    if tmpl.processes == processes:
+    if tmpl.rank.max() + 1 == processes:
         return cols
     keep = tmpl.rank < processes
     return tuple(col[keep] for col in cols)
@@ -210,10 +184,8 @@ def generate(config: SynthConfig) -> tuple[Trace, GroundTruth]:
     if not config.templates:
         raise SynthConfigError("phase template library must not be empty")
     for tmpl in config.templates:
-        if tmpl.processes < config.processes:
-            raise SynthConfigError(
-                f"template has {tmpl.processes} processes, need {config.processes}"
-            )
+        if (found := tmpl.rank.max(initial=-1) + 1) < config.processes:
+            raise SynthConfigError(f"template has {found} processes, need {config.processes}")
     rng = np.random.default_rng(config.seed)
     processes = config.processes
     # every draw comes first, in the order the phases use them, so that the
@@ -230,18 +202,15 @@ def generate(config: SynthConfig) -> tuple[Trace, GroundTruth]:
         draws.append((t_cpu, pick, delta))
     phases = {pick: _phase_rows(config.templates[pick], processes) for _, pick, _ in draws}
     size = sum(phases[pick][0].shape[0] for _, pick, _ in draws)
-    rank_type = np.result_type(*(p[0] for p in phases.values()))
-    bytes_type = np.result_type(*(p[3] for p in phases.values()))
-    # one allocation holds the columns (8-byte numbers, as templates give):
+    # one allocation holds the columns (8-byte numbers, as Trace gives):
     # glibc serves the block by mmap once, and freeing it lifts its mmap and
     # trim thresholds past a cell's arrays, so later cells reuse heap pages.
     # Four separate columns left whether a sweep cell faulted in its ~4.5 MB
     # afresh (about 1,100 minor faults, a third of its time) to the heap's
     # history, which any import could change.
     block = np.empty((4, size))
-    rank, start, end, nbytes = (
-        row.view(t) if t.kind in "iuf" and t.itemsize == 8 else np.empty(size, t)
-        for row, t in zip(block, (rank_type, block.dtype, block.dtype, bytes_type)))
+    rank, start, end, nbytes = block
+    rank, nbytes = rank.view(np.int64), nbytes.view(np.int64)
     io_starts, bounds = [], []
     t = 0.0
     lo = 0
@@ -349,12 +318,7 @@ def sweep_to_csv(rows: list[dict], dest: IO[str] | str | os.PathLike) -> None:
     if not rows:
         raise ValueError("no rows to write")
     param_cols = [k for k in rows[0] if k not in SWEEP_FIELDS]
-    own = isinstance(dest, (str, os.PathLike))
-    f = open(dest, "w", newline="") if own else dest
-    try:
+    with open_output(dest) as f:
         writer = csv.DictWriter(f, fieldnames=param_cols + list(SWEEP_FIELDS))
         writer.writeheader()
         writer.writerows(rows)
-    finally:
-        if own:
-            f.close()

@@ -11,6 +11,7 @@ it.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
@@ -245,11 +246,20 @@ def parse_trace(source, kind_filter: str = "both", first_line: int = 1) -> Trace
     return Trace(rank, start, end, nbytes, kind_code, metadata=metadata)
 
 
+@contextlib.contextmanager
+def open_output(dest: IO[str] | str | os.PathLike) -> Iterator[IO[str]]:
+    """A path opened for writing, closed on exit, or a given stream as it
+    is, left open.  Files get no newline translation, as ``csv`` needs."""
+    if not isinstance(dest, (str, os.PathLike)):
+        yield dest
+        return
+    with open(dest, "w", newline="") as f:
+        yield f
+
+
 def write_trace(trace: Trace, dest: IO[str] | str | os.PathLike) -> None:
     """Write a trace in the line-delimited file format (metadata line first)."""
-    own = isinstance(dest, (str, os.PathLike))
-    f = open(dest, "w") if own else dest
-    try:
+    with open_output(dest) as f:
         if trace.metadata:
             f.write(json.dumps({"meta": True, **trace.metadata}) + "\n")
         for i in range(len(trace)):
@@ -260,6 +270,3 @@ def write_trace(trace: Trace, dest: IO[str] | str | os.PathLike) -> None:
                 "bytes": int(trace.nbytes[i]),
                 "kind": _CODE_KIND[int(trace.kind_code[i])],
             }) + "\n")
-    finally:
-        if own:
-            f.close()

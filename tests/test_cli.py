@@ -115,15 +115,22 @@ class TestDetect:
 
 class TestGenerateAndBench:
     def test_generate_writes_trace_and_truth(self, tmp_path, capsys):
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
         out = tmp_path / "synth.jsonl"
         truth = tmp_path / "truth.json"
-        assert main(["generate", "--out", str(out), "--truth", str(truth),
-                     "--iterations", "5", "--request-bytes", "16000000",
-                     "--seed", "3"]) == 0
-        assert out.exists()
-        payload = json.loads(truth.read_text())
-        assert len(payload["iteration_starts"]) == 5
-        assert payload["lambda_avg"] > 0
+        payloads = {}
+        for iterations in (5, 1):
+            assert main(["generate", "--out", str(out), "--truth", str(truth),
+                         "--iterations", str(iterations), "--request-bytes", "16000000",
+                         "--seed", "3"]) == 0
+            assert out.exists()
+            payloads[iterations] = json.loads(truth.read_text(), parse_constant=reject)
+            assert len(payloads[iterations]["iteration_starts"]) == iterations
+        assert payloads[5]["lambda_avg"] > 0
+        # one iteration has no mean length: null, not NaN
+        assert payloads[1]["lambda_avg"] is None
 
     def test_generate_then_detect(self, tmp_path, capsys):
         out = tmp_path / "synth.jsonl"
@@ -298,6 +305,9 @@ OUT_OF_RANGE = {
                                    "--idle-timeout", "0.02"],
     "predict-fixed-window-negative": ["predict", "TRACE", "--fixed-window", "-2",
                                       "--idle-timeout", "0.02"],
+    "generate-request-bytes-zero": ["generate", "--out", "TRACE", "--request-bytes", "0"],
+    "bench-request-bytes-zero": ["bench", "--request-bytes", "0", "--repetitions", "1"],
+    "bench-request-bytes-negative": ["bench", "--request-bytes", "-1", "--repetitions", "1"],
 }
 
 

@@ -13,7 +13,6 @@ from ioperiod import (
     Candidate,
     CandidateSet,
     Confidence,
-    DegenerateSpectrumError,
     Spectrum,
     analyze_trace,
     classify,
@@ -68,8 +67,7 @@ class TestZscores:
         assert mean == pytest.approx(2.5)
 
     def test_degenerate_spectrum(self):
-        with pytest.raises(DegenerateSpectrumError):
-            _zscore_array(make_spectrum([5.0, 2.0, 2.0, 2.0, 2.0]))
+        assert _zscore_array(make_spectrum([5.0, 2.0, 2.0, 2.0, 2.0])) is None
 
     def test_uses_population_std(self, rng):
         amps = rng.uniform(0, 10, 9)
@@ -242,8 +240,7 @@ class TestAgainstPerBinOracle:
         result = detect(spec, tolerance=tolerance, z_min=z_min)
         want = brute_candidates(adjusted, n, tolerance, z_min)
         if want is None:
-            with pytest.raises(DegenerateSpectrumError):
-                _zscore_array(spec)
+            assert _zscore_array(spec) is None
             assert result.confidence == Confidence.NO_CANDIDATE
             assert result.frequency is None and result.suppressed_harmonics == ()
             assert len(result.candidates) == 0

@@ -3,6 +3,7 @@ import gc
 import json
 import logging
 import os
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -25,7 +26,7 @@ from ioperiod import (
     replay,
     watch,
 )
-from ioperiod.online import ADAPT_AFTER, MIN_WINDOW_BINS, WINDOW_PERIODS, _choose_window
+from ioperiod.online import ADAPT_AFTER, MIN_WINDOW_BINS, WINDOW_PERIODS, _window_and_reason
 
 
 def pulse_rows(n_pulses, period=8.1, phase_len=2.0, nbytes=10 ** 9):
@@ -108,10 +109,10 @@ class TestWindowAdaptation:
             dominant_streak = ADAPT_AFTER
             period = 0.001
 
-        lo, hi = _choose_window(FakeRecord(), now=100.0, fs=1.0, fixed_window=None)
+        (lo, hi), reason = _window_and_reason(FakeRecord(), now=100.0, fs=1.0,
+                                              fixed_window=None)
         assert hi - lo >= MIN_WINDOW_BINS / 1.0
-        window, reason = online._window_and_reason(FakeRecord(), 100.0, 1.0, None)
-        assert window == (lo, hi) and reason == "min-bins guard"
+        assert reason == "min-bins guard"
 
     def test_replay_is_deterministic(self):
         snapshots = pulse_schedule([24.3, 32.4, 40.5, 47.4])
@@ -180,11 +181,12 @@ class TestWatch:
             warnings.simplefilter("always")
             records = list(watch(path, fs=10.0, poll_interval=0.01,
                                  idle_timeout=0.03, _sleep=fake_sleep))
-        assert any("truncated" in str(w.message) for w in caught)
         assert len(records) == 2
-        # the same message goes to the ioperiod logger at WARNING
+        # once logging is loaded the message is a record on the ioperiod
+        # logger, at WARNING, and not also a UserWarning
         assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
             ("WARNING", f"{path} was truncated or replaced; restarting analysis state")]
+        assert not [w for w in caught if w.category is UserWarning]
 
     def test_no_appends_no_records(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -193,12 +195,17 @@ class TestWatch:
         assert records == []
 
 
-    @pytest.mark.parametrize("replacement_rows", [
-        [(1, s, e, b) for _, s, e, b in pulse_rows(3)],
-        pulse_rows(4, period=9.0),
-    ], ids=["same-size", "larger"])
-    def test_rotation_resets_with_warning(self, tmp_path, caplog, replacement_rows):
+    @pytest.mark.parametrize("replacement_rows, logging_loaded", [
+        ([(1, s, e, b) for _, s, e, b in pulse_rows(3)], True),
+        (pulse_rows(4, period=9.0), True),
+        (pulse_rows(4, period=9.0), False),
+    ], ids=["same-size", "larger", "larger-without-logging"])
+    def test_rotation_resets_with_warning(self, tmp_path, caplog, monkeypatch,
+                                          replacement_rows, logging_loaded):
         caplog.set_level(logging.WARNING, logger="ioperiod")
+        if not logging_loaded:
+            # a program that never imported logging gets a UserWarning instead
+            monkeypatch.setitem(sys.modules, "logging", None)
         path = tmp_path / "trace.jsonl"
         path.write_text(trace_text(pulse_rows(3)))
         replacement = tmp_path / "rotated.jsonl"
@@ -214,10 +221,17 @@ class TestWatch:
             warnings.simplefilter("always")
             records = list(watch(path, fs=10.0, poll_interval=0.01,
                                  idle_timeout=0.03, _sleep=fake_sleep))
-        assert any("replaced" in str(w.message) for w in caught)
+        monkeypatch.undo()
         assert len(records) == 2
-        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
-            ("WARNING", f"{path} was truncated or replaced; restarting analysis state")]
+        message = f"{path} was truncated or replaced; restarting analysis state"
+        user_warnings = [str(w.message) for w in caught if w.category is UserWarning]
+        if logging_loaded:
+            assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+                ("WARNING", message)]
+            assert user_warnings == []
+        else:
+            assert caplog.records == []
+            assert user_warnings == [message]
         # the second record sees the new file alone, with no history
         text = trace_text(replacement_rows)
         assert dumps(records[1:]) == dumps(

@@ -7,7 +7,6 @@ import pytest
 
 from ioperiod import (
     GroundTruth,
-    PhaseTemplate,
     SynthConfig,
     SynthConfigError,
     bundled_phase_templates,
@@ -16,6 +15,7 @@ from ioperiod import (
     sweep,
     sweep_to_csv,
 )
+from ioperiod.trace import Trace, parse_trace, write_trace
 
 COARSE = 16_000_000  # big requests keep template construction fast
 
@@ -28,12 +28,12 @@ def templates():
 class TestTemplates:
     def test_duration_range(self):
         for tmpl in bundled_phase_templates(count=20, request_bytes=COARSE, seed=7):
-            assert 10.4 <= tmpl.duration <= 14.7
+            assert 10.4 <= tmpl.t_max <= 14.7
 
     def test_aggregate_bandwidth(self):
         # 32 processes writing 3.5 GB each in about 11 s: near 10 GB/s
         for tmpl in bundled_phase_templates(count=10, request_bytes=COARSE, seed=3):
-            bandwidth = tmpl.volume / tmpl.duration
+            bandwidth = tmpl.volume / tmpl.t_max
             assert bandwidth == pytest.approx(10e9, rel=0.15)
 
     def test_default_request_count(self):
@@ -41,8 +41,9 @@ class TestTemplates:
         per_process = np.bincount(tmpl.rank)
         # 3.5 GB in 1 MB requests per process
         assert np.all(per_process == 3_500_000_000 // 1_000_000)
-        assert tmpl.processes == 32
+        assert tmpl.rank.max() + 1 == 32
         assert tmpl.volume == 32 * 3_500_000_000
+        assert np.all(tmpl.kind_code == 1)  # writes
 
     def test_volume_exact_with_remainder(self):
         (tmpl,) = bundled_phase_templates(
@@ -70,6 +71,8 @@ class TestConfigValidation:
     def test_rejects_undersized_templates(self, templates):
         with pytest.raises(SynthConfigError):
             generate(SynthConfig(processes=64, templates=templates))
+        with pytest.raises(SynthConfigError, match="has 0 processes"):
+            generate(SynthConfig(templates=(parse_trace(b""),)))
 
 
 class TestGenerate:
@@ -83,15 +86,33 @@ class TestGenerate:
         assert np.array_equal(g1.iteration_starts, g2.iteration_starts)
 
     def test_narrow_template_columns_give_the_same_trace(self, templates):
-        # int32 ranks and byte counts get columns of their own, not views of
-        # the 8-byte block the other columns share
-        narrow = tuple(PhaseTemplate(t.rank.astype(np.int32), t.start, t.end,
-                                     t.nbytes.astype(np.int32)) for t in templates)
+        # Trace casts int32 ranks and byte counts to the int64 columns the
+        # generator's 8-byte block views
+        narrow = tuple(Trace(t.rank.astype(np.int32), t.start, t.end,
+                             t.nbytes.astype(np.int32), t.kind_code) for t in templates)
         config = SynthConfig(iterations=5, compute_std=3.0, templates=templates, seed=4)
         want, _ = generate(config)
         got, _ = generate(SynthConfig(iterations=5, compute_std=3.0, templates=narrow, seed=4))
         for col in ("rank", "start", "end", "nbytes", "kind_code"):
             np.testing.assert_array_equal(getattr(got, col), getattr(want, col))
+
+    def test_recorded_templates_give_the_same_trace(self, templates, tmp_path):
+        # a template written as a trace file and parsed back is a template as
+        # it is; its request kinds (written as reads here) are ignored
+        recorded = []
+        for i, tmpl in enumerate(templates):
+            path = tmp_path / f"phase-{i}.jsonl"
+            write_trace(Trace(tmpl.rank, tmpl.start, tmpl.end, tmpl.nbytes,
+                              np.zeros(len(tmpl), dtype=np.int8)), path)
+            recorded.append(parse_trace(path))
+        params = dict(iterations=5, processes=20, compute_std=3.0, desync_mean=1.0,
+                      noise="low", seed=4)
+        want, want_truth = generate(SynthConfig(templates=templates, **params))
+        got, got_truth = generate(SynthConfig(templates=tuple(recorded), **params))
+        for col in ("rank", "start", "end", "nbytes", "kind_code"):
+            np.testing.assert_array_equal(getattr(got, col), getattr(want, col))
+        assert got_truth.phase_bounds == want_truth.phase_bounds
+        assert got_truth.lambda_avg == want_truth.lambda_avg
 
     def test_degenerate_distributions_give_fixed_spacing(self, templates):
         # sigma=0 and no desync: iteration starts exactly t_cpu + phase apart

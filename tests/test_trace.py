@@ -1,4 +1,5 @@
 """Trace parsing, validation, and the bandwidth merged from the requests."""
+import builtins
 import io
 import json
 from unittest import mock
@@ -19,8 +20,10 @@ from ioperiod import (
     parse_trace,
     write_trace,
 )
+from ioperiod import SampledSignal, dft, sweep_to_csv
 from ioperiod import trace as trace_module
 from ioperiod.sampling import sample_requests
+from ioperiod.synth import SWEEP_FIELDS
 
 
 #: lines that are no record on their own: blank, not JSON, not an object,
@@ -193,6 +196,37 @@ class TestParsing:
         assert back.volume == trace.volume
         assert back.metadata == {"run": "42"}
         assert list(back.kind_code) == list(trace.kind_code)
+
+
+#: the package's writers, each given a destination
+WRITERS = {
+    "write_trace": lambda dest: write_trace(
+        make_trace([(0, 0.0, 1.5, 123)], metadata={"run": "42"}), dest),
+    "Spectrum.to_csv": lambda dest: dft(SampledSignal(0.0, 1.0, [1.0, 0.0, 2.0, 5.0])).to_csv(
+        dest, amplitude_scale=3.0),
+    "sweep_to_csv": lambda dest: sweep_to_csv([{"noise": "low", **dict.fromkeys(SWEEP_FIELDS, 1)}],
+                                              dest),
+}
+
+
+@pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS.keys())
+def test_writer_closes_only_the_file_it_opens(tmp_path, monkeypatch, write):
+    stream = io.StringIO()
+    write(stream)
+    assert not stream.closed and stream.getvalue()
+    opened = []
+    real_open = open
+
+    def recording_open(*args, **kwargs):
+        opened.append(real_open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    write(tmp_path / "out")
+    monkeypatch.undo()
+    assert len(opened) == 1 and opened[0].closed
+    # the same text, with no newline translation
+    assert (tmp_path / "out").read_bytes() == stream.getvalue().encode()
 
 
 class TestRequestModel:
