@@ -15,7 +15,7 @@ from .detection import (
     suppress_harmonics,
 )
 from .metrics import MetricsReport, compute_metrics
-from .online import PredictionRecord, on_new_data, replay, watch
+from .online import PredictionRecord, replay, watch
 from .pipeline import AnalysisResult, analyze_trace
 from .sampling import (
     BAD_SAMPLING_THRESHOLD,

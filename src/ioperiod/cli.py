@@ -54,6 +54,10 @@ def _window(args) -> tuple[float, float] | None:
     return lo, hi
 
 
+#: the metrics of a result, in the order text and CSV output list them
+_METRIC_KEYS = ("r_io", "b_io", "sigma_vol", "sigma_time", "data_per_period", "score")
+
+
 def _format_text(result: dict) -> str:
     lines = [f"confidence: {result['confidence']}"]
     if result["period_s"] is not None:
@@ -67,7 +71,7 @@ def _format_text(result: dict) -> str:
                      + ", ".join(f"{f:.6g} Hz" for f in result["suppressed"]))
     m = result.get("metrics")
     if m:
-        for key in ("r_io", "b_io", "sigma_vol", "sigma_time", "data_per_period", "score"):
+        for key in _METRIC_KEYS:
             if m.get(key) is not None:
                 lines.append(f"{key}: {m[key]:.6g}")
     if result.get("no_data"):
@@ -96,10 +100,9 @@ def _cmd_detect(args) -> int:
             out.write(_format_text(result) + "\n")
         else:  # csv: single flat row
             m = result.get("metrics") or {}
-            cols = ["period_s", "frequency_hz", "confidence", "sampling_error"]
-            mcols = ["r_io", "b_io", "sigma_vol", "sigma_time", "data_per_period", "score"]
-            out.write(",".join(cols + mcols) + "\n")
-            vals = [result[c] for c in cols] + [m.get(c) for c in mcols]
+            cols = ("period_s", "frequency_hz", "confidence", "sampling_error")
+            out.write(",".join(cols + _METRIC_KEYS) + "\n")
+            vals = [result[c] for c in cols] + [m.get(c) for c in _METRIC_KEYS]
             out.write(",".join("" if v is None else str(v) for v in vals) + "\n")
     return 0
 
@@ -173,29 +176,29 @@ def _cmd_generate(args) -> int:
     }
     trace, truth = synth.generate(_synth_config(args, params, count=args.templates))
     write_trace(trace, args.out)
+    # one iteration has no mean length: null, not NaN
+    lam = None if math.isnan(truth.lambda_avg) else truth.lambda_avg
     if args.truth:
         with open(args.truth, "w") as f:
             json.dump({
                 "iteration_starts": truth.iteration_starts.tolist(),
                 "phase_bounds": [list(b) for b in truth.phase_bounds],
-                # one iteration has no mean length: null, not NaN
-                "lambda_avg": None if math.isnan(truth.lambda_avg) else truth.lambda_avg,
+                "lambda_avg": lam,
             }, f, allow_nan=False)
-    print(f"wrote {len(trace)} requests to {args.out} "
-          f"(mean iteration length {truth.lambda_avg:.3g} s)", file=sys.stderr)
+    mean = "no mean iteration length" if lam is None else f"mean iteration length {lam:.3g} s"
+    print(f"wrote {len(trace)} requests to {args.out} ({mean})", file=sys.stderr)
     return 0
 
 
+#: ``bench``'s comma-list flags: (argument, SynthConfig field, value cast)
+_GRID_FLAGS = (("noise", "noise", str), ("compute_mean_grid", "compute_mean", float),
+               ("compute_std_grid", "compute_std", float),
+               ("desync_mean_grid", "desync_mean", float))
+
+
 def _cmd_bench(args) -> int:
-    grid = {}
-    if args.noise:
-        grid["noise"] = args.noise.split(",")
-    if args.compute_mean_grid:
-        grid["compute_mean"] = [float(v) for v in args.compute_mean_grid.split(",")]
-    if args.compute_std_grid:
-        grid["compute_std"] = [float(v) for v in args.compute_std_grid.split(",")]
-    if args.desync_mean_grid:
-        grid["desync_mean"] = [float(v) for v in args.desync_mean_grid.split(",")]
+    grid = {field: [cast(v) for v in getattr(args, flag).split(",")]
+            for flag, field, cast in _GRID_FLAGS if getattr(args, flag)}
     if not grid:
         grid = {"noise": ["none"]}
     base = _synth_config(args, {"iterations": args.iterations,

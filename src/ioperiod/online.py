@@ -1,12 +1,13 @@
 """Online prediction: watch a growing trace file and re-run detection as
 data arrives, shrinking the analysis window once a dominant frequency has
-been found repeatedly.  ``watch`` and ``replay`` both feed a ``_Tail``,
-which parses each appended whole line once and copies its rows onto the
-end of growable columns.  Each analysis chooses its window first and reads
-only the rows of the appends that can reach it, so once the window has
-adapted an append costs O(its own lines + the window), not O(session).
-Every append is logged at DEBUG on the ``ioperiod`` logger, and a truncated
-or replaced file at WARNING (a ``UserWarning`` if ``logging`` is not loaded).
+been found repeatedly.  ``watch`` and ``replay`` both drive a ``_Tail``,
+which holds a session's rows, its last record and its analysis arguments,
+parses each appended whole line once and copies its rows onto the end of
+growable columns.  Each append chooses its window once and analyses only
+the rows of the appends that can reach it, so once the window has adapted
+an append costs O(its own lines + the window), not O(session).  Every
+append is logged at DEBUG on the ``ioperiod`` logger, and a truncated or
+replaced file at WARNING (a ``UserWarning`` if ``logging`` is not loaded).
 """
 from __future__ import annotations
 
@@ -33,18 +34,13 @@ WINDOW_PERIODS = 3
 MIN_WINDOW_BINS = 3
 
 
-def _log():
-    """The ``ioperiod`` logger when it logs at DEBUG, else None.
-
-    Only a program that has imported ``logging`` can have configured a
-    logger, so the package does not import it: that would cost every user
-    about 0.5 MB of resident memory and a few ms at import.
-    """
+def _logger():
+    """The ``ioperiod`` logger, or None if the program has not imported
+    ``logging`` and so cannot have configured it.  The package does not
+    import it: that would cost every user about 0.5 MB of resident memory
+    and a few ms at import."""
     logging = sys.modules.get("logging")
-    if logging is None:
-        return None
-    log = logging.getLogger("ioperiod")
-    return log if log.isEnabledFor(logging.DEBUG) else None
+    return None if logging is None else logging.getLogger("ioperiod")
 
 
 @dataclass(frozen=True)
@@ -85,7 +81,9 @@ def _window_and_reason(
     fixed_window: float | None,
 ) -> tuple[tuple[float, float], str]:
     """The window of an analysis at trace time ``now`` and why it was
-    chosen: "full", "fixed", "adapted" or "min-bins guard"."""
+    chosen: "full", "fixed", "adapted" (to ``WINDOW_PERIODS`` periods once
+    ``previous``, the last record, ends a streak of ``ADAPT_AFTER``
+    dominant findings) or "min-bins guard"."""
     lo, reason = 0.0, "full"
     if fixed_window is not None:
         lo, reason = max(0.0, now - fixed_window), "fixed"
@@ -98,37 +96,15 @@ def _window_and_reason(
     return (lo, now), reason
 
 
-def on_new_data(
-    previous: PredictionRecord | None,
-    trace_snapshot: Trace,
-    now: float,
-    fs: float,
-    tolerance: float = DEFAULT_TOLERANCE,
-    z_min: float = DEFAULT_Z_MIN,
-    fixed_window: float | None = None,
-) -> PredictionRecord:
-    """Analyze a consistent snapshot of the trace at trace time ``now``.
-
-    ``previous`` is the last analysis completed when this one triggers, or
-    None; once it ends a streak of three consecutive analyses with a
-    dominant frequency (its ``dominant_streak``), the window shrinks to
-    three times its period.
-    """
-    window = _window_and_reason(previous, now, fs, fixed_window)[0]
-    analysis = analyze_trace(trace_snapshot, fs, window=window, tolerance=tolerance,
-                             z_min=z_min)
-    streak = previous.dominant_streak + 1 if previous is not None else 1
-    return PredictionRecord(analysis, streak if analysis.has_dominant else 0)
-
-
 #: the tail's columns, in ``Trace``'s argument order, and their dtypes
 _COLUMNS = (("rank", np.int64), ("start", np.float64), ("end", np.float64),
             ("nbytes", np.int64), ("kind_code", np.int8))
 
 
 class _Tail:
-    """The byte offset and count of the whole lines of a growing trace
-    consumed so far, and the rows one parse of them would give.
+    """An online session: the byte offset and count of the whole lines of a
+    growing trace consumed so far, the rows one parse of them would give,
+    the last record and the arguments of every analysis.
 
     The rows sit in growable columns whose capacity doubles, so an append
     copies only its own rows.  For each append that brought rows the tail
@@ -140,8 +116,15 @@ class _Tail:
     analysis of the view is bit for bit one of every row.
     """
 
-    def __init__(self, kind: str):
-        self.kind = kind
+    def __init__(self, fs: float, tolerance: float, z_min: float, kind: str,
+                 fixed_window: float | None):
+        check_analysis_args(fs, tolerance, z_min)
+        if kind not in KINDS + ("both",):
+            raise ValueError(f"unknown kind filter {kind!r}")
+        if fixed_window is not None and not fixed_window > 0:
+            raise ValueError(f"fixed window must be positive, got {fixed_window}")
+        self.fs, self.tolerance, self.z_min = fs, tolerance, z_min
+        self.kind, self.fixed_window = kind, fixed_window
         self.reset()
 
     def reset(self) -> None:
@@ -154,7 +137,8 @@ class _Tail:
         self._columns = [np.empty(0, dtype) for _, dtype in _COLUMNS]
         self._first_row: list[int] = []   # per append that brought rows
         self._max_end: list[float] = []   # nondecreasing, one per such append
-        self.fed = (0, 0, 0.0)   # bytes, lines, seconds of the last logged feed
+        self.fed = (0, 0, 0.0)   # bytes, lines, seconds of the last feed
+        self.last: PredictionRecord | None = None   # all the next analysis reads
 
     @property
     def t_max(self) -> float:
@@ -164,7 +148,7 @@ class _Tail:
     def feed(self, data: bytes) -> bool:
         """Consume the whole lines of ``data``, the bytes past ``offset``;
         return whether there were any.  Errors count lines from the start."""
-        start = time.perf_counter() if _log() else None
+        start = time.perf_counter()
         end = data.rfind(b"\n") + 1
         lines = data.count(b"\n", 0, end)
         if end:
@@ -174,8 +158,7 @@ class _Tail:
             self.metadata.update(new.metadata)
             self.offset += end
             self.lines += lines
-        if start is not None:
-            self.fed = (len(data), lines, time.perf_counter() - start)
+        self.fed = (len(data), lines, time.perf_counter() - start)
         return end > 0
 
     def _append(self, new: Trace) -> None:
@@ -208,53 +191,31 @@ class _Tail:
         view._volume = self.volume   # the whole tail's, not the view's own
         return view
 
-
-def _predict(
-    previous: PredictionRecord | None,
-    tail: _Tail,
-    now: float,
-    fs: float,
-    tolerance: float,
-    z_min: float,
-    fixed_window: float | None,
-) -> PredictionRecord:
-    """``on_new_data`` at trace time ``now`` over the rows of ``tail`` that
-    can reach the window it will choose; logs the append at DEBUG."""
-    window, reason = _window_and_reason(previous, now, fs, fixed_window)
-    view = tail.view(window[0])
-    log = _log()
-    start = time.perf_counter() if log else None
-    record = on_new_data(previous, view, now, fs, tolerance=tolerance, z_min=z_min,
-                         fixed_window=fixed_window)
-    if log is None:
-        return record
-    analysis_s = time.perf_counter() - start
-    if reason == "adapted":
-        reason = (f"adapted after a streak of {previous.dominant_streak} "
-                  f"with period {previous.period:.6g} s")
-    elif reason == "fixed":
-        reason = f"fixed at {fixed_window:g} s"
-    read, lines, parse_s = tail.fed
-    log.debug("append: read %d bytes, %d lines; %d rows kept, %d analysed; "
-              "window (%.6g, %.6g) %s; parse %.3f ms, analysis %.3f ms",
-              read, lines, tail.rows, len(view), *window, reason,
-              parse_s * 1e3, analysis_s * 1e3)
-    return record
-
-
-def _check_args(fs, tolerance, z_min, kind, fixed_window, poll_interval=1.0,
-                idle_timeout=None):
-    """Raise ValueError on an argument no analysis or poll could use."""
-    check_analysis_args(fs, tolerance, z_min)
-    if kind not in KINDS + ("both",):
-        raise ValueError(f"unknown kind filter {kind!r}")
-    if fixed_window is not None and not fixed_window > 0:
-        raise ValueError(f"fixed window must be positive, got {fixed_window}")
-    if not 0 < poll_interval < math.inf:
-        # idle time is counted in poll intervals, so 0 would never time out
-        raise ValueError(f"poll interval must be positive and finite, got {poll_interval}")
-    if idle_timeout is not None and not idle_timeout >= 0:
-        raise ValueError(f"idle timeout must be non-negative, got {idle_timeout}")
+    def predict(self, now: float) -> PredictionRecord:
+        """Analyze the rows at trace time ``now`` in the window the last
+        record calls for, keep the record and log the append at DEBUG."""
+        last = self.last
+        window, reason = _window_and_reason(last, now, self.fs, self.fixed_window)
+        view = self.view(window[0])
+        start = time.perf_counter()
+        analysis = analyze_trace(view, self.fs, window=window, tolerance=self.tolerance,
+                                 z_min=self.z_min)
+        analysis_s = time.perf_counter() - start
+        streak = last.dominant_streak + 1 if last is not None else 1
+        self.last = PredictionRecord(analysis, streak if analysis.has_dominant else 0)
+        log = _logger()
+        if log is not None and log.isEnabledFor(10):   # logging.DEBUG
+            if reason == "adapted":
+                reason = (f"adapted after a streak of {last.dominant_streak} "
+                          f"with period {last.period:.6g} s")
+            elif reason == "fixed":
+                reason = f"fixed at {self.fixed_window:g} s"
+            read, lines, parse_s = self.fed
+            log.debug("append: read %d bytes, %d lines; %d rows kept, %d analysed; "
+                      "window (%.6g, %.6g) %s; parse %.3f ms, analysis %.3f ms",
+                      read, lines, self.rows, len(view), *window, reason,
+                      parse_s * 1e3, analysis_s * 1e3)
+        return self.last
 
 
 def replay(
@@ -268,21 +229,22 @@ def replay(
     """Replay a scripted append schedule of (trace text so far, trigger time).
 
     A snapshot that extends the text consumed so far is parsed from where
-    the last one stopped; any other snapshot is parsed from the start.
-    Deterministic: identical schedules produce identical records.
+    the last one stopped; any other snapshot is parsed from the start, and
+    its analysis still reads the last record.  Deterministic: identical
+    schedules produce identical records.
     """
-    _check_args(fs, tolerance, z_min, kind, fixed_window)
-    tail = _Tail(kind)
+    tail = _Tail(fs, tolerance, z_min, kind, fixed_window)
     consumed = b""
     records: list[PredictionRecord] = []
     for text, now in snapshots:
         data = text.encode()
         if not data.startswith(consumed):
+            last = tail.last
             tail.reset()
+            tail.last = last
         tail.feed(data[tail.offset:])
         consumed = data[:tail.offset]
-        records.append(_predict(records[-1] if records else None, tail, now, fs,
-                                tolerance, z_min, fixed_window))
+        records.append(tail.predict(now))
     return records
 
 
@@ -304,14 +266,16 @@ def watch(
     (truncation) or is replaced by another file (rotation, seen by its
     inode) resets the analysis state with a warning: a WARNING record on
     the ``ioperiod`` logger once the program has imported ``logging``,
-    else a ``UserWarning``.  With an
-    ``idle_timeout`` the generator returns after that many seconds without
-    growth; otherwise it polls forever.  Bad arguments raise ValueError
-    before the first poll.
+    else a ``UserWarning``.  With an ``idle_timeout`` the generator returns
+    after that many seconds without growth; otherwise it polls forever.
+    Bad arguments raise ValueError before the first poll.
     """
-    _check_args(fs, tolerance, z_min, kind, fixed_window, poll_interval, idle_timeout)
-    tail = _Tail(kind)
-    last = None           # the latest record: all the next one reads
+    if not 0 < poll_interval < math.inf:
+        # idle time is counted in poll intervals, so 0 would never time out
+        raise ValueError(f"poll interval must be positive and finite, got {poll_interval}")
+    if idle_timeout is not None and not idle_timeout >= 0:
+        raise ValueError(f"idle timeout must be non-negative, got {idle_timeout}")
+    tail = _Tail(fs, tolerance, z_min, kind, fixed_window)
     file_id = None        # (device, inode) of the file last read
     idle = 0.0
     while True:
@@ -331,18 +295,15 @@ def watch(
                 data = None
         if data is None:
             message = f"{os.fspath(path)} was truncated or replaced; restarting analysis state"
-            if (logging := sys.modules.get("logging")) is None:
+            if (log := _logger()) is None:
                 warnings.warn(message)
             else:
-                logging.getLogger("ioperiod").warning(message)
-            last = None
+                log.warning(message)
             tail.reset()
             continue
         if tail.feed(data):
             if tail.rows:
-                last = _predict(last, tail, tail.t_max, fs, tolerance, z_min,
-                                fixed_window)
-                yield last
+                yield tail.predict(tail.t_max)
             idle = 0.0
             continue
         idle += poll_interval

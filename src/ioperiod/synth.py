@@ -250,7 +250,7 @@ def detection_error(lambda_detected: float | None, truth: GroundTruth) -> float 
     """Relative error |detected - lambda_avg| / lambda_avg; None if no detection."""
     if lambda_detected is None:
         return None
-    if truth.lambda_avg <= 0:
+    if not truth.lambda_avg > 0:   # NaN too: one iteration has no mean length
         raise ValueError("ground-truth mean iteration length must be positive")
     return abs(lambda_detected - truth.lambda_avg) / truth.lambda_avg
 
@@ -279,12 +279,16 @@ def sweep(
 
     Every (combination, repetition) pair gets its own derived seed, so the
     output table is reproducible byte for byte.  Grid keys name SynthConfig
-    fields.
+    fields.  Every cell needs at least 2 iterations, the fewest with a mean
+    iteration length to score against.
     """
     keys = list(grid.keys())
+    cells = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
+    if any(params.get("iterations", base.iterations) < 2 for params in cells):
+        raise SynthConfigError("a sweep needs >= 2 iterations per trace "
+                               "to have a mean iteration length")
     rows = []
-    for ci, combo in enumerate(itertools.product(*(grid[k] for k in keys))):
-        params = dict(zip(keys, combo))
+    for ci, params in enumerate(cells):
         for rep in range(repetitions):
             config = replace(base, seed=_derived_seed(seed, ci, rep), **params)
             trace, truth = generate(config)

@@ -128,6 +128,7 @@ class TestGenerateAndBench:
             assert out.exists()
             payloads[iterations] = json.loads(truth.read_text(), parse_constant=reject)
             assert len(payloads[iterations]["iteration_starts"]) == iterations
+            assert "nan" not in capsys.readouterr().err
         assert payloads[5]["lambda_avg"] > 0
         # one iteration has no mean length: null, not NaN
         assert payloads[1]["lambda_avg"] is None
@@ -308,6 +309,8 @@ OUT_OF_RANGE = {
     "generate-request-bytes-zero": ["generate", "--out", "TRACE", "--request-bytes", "0"],
     "bench-request-bytes-zero": ["bench", "--request-bytes", "0", "--repetitions", "1"],
     "bench-request-bytes-negative": ["bench", "--request-bytes", "-1", "--repetitions", "1"],
+    # one iteration has no mean length to score a detection against
+    "bench-iterations-one": ["bench", "--iterations", "1", "--repetitions", "1"],
 }
 
 

@@ -20,13 +20,18 @@ from ioperiod import (
     TraceParseError,
     TraceValidationError,
     analyze_trace,
-    on_new_data,
     online,
     parse_trace,
     replay,
     watch,
 )
-from ioperiod.online import ADAPT_AFTER, MIN_WINDOW_BINS, WINDOW_PERIODS, _window_and_reason
+from ioperiod.online import (
+    ADAPT_AFTER,
+    MIN_WINDOW_BINS,
+    WINDOW_PERIODS,
+    PredictionRecord,
+    _window_and_reason,
+)
 
 
 def pulse_rows(n_pulses, period=8.1, phase_len=2.0, nbytes=10 ** 9):
@@ -114,11 +119,34 @@ class TestWindowAdaptation:
         assert hi - lo >= MIN_WINDOW_BINS / 1.0
         assert reason == "min-bins guard"
 
+    def test_window_chosen_once_per_record(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return _window_and_reason(*args, **kwargs)
+
+        monkeypatch.setattr(online, "_window_and_reason", counting)
+        replayed = replay(pulse_schedule([24.3, 32.4, 40.5, 47.4, 55.5]), fs=10.0)
+        assert replayed[-1].window[0] > 0   # the window adapted
+        assert len(calls) == len(replayed) == 5
+        del calls[:]
+        rows = pulse_rows(9)
+        watched = watch_appends(tmp_path / "trace.jsonl",
+                                [trace_text(rows[:3])] + [trace_text([r]) for r in rows[3:]])
+        assert len(calls) == len(watched) == 7
+
     def test_replay_is_deterministic(self):
         snapshots = pulse_schedule([24.3, 32.4, 40.5, 47.4])
         runs = [replay(snapshots, fs=10.0) for _ in range(3)]
         dicts = [[json.dumps(r.to_dict(), sort_keys=True) for r in run] for run in runs]
         assert dicts[0] == dicts[1] == dicts[2]
+
+
+BAD_ANALYSIS_ARGS = [{"fs": -1.0}, {"fs": float("nan")}, {"tolerance": 5.0},
+                     {"tolerance": 0.0}, {"z_min": -1.0}, {"fixed_window": -2.0},
+                     {"kind": "readwrite"}]
+BAD_POLL_ARGS = [{"poll_interval": -1.0}, {"poll_interval": 0.0}, {"idle_timeout": -5.0}]
 
 
 class TestWatch:
@@ -335,22 +363,29 @@ class TestWatch:
             records.close()
         assert sizes[1] - sizes[0] < 100 * 1024
 
-    @pytest.mark.parametrize("kwargs", [
-        {"fs": -1.0}, {"fs": float("nan")}, {"tolerance": 5.0}, {"tolerance": 0.0},
-        {"z_min": -1.0}, {"poll_interval": -1.0}, {"poll_interval": 0.0},
-        {"idle_timeout": -5.0},
-        {"fixed_window": -2.0}, {"kind": "readwrite"},
-    ], ids=lambda kwargs: "{}={}".format(*next(iter(kwargs.items()))))
-    def test_bad_arguments_raise_before_first_poll(self, tmp_path, kwargs):
+    @pytest.mark.parametrize("front_end, kwargs", [
+        pytest.param(front_end, kwargs, id=("" if front_end == "watch" else "replay-")
+                     + "{}={}".format(*next(iter(kwargs.items()))))
+        for front_end, bad in [("watch", BAD_ANALYSIS_ARGS + BAD_POLL_ARGS),
+                               ("replay", BAD_ANALYSIS_ARGS)]
+        for kwargs in bad])
+    def test_bad_arguments_raise_before_first_poll(self, tmp_path, front_end, kwargs):
         path = tmp_path / "trace.jsonl"
         path.write_text(trace_text(pulse_rows(4)))
 
         def no_sleep(_):
             raise AssertionError("watch polled")
 
-        records = watch(path, **{"fs": 10.0, "idle_timeout": 0.0, **kwargs}, _sleep=no_sleep)
+        def no_snapshots():
+            raise AssertionError("replay read a snapshot")
+            yield
+
         with pytest.raises(ValueError):
-            next(records)
+            if front_end == "watch":
+                next(watch(path, **{"fs": 10.0, "idle_timeout": 0.0, **kwargs},
+                           _sleep=no_sleep))
+            else:
+                replay(no_snapshots(), **{"fs": 10.0, **kwargs})
 
 
 class TestKindFilter:
@@ -395,8 +430,8 @@ def assert_same_records(got, want):
 
 
 def full_trace_records(schedule, kind, fixed_window):
-    """``on_new_data`` on one parse of the text so far, per step of a
-    schedule of (text so far, trigger time).  A text of None restarts as
+    """The analysis of one parse of the text so far, in the window the last
+    record calls for, per step of a schedule of (text so far, trigger time).  A text of None restarts as
     ``watch`` does, forgetting the last record; a trigger time of None is
     the trace's last end, as in ``watch``, and a step without rows then
     makes no record."""
@@ -410,7 +445,10 @@ def full_trace_records(schedule, kind, fixed_window):
             if len(trace) == 0:
                 continue
             now = trace.t_max
-        previous = on_new_data(previous, trace, now, 10.0, fixed_window=fixed_window)
+        window = _window_and_reason(previous, now, 10.0, fixed_window)[0]
+        analysis = analyze_trace(trace, 10.0, window=window)
+        streak = previous.dominant_streak + 1 if previous is not None else 1
+        previous = PredictionRecord(analysis, streak if analysis.has_dominant else 0)
         records.append(previous)
     return records
 

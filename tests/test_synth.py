@@ -206,6 +206,12 @@ class TestDetectionError:
         assert detection_error(20.0, truth) == pytest.approx(1.0)
         assert detection_error(None, truth) is None
 
+    def test_one_iteration_truth_scores_nothing(self):
+        # one iteration has a NaN mean length: an error, not a NaN score
+        truth = GroundTruth(np.array([0.0]), ((0.0, 1.0),), float("nan"))
+        with pytest.raises(ValueError, match="must be positive"):
+            detection_error(10.0, truth)
+
     def test_published_example_ratio(self):
         # a 25.73 s detection against a real 27.38 s mean is off by 6%
         truth = GroundTruth(np.array([0.0, 27.38]), ((0.0, 1.0), (27.38, 28.0)),
@@ -222,6 +228,14 @@ class TestSweep:
         assert len(rows1) == 2 * 2 * 2
         assert rows1 == rows2
         assert {r["noise"] for r in rows1} == {"none", "low"}
+
+    @pytest.mark.parametrize("iterations, grid", [(1, {"noise": ["none"]}),
+                                                  (10, {"iterations": [5, 1]})],
+                             ids=["base", "grid"])
+    def test_one_iteration_cell_rejected(self, templates, iterations, grid):
+        base = SynthConfig(iterations=iterations, templates=templates)
+        with pytest.raises(SynthConfigError, match=">= 2 iterations"):
+            sweep(grid, repetitions=1, base=base)
 
     def test_csv_round_trip(self, templates):
         base = SynthConfig(iterations=10, templates=templates)
