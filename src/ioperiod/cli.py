@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -108,7 +109,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    # the package neither imports nor configures logging (online._log);
+    # the package neither imports nor configures logging (online._logger);
     # the command shows its records on stderr
     import logging
 
@@ -221,6 +222,7 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ioperiod",

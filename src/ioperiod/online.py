@@ -6,6 +6,7 @@ parses each appended whole line once and copies its rows onto the end of
 growable columns.  Each append chooses its window once and analyses only
 the rows of the appends that can reach it, so once the window has adapted
 an append costs O(its own lines + the window), not O(session).  Every
+restart forgets the rows and the last record alike (``_Tail.reset``).  Each
 append is logged at DEBUG on the ``ioperiod`` logger, and a truncated or
 replaced file at WARNING (a ``UserWarning`` if ``logging`` is not loaded).
 """
@@ -80,15 +81,17 @@ def _window_and_reason(
     fs: float,
     fixed_window: float | None,
 ) -> tuple[tuple[float, float], str]:
-    """The window of an analysis at trace time ``now`` and why it was
-    chosen: "full", "fixed", "adapted" (to ``WINDOW_PERIODS`` periods once
-    ``previous``, the last record, ends a streak of ``ADAPT_AFTER``
-    dominant findings) or "min-bins guard"."""
+    """The window of an analysis at trace time ``now`` and why, as logged:
+    "full", "fixed at W s", "adapted after a streak of N with period P s"
+    (``WINDOW_PERIODS`` periods, once ``previous``, the last record, ends a
+    streak of ``ADAPT_AFTER`` dominant findings) or "min-bins guard"."""
     lo, reason = 0.0, "full"
     if fixed_window is not None:
-        lo, reason = max(0.0, now - fixed_window), "fixed"
+        lo, reason = max(0.0, now - fixed_window), f"fixed at {fixed_window:g} s"
     elif previous is not None and previous.dominant_streak >= ADAPT_AFTER:
-        lo, reason = max(0.0, now - WINDOW_PERIODS * previous.period), "adapted"
+        lo = max(0.0, now - WINDOW_PERIODS * previous.period)
+        reason = (f"adapted after a streak of {previous.dominant_streak} "
+                  f"with period {previous.period:.6g} s")
     # guard against a spuriously high frequency collapsing the window
     guard = max(0.0, now - MIN_WINDOW_BINS / fs)
     if guard < lo:
@@ -205,11 +208,6 @@ class _Tail:
         self.last = PredictionRecord(analysis, streak if analysis.has_dominant else 0)
         log = _logger()
         if log is not None and log.isEnabledFor(10):   # logging.DEBUG
-            if reason == "adapted":
-                reason = (f"adapted after a streak of {last.dominant_streak} "
-                          f"with period {last.period:.6g} s")
-            elif reason == "fixed":
-                reason = f"fixed at {self.fixed_window:g} s"
             read, lines, parse_s = self.fed
             log.debug("append: read %d bytes, %d lines; %d rows kept, %d analysed; "
                       "window (%.6g, %.6g) %s; parse %.3f ms, analysis %.3f ms",
@@ -228,22 +226,21 @@ def replay(
 ) -> list[PredictionRecord]:
     """Replay a scripted append schedule of (trace text so far, trigger time).
 
-    A snapshot that extends the text consumed so far is parsed from where
-    the last one stopped; any other snapshot is parsed from the start, and
-    its analysis still reads the last record.  Deterministic: identical
-    schedules produce identical records.
+    Only the text past the whole lines consumed so far is encoded and
+    parsed.  A snapshot that does not extend them restarts the session as a
+    truncated or replaced file does in ``watch``, with no last record.
+    Deterministic: identical schedules produce identical records.
     """
     tail = _Tail(fs, tolerance, z_min, kind, fixed_window)
-    consumed = b""
+    consumed = ""   # the whole lines fed so far
     records: list[PredictionRecord] = []
     for text, now in snapshots:
-        data = text.encode()
-        if not data.startswith(consumed):
-            last = tail.last
+        if not text.startswith(consumed):
             tail.reset()
-            tail.last = last
-        tail.feed(data[tail.offset:])
-        consumed = data[:tail.offset]
+            consumed = ""
+        tail.feed(text[len(consumed):].encode())
+        # ``text`` itself, not a copy, when the snapshot ends with a newline
+        consumed = text[:text.rfind("\n") + 1]
         records.append(tail.predict(now))
     return records
 

@@ -44,8 +44,11 @@ class AnalysisResult:
     sampling_error: float | None
     spectrum: Spectrum | None
     window: tuple[float, float]
-    no_data: bool
     volume_scale: float = 1.0
+
+    @property
+    def no_data(self) -> bool:
+        return self.spectrum is None
 
     @property
     def frequency(self) -> float | None:
@@ -79,7 +82,6 @@ def _empty_result(window: tuple[float, float], err: float | None = None) -> Anal
         sampling_error=err,
         spectrum=None,
         window=window,
-        no_data=True,
     )
 
 
@@ -140,6 +142,5 @@ def analyze_trace(
         sampling_error=err,
         spectrum=spectrum,
         window=win,
-        no_data=False,
         volume_scale=volume,
     )

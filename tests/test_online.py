@@ -329,6 +329,46 @@ class TestWatch:
         assert any(r.window[0] > 0 for r in replayed)  # the window adapted
         assert dumps(watched) == dumps(replayed)
 
+    @pytest.mark.parametrize("kept", [2, 5])
+    def test_replay_restarts_as_watch_does(self, tmp_path, kept):
+        # the streak found on the old text must not carry over to the new
+        rows = pulse_rows(9, period=10.0, phase_len=1.0)
+        texts = [trace_text(rows[:n]) for n in range(2, 10)] + [trace_text(rows[:kept])]
+        replayed = replay([(text, parse_trace(text.encode()).t_max) for text in texts],
+                          fs=10.0)
+        assert replayed[-2].dominant_streak >= ADAPT_AFTER
+        assert replayed[-1].dominant_streak == 1
+        assert replayed[-1].window == (0.0, rows[kept - 1][2])
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(b"")
+        pending = texts[:-1] + ["", texts[-1]]   # "" truncates the file
+
+        def rewrite(_):
+            if pending:
+                path.write_text(pending.pop(0))
+
+        watched = list(watch(path, fs=10.0, poll_interval=0.01, idle_timeout=0.03,
+                             _sleep=rewrite))
+        assert dumps(watched) == dumps(replayed)
+
+    def test_replay_encodes_only_new_text(self):
+        encoded = []
+
+        class Snapshot(str):
+            def encode(self, *args, **kwargs):
+                encoded.append(len(self))
+                return super().encode(*args, **kwargs)
+
+        snapshots = pulse_schedule([24.3, 32.4, 40.5, 47.4])
+        # a snapshot cut mid-line reads the whole lines before the cut, here
+        # those of the snapshot before it
+        longer = snapshots[2][0]
+        cut = (longer[:longer.rindex('{"rank"') + 10], snapshots[1][1])
+        records = replay([(Snapshot(text), now) for text, now in
+                          snapshots[:2] + [cut] + snapshots[2:]], fs=10.0)
+        assert encoded == []   # no snapshot was encoded whole
+        assert dumps(records) == dumps(replay(snapshots[:2] + snapshots[1:], fs=10.0))
+
     def test_zero_volume_at_time_zero_is_no_data(self, tmp_path):
         # the window (0, now) is empty at now = 0: a no-data record, not an error
         path = tmp_path / "trace.jsonl"
@@ -431,15 +471,16 @@ def assert_same_records(got, want):
 
 def full_trace_records(schedule, kind, fixed_window):
     """The analysis of one parse of the text so far, in the window the last
-    record calls for, per step of a schedule of (text so far, trigger time).  A text of None restarts as
-    ``watch`` does, forgetting the last record; a trigger time of None is
-    the trace's last end, as in ``watch``, and a step without rows then
-    makes no record."""
-    records, previous = [], None
+    record calls for, per step of a schedule of (text so far, trigger time).
+    A text that does not extend the one before it restarts, forgetting the
+    last record, in both front ends: a snapshot in ``replay``, an emptied
+    file in ``watch``.  A trigger time of None is the trace's last end, as
+    in ``watch``, and a step without rows then makes no record."""
+    records, previous, before = [], None, ""
     for text, now in schedule:
-        if text is None:
+        if not text.startswith(before):
             previous = None
-            continue
+        before = text
         trace = parse_trace(text.encode(), kind_filter=kind)
         if now is None:
             if len(trace) == 0:
@@ -457,8 +498,9 @@ def full_trace_records(schedule, kind, fixed_window):
 def append_sessions(draw):
     """The appends of a periodic multi-rank session: late rows out of time
     order, meta lines and zero-byte zero-duration rows among them, a point
-    where the text restarts, and each append's trigger delay, kind filter
-    and fixed window."""
+    where the text restarts, in the second half so that a streak has often
+    been found by then, and each append's trigger delay, kind filter and
+    fixed window."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     period = draw(st.sampled_from([2.5, 4.0, 5.3]))
     ranks = draw(st.integers(1, 3))
@@ -481,7 +523,7 @@ def append_sessions(draw):
     cuts = sorted(rng.choice(np.arange(1, len(lines)), replace=False,
                              size=draw(st.integers(len(lines) // 3, len(lines) - 1))))
     chunks = ["".join(lines[a:b]) for a, b in zip([0] + cuts, cuts + [len(lines)])]
-    restart = draw(st.none() | st.integers(1, len(chunks) - 1))
+    restart = draw(st.none() | st.integers(len(chunks) // 2, len(chunks) - 1))
     delays = draw(st.lists(st.sampled_from([0.0, 0.0, 0.7, 30.0]), min_size=len(chunks),
                            max_size=len(chunks)))
     kind = draw(st.sampled_from(["both", "both", "read", "write"]))
@@ -527,7 +569,7 @@ class TestWindowedTail:
             schedule, pending, text = [], [], ""
             for j, chunk in enumerate(chunks):
                 if j == restart:
-                    schedule.append((None, None))
+                    schedule.append(("", None))
                     pending.append(None)
                     text = ""
                 text += chunk
