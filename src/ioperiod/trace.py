@@ -21,7 +21,6 @@ import numpy as np
 
 KINDS = ("read", "write")
 _KIND_CODE = {"read": 0, "write": 1}
-_CODE_KIND = {0: "read", 1: "write"}
 _INT64_MAX = np.iinfo(np.int64).max
 
 
@@ -60,11 +59,12 @@ class Trace:
     """Immutable, columnar collection of I/O requests plus string metadata.
 
     Request i is one timed byte transfer: ``rank[i]`` moved ``nbytes[i]``
-    bytes over ``[start[i], end[i]]``; ``kind_code[i]`` is 0 for a read and
-    1 for a write.
+    bytes over ``[start[i], end[i]]``, finite times with ``start[i] <=
+    end[i]``; ``kind_code[i]`` is 0 for a read and 1 for a write.
     """
 
-    __slots__ = ("rank", "start", "end", "nbytes", "kind_code", "metadata", "_volume")
+    __slots__ = ("rank", "start", "end", "nbytes", "kind_code", "metadata", "_volume",
+                 "_t_min", "_t_max")
 
     def __init__(self, rank, start, end, nbytes, kind_code, metadata=None):
         rank = _integer_column(rank, "ranks", np.int64)
@@ -81,8 +81,21 @@ class Trace:
             raise ValueError("column length mismatch")
         if np.any(rank < 0):
             raise TraceValidationError("negative rank")
-        if np.any(end < start):
+        # one pass: NaN fails the comparison too
+        if not np.all(start <= end):
+            for name, col in (("start", start), ("end", end)):
+                if np.isnan(col).any():
+                    raise TraceValidationError(f"{name} time is NaN")
             raise TraceValidationError("negative duration request")
+        if n:
+            # with start <= end, the earliest start and the latest end bound
+            # every time
+            self._t_min = float(start.min())
+            self._t_max = float(end.max())
+            if self._t_min == -np.inf:
+                raise TraceValidationError("start time is -inf")
+            if self._t_max == np.inf:
+                raise TraceValidationError("end time is inf")
         if np.any(nbytes < 0):
             raise TraceValidationError("negative byte count")
         for arr in (rank, start, end, nbytes, kind_code):
@@ -100,11 +113,14 @@ class Trace:
 
     @property
     def t_min(self) -> float:
-        return float(self.start.min())
+        """The earliest start, kept from the checks; an empty trace has
+        none, so reading it raises AttributeError."""
+        return self._t_min
 
     @property
     def t_max(self) -> float:
-        return float(self.end.max())
+        """The latest end, kept from the checks; absent as ``t_min`` is."""
+        return self._t_max
 
     @property
     def length(self) -> float:
@@ -257,16 +273,23 @@ def open_output(dest: IO[str] | str | os.PathLike) -> Iterator[IO[str]]:
         yield f
 
 
+#: rows formatted and written at once; one block's text is all that is
+#: held besides the trace
+_BLOCK_ROWS = 1 << 14
+#: one request line, spelled as ``json.dumps`` spells the record: it
+#: writes a finite float as its repr, and a Trace holds only finite times
+_LINE = '{"rank": %d, "start": %r, "end": %r, "bytes": %d, "kind": "%s"}\n'
+
+
 def write_trace(trace: Trace, dest: IO[str] | str | os.PathLike) -> None:
-    """Write a trace in the line-delimited file format (metadata line first)."""
+    """Write a trace in the line-delimited file format (metadata line
+    first), one ``write`` per block of ``_BLOCK_ROWS`` request lines."""
     with open_output(dest) as f:
         if trace.metadata:
             f.write(json.dumps({"meta": True, **trace.metadata}) + "\n")
-        for i in range(len(trace)):
-            f.write(json.dumps({
-                "rank": int(trace.rank[i]),
-                "start": float(trace.start[i]),
-                "end": float(trace.end[i]),
-                "bytes": int(trace.nbytes[i]),
-                "kind": _CODE_KIND[int(trace.kind_code[i])],
-            }) + "\n")
+        for lo in range(0, len(trace), _BLOCK_ROWS):
+            block = slice(lo, lo + _BLOCK_ROWS)
+            kinds = map(KINDS.__getitem__, trace.kind_code[block].tolist())
+            f.write("".join([_LINE % row for row in zip(
+                trace.rank[block].tolist(), trace.start[block].tolist(),
+                trace.end[block].tolist(), trace.nbytes[block].tolist(), kinds)]))

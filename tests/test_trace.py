@@ -24,6 +24,7 @@ from ioperiod import SampledSignal, dft, sweep_to_csv
 from ioperiod import trace as trace_module
 from ioperiod.sampling import sample_requests
 from ioperiod.synth import SWEEP_FIELDS
+from ioperiod.trace import KINDS
 
 
 #: lines that are no record on their own: blank, not JSON, not an object,
@@ -229,6 +230,71 @@ def test_writer_closes_only_the_file_it_opens(tmp_path, monkeypatch, write):
     assert (tmp_path / "out").read_bytes() == stream.getvalue().encode()
 
 
+#: finite times the writer must spell as json.dumps does: signed zeros,
+#: subnormals, values that repr writes in exponent form (>= 1e16 or < 1e-4)
+#: and everything else finite
+TIMES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 1e-4,
+                     9.999999999999999e-05, 1.7976931348623157e308]),
+    st.floats(-2.3e-308, 2.3e-308),
+    st.floats(1e16, 1e300) | st.floats(-1e300, -1e16),
+    st.floats(-1e-4, 1e-4),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+INT64_MAX = 2 ** 63 - 1
+
+
+@st.composite
+def trace_rows(draw):
+    """Rows of a valid trace: (rank, start, end, bytes, kind)."""
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        start, end = sorted([draw(TIMES), draw(TIMES)])
+        rows.append((draw(st.integers(0, INT64_MAX)), start, end,
+                     draw(st.integers(0, INT64_MAX)), draw(st.sampled_from(KINDS))))
+    return rows
+
+
+class TestWriteTrace:
+    @given(trace_rows(),
+           st.none() | st.dictionaries(st.text().filter(lambda k: k != "meta"), st.text()),
+           st.sampled_from([1, 2, 5, trace_module._BLOCK_ROWS]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps_per_row(self, rows, meta, block_rows):
+        trace = make_trace(rows, meta)
+        buf = io.StringIO()
+        with mock.patch.object(trace_module, "_BLOCK_ROWS", block_rows):
+            write_trace(trace, buf)
+        assert buf.getvalue() == (trace_text(rows, meta) if rows or meta else "")
+        back = parse_trace(buf.getvalue().encode())
+        for name in ("rank", "start", "end", "nbytes", "kind_code"):
+            # bit for bit, so -0.0 must come back as -0.0
+            assert getattr(back, name).tobytes() == getattr(trace, name).tobytes(), name
+        assert back.metadata == (meta or {})
+        if rows:
+            assert back.t_min == min(row[1] for row in rows)
+            assert back.t_max == max(row[2] for row in rows)
+
+    def test_writes_one_block_of_rows_at_a_time(self):
+        rows = [(j % 3, float(j), j + 0.5, 10 * j, KINDS[j % 2]) for j in range(10)]
+        meta = {"run": "7"}
+
+        class RecordingStream:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+
+        stream = RecordingStream()
+        with mock.patch.object(trace_module, "_BLOCK_ROWS", 3):
+            write_trace(make_trace(rows, meta), stream)
+        assert "".join(stream.writes) == trace_text(rows, meta)
+        # the metadata line, then blocks of 3, 3, 3 and 1 request lines
+        assert [text.count("\n") for text in stream.writes] == [1, 3, 3, 3, 1]
+        assert all(text.endswith("\n") for text in stream.writes)
+
+
 class TestRequestModel:
     def test_request_validation(self):
         with pytest.raises(TraceValidationError):
@@ -252,6 +318,21 @@ class TestRequestModel:
         # cast unchecked, 1.7 would become rank 1 and 5.7 would become 5 bytes
         with pytest.raises(TraceValidationError, match=f"{what} must be integers"):
             Trace(rank, [0.0], [1.0], nbytes, [0])
+
+    @pytest.mark.parametrize("start, end, message", [
+        (np.nan, 5.0, "start time is NaN"),
+        (1.0, np.nan, "end time is NaN"),
+        (-np.inf, 5.0, "start time is -inf"),
+        (1.0, np.inf, "end time is inf"),
+        # start <= end gives an infinite start an infinite end
+        (np.inf, np.inf, "end time is inf"),
+        (1.0, -np.inf, "negative duration request"),
+    ], ids=["start-nan", "end-nan", "start-minus-inf", "end-inf", "start-inf", "end-minus-inf"])
+    def test_non_finite_times_rejected(self, start, end, message):
+        # a file cannot hold these times, so neither may a Trace: a NaN
+        # request's bytes would drop out of the analysis without a word
+        with pytest.raises(TraceValidationError, match=f"^{message}$"):
+            Trace([0, 0, 0], [0.0, start, 2.0], [1.0, end, 3.0], [10, 10 ** 6, 10], [1, 1, 1])
 
     def test_trace_columns_are_immutable(self):
         trace = make_trace([(0, 0.0, 1.0, 10)])
