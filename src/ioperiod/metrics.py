@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .sampling import SampledSignal, _snap_floor_array, snap_floor
+from .sampling import SampledSignal, snap_floor
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def compute_metrics(
     lf = snap_floor(sampled.duration * f_d) if f_d is not None and f_d > 0 else None
     if lf is None or lf < 2:
         return MetricsReport(threshold * volume_scale, r_io, b_io, None, None, None, None, None)
-    idx = _snap_floor_array(np.arange(sampled.n) * (sampled.ts * f_d))
+    idx = snap_floor(np.arange(sampled.n) * (sampled.ts * f_d))
     keep = idx < lf
     idx = idx[keep]
     vols = np.bincount(idx, weights=samples[keep], minlength=lf)

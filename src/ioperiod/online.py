@@ -7,7 +7,7 @@ growable columns.  Each append chooses its window once and analyses only
 the rows of the appends that can reach it, so once the window has adapted
 an append costs O(its own lines + the window), not O(session).  Every
 restart forgets the rows and the last record alike (``_Tail.reset``).  Each
-append is logged at DEBUG on the ``ioperiod`` logger, and a truncated or
+analysis is logged at DEBUG on the ``ioperiod`` logger, and a truncated or
 replaced file at WARNING (a ``UserWarning`` if ``logging`` is not loaded).
 """
 from __future__ import annotations
@@ -183,10 +183,8 @@ class _Tail:
     def view(self, lo: float) -> Trace:
         """The rows from the first append whose running maximum ``end`` is
         past ``lo``, or the last append's when none is, without a copy, as
-        a Trace carrying the whole tail's volume.  The newest append is
-        always in the view, so the sampler's checks, such as its rejection
-        of a zero-duration request with bytes, see every row at the append
-        that brings it."""
+        a Trace carrying the whole tail's volume; never empty, as the
+        newest append is always in it."""
         i = min(bisect.bisect_right(self._max_end, lo), len(self._max_end) - 1)
         first = self._first_row[i] if i >= 0 else 0
         view = Trace(*(col[first:self.rows] for col in self._columns),
@@ -256,7 +254,7 @@ def watch(
     fixed_window: float | None = None,
     _sleep=time.sleep,
 ) -> Iterator[PredictionRecord]:
-    """Tail a trace file and yield a PredictionRecord per detected append.
+    """Tail a trace file and yield a PredictionRecord per append that brings rows.
 
     Only whole lines are consumed, so a writer flushing mid-line is safe,
     and each is parsed once.  A file that shrinks below what was consumed
@@ -298,8 +296,10 @@ def watch(
                 log.warning(message)
             tail.reset()
             continue
+        rows = tail.rows
         if tail.feed(data):
-            if tail.rows:
+            # metadata or filtered-out rows alone would repeat the last record
+            if tail.rows > rows:
                 yield tail.predict(tail.t_max)
             idle = 0.0
             continue

@@ -85,15 +85,19 @@ def _empty_result(window: tuple[float, float], err: float | None = None) -> Anal
     )
 
 
-def check_analysis_args(fs: float, tolerance: float, z_min: float) -> None:
+def check_analysis_args(fs: float, tolerance: float, z_min: float,
+                        window: tuple[float, float] | None = None) -> None:
     """Raise ValueError unless fs is positive and finite, tolerance is in
-    (0, 1] and z_min is non-negative (NaN fails each test)."""
+    (0, 1], z_min is non-negative and a window has finite bounds with
+    LO < HI (NaN fails each test)."""
     if not 0 < fs < math.inf:
         raise ValueError(f"sampling frequency must be positive and finite, got {fs}")
     if not 0 < tolerance <= 1:
         raise ValueError(f"tolerance must be in (0, 1], got {tolerance}")
     if not z_min >= 0:
         raise ValueError(f"z_min must be non-negative, got {z_min}")
+    if window is not None and not -math.inf < window[0] < window[1] < math.inf:
+        raise ValueError(f"window needs finite bounds with LO < HI, got {window[0]} {window[1]}")
 
 
 def analyze_trace(
@@ -105,12 +109,14 @@ def analyze_trace(
 ) -> AnalysisResult:
     """Run the full pipeline on a trace; empty input yields a no-data result.
 
-    Samples the unit-volume bandwidth with ``sample_requests``, checks the
-    sampling with ``volume_error`` (warning past ``BAD_SAMPLING_THRESHOLD``),
-    then runs ``dft``, ``detect`` and ``compute_metrics``.  The request kind
-    is chosen when parsing (``parse_trace(kind_filter=...)``).
+    Checks every argument first, the window too (``check_analysis_args``),
+    so that a trace with no volume never echoes a bad one.  Samples the
+    unit-volume bandwidth with ``sample_requests``, checks the sampling
+    with ``volume_error`` (warning past ``BAD_SAMPLING_THRESHOLD``), then
+    runs ``dft``, ``detect`` and ``compute_metrics``.  The request kind is
+    chosen when parsing (``parse_trace(kind_filter=...)``).
     """
-    check_analysis_args(fs, tolerance, z_min)
+    check_analysis_args(fs, tolerance, z_min, window)
     volume = float(trace.volume)
     if volume == 0.0:
         return _empty_result(window if window is not None else (0.0, 0.0))

@@ -37,18 +37,12 @@ class SamplingQualityWarning(UserWarning):
     """Raised as a warning when the abstraction error flags bad sampling."""
 
 
-def snap_floor(x: float) -> int:
-    """floor() that forgives values a hair below an integer (float products)."""
-    n = math.floor(x)
-    if x - n > 1.0 - 1e-9:
-        n += 1
-    return n
-
-
-def _snap_floor_array(x: np.ndarray) -> np.ndarray:
+def snap_floor(x):
+    """floor() that forgives values a hair below an integer (float
+    products): a Python int for a number, an int64 array for an array."""
     n = np.floor(x)
-    n += (x - n) > (1.0 - 1e-9)
-    return n.astype(np.int64)
+    n += (x - n) > 1.0 - 1e-9
+    return n.astype(np.int64) if isinstance(n, np.ndarray) else int(n)
 
 
 @dataclass(frozen=True)
@@ -112,7 +106,7 @@ def _scan(trace: Trace, t_lo, fs, n, w_hi):
     and byte columns of those that can cover a sample of the grid
     t_lo + arange(n)/fs (the trace's own when all can), the exact byte total
     of those wholly inside [t_lo, w_hi], and the indices of those straddling
-    an edge.  Rejects a zero-duration request with bytes.
+    an edge.
 
     A request covers sample i when start <= g_i < end, where g_i =
     fl(t_lo + fl(i * ts)), ts = fl(1/fs), is the grid instant as computed.
@@ -147,9 +141,6 @@ def _scan(trace: Trace, t_lo, fs, n, w_hi):
     for a in range(0, len(trace), _BLOCK):
         s, e, b = (col[a:a + _BLOCK] for col in (trace.start, trace.end, trace.nbytes))
         lo, hi = lo[:s.shape[0]], hi[:s.shape[0]]
-        zero = s == e
-        if zero.any() and b[zero].any():
-            raise TraceValidationError("zero-duration request with nonzero bytes")
         if candidates is not None:
             np.subtract(s, t_lo, out=lo)
             np.multiply(lo, fs, out=lo)

@@ -21,7 +21,7 @@ from typing import IO
 
 import numpy as np
 
-from .sampling import SampledSignal, _snap_floor_array
+from .sampling import SampledSignal, snap_floor
 from .trace import open_output
 
 
@@ -158,7 +158,7 @@ def reconstruct(spectrum: Spectrum, selected_bins, times) -> np.ndarray:
         if k < 0 or k > half:
             raise ValueError(f"bin {k} out of range [0, {half}]")
     t = np.asarray(times, dtype=np.float64)
-    idx = _snap_floor_array((t - spectrum.t0) * spectrum.fs)
+    idx = snap_floor((t - spectrum.t0) * spectrum.fs)
     out = np.zeros_like(t, dtype=np.float64)
     for k in bins:
         amp = spectrum.adjusted_amplitudes[k] / n

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
+import numbers
 import os
 import warnings
 from dataclasses import dataclass, replace
@@ -44,7 +46,6 @@ class SynthConfigError(ValueError):
 def bundled_phase_templates(
     count: int = 10,
     processes: int = DEFAULT_PROCESSES,
-    bytes_per_process: int = DEFAULT_BYTES_PER_PROCESS,
     request_bytes: int = DEFAULT_REQUEST_BYTES,
     seed: int = 0,
 ) -> list[Trace]:
@@ -58,7 +59,7 @@ def bundled_phase_templates(
     if request_bytes < 1:
         raise SynthConfigError(f"request size must be >= 1 byte, got {request_bytes}")
     rng = np.random.default_rng(seed)
-    n_req = max(1, bytes_per_process // request_bytes)
+    n_req = max(1, DEFAULT_BYTES_PER_PROCESS // request_bytes)
     templates = []
     for _ in range(count):
         # duration centered on 11 s; clipping keeps the aggregate bandwidth
@@ -77,7 +78,7 @@ def bundled_phase_templates(
             if k == 0:
                 e[-1] = duration  # pin the phase boundary
             b = np.full(n_req, request_bytes, dtype=np.int64)
-            b[-1] += bytes_per_process - n_req * request_bytes
+            b[-1] += DEFAULT_BYTES_PER_PROCESS - n_req * request_bytes
             ranks.append(np.full(n_req, k, dtype=np.int64))
             starts.append(s)
             ends.append(e)
@@ -105,14 +106,24 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.iterations < 1 or self.processes < 1:
-            raise SynthConfigError("iterations and processes must be >= 1")
-        if self.compute_mean <= 0 or self.compute_std < 0 or self.desync_mean < 0:
-            raise SynthConfigError("invalid compute/desync distribution parameters")
+        # types first, so that no comparison meets a string, a bool or a NaN
+        for name in ("iterations", "processes", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise SynthConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("compute_mean", "compute_std", "desync_mean"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not -math.inf < value < math.inf):
+                raise SynthConfigError(f"{name} must be a finite number, got {value!r}")
+        for name, low in (("iterations", 1), ("processes", 1), ("seed", 0),
+                          ("compute_std", 0), ("desync_mean", 0)):
+            if (value := getattr(self, name)) < low:
+                raise SynthConfigError(f"{name} must be >= {low}, got {value}")
+        if self.compute_mean <= 0:
+            raise SynthConfigError(f"compute_mean must be positive, got {self.compute_mean}")
         if self.noise not in NOISE_LEVELS:
             raise SynthConfigError(f"unknown noise level {self.noise!r}")
-        if self.seed < 0:
-            raise SynthConfigError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "templates", tuple(self.templates))
 
 

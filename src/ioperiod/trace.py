@@ -2,7 +2,8 @@
 
 A trace file is line-delimited JSON, one request per line with fields
 ``rank`` (int), ``start`` (finite number, seconds), ``end`` (finite number,
-seconds, not before ``start``), ``bytes`` (int), ``kind`` ("read"|"write").
+seconds, not before ``start``), ``bytes`` (int, 0 when ``end`` equals
+``start``), ``kind`` ("read"|"write").
 Integers are JSON integers within the int64 range, never booleans or
 fractions.  An optional first line holding
 ``"meta": true`` carries free-form string metadata.  Appends are always whole
@@ -60,7 +61,8 @@ class Trace:
 
     Request i is one timed byte transfer: ``rank[i]`` moved ``nbytes[i]``
     bytes over ``[start[i], end[i]]``, finite times with ``start[i] <=
-    end[i]``; ``kind_code[i]`` is 0 for a read and 1 for a write.
+    end[i]``, and no bytes when they are equal, as a rate needs a
+    duration; ``kind_code[i]`` is 0 for a read and 1 for a write.
     """
 
     __slots__ = ("rank", "start", "end", "nbytes", "kind_code", "metadata", "_volume",
@@ -98,6 +100,9 @@ class Trace:
                 raise TraceValidationError("end time is inf")
         if np.any(nbytes < 0):
             raise TraceValidationError("negative byte count")
+        zero = start == end
+        if zero.any() and nbytes[zero].any():
+            raise TraceValidationError("zero-duration request with nonzero bytes")
         for arr in (rank, start, end, nbytes, kind_code):
             arr.setflags(write=False)
         self.rank = rank
@@ -196,6 +201,8 @@ def _record_error(rank, start, end, nbytes, kind, lineno: int) -> ValueError:
         return TraceValidationError(f"line {lineno}: negative byte count")
     if rank < 0:
         return TraceValidationError(f"line {lineno}: negative rank")
+    if end == start and nbytes:
+        return TraceValidationError(f"line {lineno}: zero-duration request with nonzero bytes")
     name, value = ("rank", rank) if rank > _INT64_MAX else ("bytes", nbytes)
     return TraceParseError(f"{name} {value} exceeds the 64-bit integer range", lineno)
 
@@ -250,7 +257,8 @@ def parse_trace(source, kind_filter: str = "both", first_line: int = 1) -> Trace
         if not (type(r) is int and type(b) is int
                 and type(s) in _TIME_TYPES and type(e) in _TIME_TYPES
                 and 0 <= r <= _INT64_MAX and 0 <= b <= _INT64_MAX
-                and -_FLOAT_MAX <= s <= e <= _FLOAT_MAX and kind in KINDS):
+                and -_FLOAT_MAX <= s <= e <= _FLOAT_MAX and kind in KINDS
+                and (s < e or not b)):
             raise _record_error(r, s, e, b, kind, lineno)
         if kind_filter != "both" and kind != kind_filter:
             continue

@@ -190,6 +190,8 @@ def loads_per_line(data, kind_filter="both", first_line=1):
             raise TraceValidationError(f"line {lineno}: negative byte count")
         if rank < 0:
             raise TraceValidationError(f"line {lineno}: negative rank")
+        if end == start and nbytes:
+            raise TraceValidationError(f"line {lineno}: zero-duration request with nonzero bytes")
         for name, value in (("rank", rank), ("bytes", nbytes)):
             if value > 2 ** 63 - 1:
                 raise TraceParseError(f"{name} {value} exceeds the 64-bit integer range", lineno)

@@ -311,6 +311,12 @@ OUT_OF_RANGE = {
     "bench-request-bytes-negative": ["bench", "--request-bytes", "-1", "--repetitions", "1"],
     # one iteration has no mean length to score a detection against
     "bench-iterations-one": ["bench", "--iterations", "1", "--repetitions", "1"],
+    # generator values must be finite: a NaN compute_std used to hang the draw
+    "generate-compute-std-nan": ["generate", "--out", "TRACE", "--compute-std", "nan"],
+    "generate-compute-mean-inf": ["generate", "--out", "TRACE", "--compute-mean", "inf"],
+    "generate-desync-mean-nan": ["generate", "--out", "TRACE", "--desync-mean", "nan"],
+    "bench-compute-mean-grid-nan": ["bench", "--compute-mean-grid", "nan", "--repetitions", "1"],
+    "detect-window-nan": ["detect", "TRACE", "--window", "nan", "5"],
 }
 
 
@@ -331,8 +337,8 @@ def test_out_of_range_flag_exits_with_error(tmp_path, capsys, argv):
 @pytest.mark.parametrize("pulses", [0, 5], ids=["metadata-only", "pulses"])
 @pytest.mark.parametrize("command", ["detect", "spectrum"])
 def test_bad_window_exits_with_error(tmp_path, capsys, command, pulses, window):
-    # a trace with no volume skips the analysis, so the flag is checked
-    # first; -inf and -1e3 are bounds, not flags
+    # analyze_trace checks the window before a trace with no volume returns
+    # early; -inf and -1e3 are bounds, not flags
     path = tmp_path / "t.jsonl"
     if pulses:
         write_pulses(path, n_pulses=pulses)
@@ -343,9 +349,9 @@ def test_bad_window_exits_with_error(tmp_path, capsys, command, pulses, window):
     if window[0] == "-1e3":
         # a good window: the analysis runs, and only spectrum fails, for
         # want of I/O, on the metadata-only trace
-        assert "--window" not in captured.err
+        assert "window needs" not in captured.err
         assert code == (1 if command == "spectrum" and not pulses else 0)
         return
     assert code == 1
-    assert captured.err.startswith("error: --window ")
+    assert captured.err.startswith("error: window needs finite bounds with LO < HI, got ")
     assert captured.out == ""

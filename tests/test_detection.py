@@ -192,6 +192,14 @@ class TestDetect:
         assert analysis.confidence == Confidence.NO_CANDIDATE
         assert not analysis.no_data and analysis.spectrum.n == n
 
+    @pytest.mark.parametrize("window", [(math.nan, 5.0), (0.0, math.inf), (2.0, 2.0)])
+    @pytest.mark.parametrize("rows", [[], [(0, 0.0, 1.0, 0)], [(0, 0.0, 1.0, 100)]],
+                             ids=["empty", "zero-volume", "volume"])
+    def test_bad_window_rejected_with_or_without_volume(self, rows, window):
+        # a trace with no volume returns early, after the window is checked
+        with pytest.raises(ValueError, match="window needs finite bounds with LO < HI"):
+            analyze_trace(make_trace(rows), fs=10.0, window=window)
+
     def test_result_serialization(self):
         adjusted = np.full(51, 0.1)
         adjusted[5] = 10.0

@@ -369,14 +369,28 @@ class TestWatch:
         assert encoded == []   # no snapshot was encoded whole
         assert dumps(records) == dumps(replay(snapshots[:2] + snapshots[1:], fs=10.0))
 
-    def test_zero_volume_at_time_zero_is_no_data(self, tmp_path):
-        # the window (0, now) is empty at now = 0: a no-data record, not an error
+    @pytest.mark.parametrize("row", [(0, 0.0, 0.0, 0), (0, -1.0, 0.0, 10)],
+                             ids=["zero-volume", "volume"])
+    def test_window_ending_at_time_zero_is_an_error(self, tmp_path, row):
+        # the window (0, now) is empty at now = 0, whatever the trace's volume
         path = tmp_path / "trace.jsonl"
-        path.write_text(trace_text([(0, 0.0, 0.0, 0)]))
-        (rec,) = watch(path, fs=10.0, poll_interval=0.01, idle_timeout=0.02,
-                       _sleep=lambda s: None)
-        assert rec.window == (0.0, 0.0)
-        assert rec.analysis.no_data
+        path.write_text(trace_text([row]))
+        with pytest.raises(ValueError, match="window needs finite bounds with LO < HI, got 0.0 0.0"):
+            list(watch(path, fs=10.0, poll_interval=0.01, idle_timeout=0.02,
+                       _sleep=lambda s: None))
+
+    @pytest.mark.filterwarnings("ignore::ioperiod.SamplingQualityWarning")
+    def test_append_without_rows_makes_no_record(self, tmp_path):
+        # metadata, or rows the kind filter drops, bring nothing to analyse:
+        # a record for them would repeat the last one and raise its streak
+        rows = pulse_rows(30)
+        extra = [trace_text([(0, 300.0 + j, 301.0 + j, 10 ** 9, "read")]) for j in range(3)]
+        chunks = [trace_text([row]) for row in rows]
+        records = watch_appends(tmp_path / "a.jsonl", chunks, kind="write")
+        padded = watch_appends(tmp_path / "b.jsonl", chunks + extra
+                               + [json.dumps({"meta": True, "job": "1"}) + "\n"], kind="write")
+        assert len(records) == 30
+        assert dumps(padded) == dumps(records)
 
     def test_memory_stays_flat_over_a_session(self, tmp_path):
         # only the last record is kept, so 100 more appends add their parsed
@@ -475,17 +489,17 @@ def full_trace_records(schedule, kind, fixed_window):
     A text that does not extend the one before it restarts, forgetting the
     last record, in both front ends: a snapshot in ``replay``, an emptied
     file in ``watch``.  A trigger time of None is the trace's last end, as
-    in ``watch``, and a step without rows then makes no record."""
-    records, previous, before = [], None, ""
+    in ``watch``, and a step that adds no rows then makes no record."""
+    records, previous, before, rows = [], None, "", 0
     for text, now in schedule:
         if not text.startswith(before):
-            previous = None
+            previous, rows = None, 0
         before = text
         trace = parse_trace(text.encode(), kind_filter=kind)
         if now is None:
-            if len(trace) == 0:
+            if len(trace) == rows:
                 continue
-            now = trace.t_max
+            rows, now = len(trace), trace.t_max
         window = _window_and_reason(previous, now, 10.0, fixed_window)[0]
         analysis = analyze_trace(trace, 10.0, window=window)
         streak = previous.dominant_streak + 1 if previous is not None else 1
@@ -557,8 +571,10 @@ class TestWindowedTail:
             snapshots, text = [], ""
             for j, chunk in enumerate(chunks):
                 text = chunk if j == restart else text + chunk
-                ends = [json.loads(line).get("end", 0.0) for line in text.splitlines()]
-                snapshots.append((text, max(ends) + delays[j]))
+                # a window must end after time 0, so a snapshot of only
+                # metadata lines triggers at 1 s
+                ends = [rec["end"] for rec in map(json.loads, text.splitlines()) if "end" in rec]
+                snapshots.append((text, max(ends, default=1.0) + delays[j]))
             del lengths[:]
             got = replay(snapshots, fs=10.0, kind=kind, fixed_window=fixed_window)
             assert_same_records(got, full_trace_records(snapshots, kind, fixed_window))
@@ -621,9 +637,11 @@ class TestWindowedTail:
         snapshots, text = [], ""
         for chunk in chunks:
             text += chunk
-            snapshots.append((text, parse_trace(text.encode()).t_max))
-        with pytest.raises(TraceValidationError) as whole:
-            analyze_trace(parse_trace(snapshots[bad][0].encode()), 10.0, window=(0.0, 90.0))
+            snapshots.append((text, max(json.loads(line)["end"] for line in text.splitlines())))
+        # the parse rejects the row, whatever window an analysis would take
+        with pytest.raises(TraceValidationError,
+                           match=f"^line {bad + 1}: zero-duration request") as whole:
+            parse_trace(snapshots[bad][0].encode())
         before = replay(snapshots[:bad], fs=10.0)
         assert before[-1].window[0] > 1.0   # the window had adapted past the row
         with pytest.raises(TraceValidationError) as replayed:

@@ -46,9 +46,12 @@ class TestTemplates:
         assert np.all(tmpl.kind_code == 1)  # writes
 
     def test_volume_exact_with_remainder(self):
-        (tmpl,) = bundled_phase_templates(
-            count=1, bytes_per_process=1_000_000_007, request_bytes=COARSE, seed=0)
-        assert tmpl.volume == 32 * 1_000_000_007
+        # 3.5 GB is no whole number of these requests: the last one per
+        # process carries the remainder
+        request_bytes = 16_000_007
+        assert 3_500_000_000 % request_bytes
+        (tmpl,) = bundled_phase_templates(count=1, request_bytes=request_bytes, seed=0)
+        assert tmpl.volume == 32 * 3_500_000_000
 
 
 class TestConfigValidation:
@@ -63,6 +66,21 @@ class TestConfigValidation:
     def test_rejects_negative_seed(self, templates):
         with pytest.raises(SynthConfigError, match="seed"):
             SynthConfig(seed=-1, templates=templates)
+
+    @pytest.mark.parametrize("field, value", [
+        ("iterations", True), ("iterations", 2.5), ("processes", "x"), ("seed", 1.0),
+        ("compute_std", float("nan")), ("compute_mean", float("inf")),
+        ("desync_mean", float("nan")), ("compute_mean", False), ("compute_std", "1"),
+    ])
+    def test_rejects_wrong_types_naming_the_field(self, templates, field, value):
+        # a NaN compute_std used to hang the truncated-normal draw for ever
+        with pytest.raises(SynthConfigError, match=f"^{field} must be "):
+            SynthConfig(templates=templates, **{field: value})
+
+    def test_accepts_numpy_numbers(self, templates):
+        config = SynthConfig(iterations=np.int64(3), compute_std=np.float64(1.5),
+                             templates=templates)
+        assert generate(config)[1].iteration_starts.shape == (3,)
 
     def test_rejects_empty_template_library(self):
         with pytest.raises(SynthConfigError):

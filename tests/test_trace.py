@@ -117,6 +117,14 @@ class TestParsing:
         with pytest.raises(TraceValidationError):
             parse_trace(b'{"rank":0,"start":2.0,"end":1.0,"bytes":1,"kind":"read"}\n')
 
+    @pytest.mark.parametrize("kind_filter", ["both", "write"])
+    def test_zero_duration_with_bytes_names_its_line(self, kind_filter):
+        # checked before the kind filter, as a negative duration is
+        text = trace_text([(0, 0.0, 1.0, 100), (0, 0.5, 0.5, 0), (1, 2.0, 2.0, 7, "read")])
+        with pytest.raises(TraceValidationError,
+                           match="^line 3: zero-duration request with nonzero bytes$"):
+            parse_trace(text.encode(), kind_filter=kind_filter)
+
     def test_negative_bytes_rejected(self):
         with pytest.raises(TraceValidationError):
             parse_trace(b'{"rank":0,"start":0.0,"end":1.0,"bytes":-5,"kind":"read"}\n')
@@ -250,8 +258,10 @@ def trace_rows(draw):
     rows = []
     for _ in range(draw(st.integers(0, 12))):
         start, end = sorted([draw(TIMES), draw(TIMES)])
-        rows.append((draw(st.integers(0, INT64_MAX)), start, end,
-                     draw(st.integers(0, INT64_MAX)), draw(st.sampled_from(KINDS))))
+        # a request without duration moves no bytes
+        nbytes = draw(st.integers(0, INT64_MAX)) if start < end else 0
+        rows.append((draw(st.integers(0, INT64_MAX)), start, end, nbytes,
+                     draw(st.sampled_from(KINDS))))
     return rows
 
 
@@ -405,9 +415,9 @@ class TestMergeBandwidth:
         assert window_volume(trace, (0.0, 1.0)) == pytest.approx(10)
 
     def test_zero_duration_nonzero_bytes_rejected(self):
-        trace = make_trace([(0, 0.5, 0.5, 10)])
-        with pytest.raises(TraceValidationError):
-            sample_requests(trace, 1.0)
+        # a Trace cannot hold the request, so no sampler ever meets it
+        with pytest.raises(TraceValidationError, match="zero-duration request with nonzero bytes"):
+            make_trace([(0, 0.0, 1.0, 10), (0, 0.5, 0.5, 10)])
 
     def test_empty_trace_rejected(self):
         with pytest.raises(TraceValidationError):
