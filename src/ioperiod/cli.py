@@ -31,9 +31,9 @@ def _add_common(parser: argparse.ArgumentParser, freq: float = DEFAULT_FS,
                         help=f"sampling frequency in Hz (default {freq:g})")
     if thresholds:
         parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
-                            help="candidate Z-score tolerance in (0, 1] (default 0.8)")
+                            help="candidate Z-score tolerance in (0, 1] (default %(default)g)")
         parser.add_argument("--z-min", type=float, default=DEFAULT_Z_MIN,
-                            help="minimum outlier Z-score (default 3)")
+                            help="minimum outlier Z-score (default %(default)g)")
     if kind:
         parser.add_argument("--kind", choices=["read", "write", "both"], default="both",
                             help="which request kinds to analyze")
@@ -125,12 +125,14 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-#: the SynthConfig fields a --config file may set; SynthConfig checks their values
+#: the SynthConfig fields that flags and a --config file may set; SynthConfig checks them
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(synth.SynthConfig)} - {"templates"}
 
 
-def _synth_config(args, params: dict, count: int = 10) -> synth.SynthConfig:
-    """The generator config: the command's flags, overridden by its --config file."""
+def _synth_config(args, count: int = 10) -> synth.SynthConfig:
+    """The generator config: the fields given as flags, overridden by the
+    --config file."""
+    params = {key: value for key, value in vars(args).items() if key in _CONFIG_KEYS}
     if args.config:
         with open(args.config) as f:
             config = json.load(f)
@@ -149,16 +151,7 @@ def _synth_config(args, params: dict, count: int = 10) -> synth.SynthConfig:
 
 
 def _cmd_generate(args) -> int:
-    params = {
-        "iterations": args.iterations,
-        "processes": args.processes,
-        "compute_mean": args.compute_mean,
-        "compute_std": args.compute_std,
-        "desync_mean": args.desync_mean,
-        "noise": args.noise,
-        "seed": args.seed,
-    }
-    trace, truth = synth.generate(_synth_config(args, params, count=args.templates))
+    trace, truth = synth.generate(_synth_config(args, count=args.templates))
     write_trace(trace, args.out)
     # one iteration has no mean length: null, not NaN
     lam = None if math.isnan(truth.lambda_avg) else truth.lambda_avg
@@ -175,7 +168,7 @@ def _cmd_generate(args) -> int:
 
 
 #: ``bench``'s comma-list flags: (argument, SynthConfig field, value cast)
-_GRID_FLAGS = (("noise", "noise", str), ("compute_mean_grid", "compute_mean", float),
+_GRID_FLAGS = (("noise_grid", "noise", str), ("compute_mean_grid", "compute_mean", float),
                ("compute_std_grid", "compute_std", float),
                ("desync_mean_grid", "desync_mean", float))
 
@@ -183,11 +176,9 @@ _GRID_FLAGS = (("noise", "noise", str), ("compute_mean_grid", "compute_mean", fl
 def _cmd_bench(args) -> int:
     grid = {field: [cast(v) for v in getattr(args, flag).split(",")]
             for flag, field, cast in _GRID_FLAGS if getattr(args, flag)}
-    if not grid:
-        grid = {"noise": ["none"]}
-    base = _synth_config(args, {"iterations": args.iterations,
-                                "processes": args.processes, "seed": args.seed})
-    rows = synth.sweep(grid, args.repetitions, base, fs=args.freq, seed=args.seed,
+    base = _synth_config(args)
+    rows = synth.sweep(grid or {"noise": [base.noise]}, args.repetitions, base,
+                       fs=args.freq, seed=base.seed,
                        tolerance=args.tolerance, z_min=args.z_min)
     synth.sweep_to_csv(rows, args.out or sys.stdout)
     return 0
@@ -236,33 +227,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser("generate", help="generate a semi-synthetic trace file")
+    # a generator flag left out is absent from args, so SynthConfig's default holds
+    p = sub.add_parser("generate", help="generate a semi-synthetic trace file",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
     p.add_argument("--truth", default=None, help="write generator ground truth as JSON")
     p.add_argument("--config", default=None, help="JSON key-value config file")
-    p.add_argument("--iterations", type=int, default=20)
-    p.add_argument("--processes", type=int, default=synth.DEFAULT_PROCESSES)
-    p.add_argument("--compute-mean", type=float, default=11.0)
-    p.add_argument("--compute-std", type=float, default=0.0)
-    p.add_argument("--desync-mean", type=float, default=0.0)
-    p.add_argument("--noise", choices=list(synth.NOISE_LEVELS), default="none")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--iterations", type=int)
+    p.add_argument("--processes", type=int)
+    p.add_argument("--compute-mean", type=float)
+    p.add_argument("--compute-std", type=float)
+    p.add_argument("--desync-mean", type=float)
+    p.add_argument("--noise", choices=list(synth.NOISE_LEVELS))
+    p.add_argument("--seed", type=int)
     p.add_argument("--templates", type=int, default=10, help="size of the template library")
     p.add_argument("--request-bytes", type=int, default=synth.DEFAULT_REQUEST_BYTES)
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("bench", help="benchmark detection error over a parameter grid")
+    p = sub.add_parser("bench", help="benchmark detection error over a parameter grid",
+                       argument_default=argparse.SUPPRESS)
     _add_common(p, freq=1.0, kind=False, window=False)
     p.add_argument("--out", default=None, help="sweep CSV (default stdout)")
     p.add_argument("--config", default=None, help="JSON key-value base config")
     p.add_argument("--repetitions", type=int, default=30)
-    p.add_argument("--iterations", type=int, default=20)
-    p.add_argument("--processes", type=int, default=synth.DEFAULT_PROCESSES)
-    p.add_argument("--noise", default=None, help="comma list, e.g. none,low,high")
+    p.add_argument("--iterations", type=int)
+    p.add_argument("--processes", type=int)
+    p.add_argument("--noise", dest="noise_grid", default=None, metavar="NOISE",
+                   help="comma list, e.g. none,low,high")
     p.add_argument("--compute-mean-grid", default=None, help="comma list of seconds")
     p.add_argument("--compute-std-grid", default=None, help="comma list of seconds")
     p.add_argument("--desync-mean-grid", default=None, help="comma list of seconds")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--request-bytes", type=int, default=16_000_000,
                    help="template request size (coarser is faster)")
     p.set_defaults(func=_cmd_bench)

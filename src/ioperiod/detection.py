@@ -3,7 +3,7 @@ and confidence classification."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -41,16 +41,31 @@ class CandidateSet:
     def frequencies(self) -> tuple[float, ...]:
         return tuple(c.frequency for c in self.entries)
 
+    @property
+    def strongest(self) -> Candidate | None:
+        """The highest-amplitude candidate, ties toward the lower frequency
+        (whose longer period is the more actionable); None when empty."""
+        return min(self.entries, key=lambda c: (-c.amplitude, c.frequency), default=None)
+
 
 @dataclass(frozen=True)
 class PeriodicityResult:
     """Outcome of the dominant-frequency search on one spectrum."""
 
-    frequency: float | None
-    period: float | None
     confidence: Confidence
     candidates: CandidateSet
-    suppressed_harmonics: tuple[float, ...] = field(default_factory=tuple)
+    suppressed_harmonics: tuple[float, ...] = ()
+
+    @property
+    def frequency(self) -> float | None:
+        """The strongest candidate's frequency when confidence is high or moderate."""
+        if self.confidence in (Confidence.HIGH, Confidence.MODERATE):
+            return self.candidates.strongest.frequency
+        return None
+
+    @property
+    def period(self) -> float | None:
+        return None if (f := self.frequency) is None else 1.0 / f
 
     def to_dict(self, amplitude_scale: float = 1.0) -> dict:
         return {
@@ -72,8 +87,7 @@ class PeriodicityResult:
 
 #: the result when there is nothing to score: no spectrum, or a degenerate one
 NO_CANDIDATE_RESULT = PeriodicityResult(
-    None, None, Confidence.NO_CANDIDATE,
-    CandidateSet(entries=(), mean_amplitude=math.nan, std_amplitude=0.0))
+    Confidence.NO_CANDIDATE, CandidateSet(entries=(), mean_amplitude=math.nan, std_amplitude=0.0))
 
 
 def _zscore_array(spectrum: Spectrum) -> tuple[float, float, np.ndarray] | None:
@@ -153,22 +167,12 @@ def classify(
     """Map the post-suppression candidate count to a confidence class.
 
     One candidate is a high-confidence dominant frequency; with two, the
-    higher-amplitude one wins (ties break toward the lower frequency, whose
-    longer period is the more actionable); three or more mean the signal is
-    probably not periodic.
+    strongest wins (``CandidateSet.strongest``); three or more mean the
+    signal is probably not periodic.
     """
-    n = len(candidates)
-    if n == 0:
-        return PeriodicityResult(None, None, Confidence.NO_CANDIDATE, candidates, suppressed)
-    if n == 1:
-        f = candidates.entries[0].frequency
-        return PeriodicityResult(f, 1.0 / f, Confidence.HIGH, candidates, suppressed)
-    if n == 2:
-        best = min(candidates.entries, key=lambda c: (-c.amplitude, c.frequency))
-        return PeriodicityResult(
-            best.frequency, 1.0 / best.frequency, Confidence.MODERATE, candidates, suppressed
-        )
-    return PeriodicityResult(None, None, Confidence.LOW, candidates, suppressed)
+    confidence = (Confidence.NO_CANDIDATE, Confidence.HIGH, Confidence.MODERATE,
+                  Confidence.LOW)[min(len(candidates), 3)]
+    return PeriodicityResult(confidence, candidates, suppressed)
 
 
 def detect(

@@ -138,10 +138,8 @@ def analyze_trace(
     # characterize against the strongest candidate even when confidence is
     # too low to commit to a dominant frequency; the metrics then say how
     # far from periodic the signal is
-    metrics_freq = result.frequency
-    if metrics_freq is None and len(result.candidates) > 0:
-        metrics_freq = max(result.candidates.entries, key=lambda c: c.amplitude).frequency
-    report = compute_metrics(sampled, metrics_freq, volume_scale=volume)
+    strongest = result.candidates.strongest
+    report = compute_metrics(sampled, strongest and strongest.frequency, volume_scale=volume)
     return AnalysisResult(
         result=result,
         metrics=report,

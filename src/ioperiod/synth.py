@@ -26,7 +26,7 @@ import numpy as np
 from .detection import DEFAULT_TOLERANCE, DEFAULT_Z_MIN
 from .pipeline import analyze_trace
 from .sampling import SamplingQualityWarning
-from .trace import Trace, open_output
+from .trace import Trace, TraceValidationError, open_output
 
 DEFAULT_PROCESSES = 32
 DEFAULT_BYTES_PER_PROCESS = int(3.5e9)
@@ -244,11 +244,12 @@ def generate(config: SynthConfig) -> tuple[Trace, GroundTruth]:
         if noise is not None:
             rank, start, end, nbytes = (
                 np.concatenate(pair) for pair in zip((rank, start, end, nbytes), noise))
-    trace = Trace(
-        rank, start, end, nbytes,
-        np.ones(rank.shape[0], dtype=np.int8),  # write
-        metadata={"origin": "synthetic", "seed": str(config.seed)},
-    )
+    try:
+        trace = Trace(rank, start, end, nbytes, np.ones(rank.shape[0], dtype=np.int8),  # write
+                      metadata={"origin": "synthetic", "seed": str(config.seed)})
+    except TraceValidationError as exc:  # e.g. a request's end rounded onto its start
+        raise SynthConfigError(f"compute_mean {config.compute_mean:g} or desync_mean "
+                               f"{config.desync_mean:g} is too large: {exc}") from exc
     io_starts = np.asarray(io_starts)
     lam = float(np.diff(io_starts).mean()) if len(io_starts) > 1 else float("nan")
     truth = GroundTruth(

@@ -166,14 +166,29 @@ class TestGenerateAndBench:
         assert err.startswith("error: ") and "seed" in err and "Traceback" not in err
 
     @pytest.mark.filterwarnings("ignore::ioperiod.SamplingQualityWarning")
-    def test_bench_config_overrides_flags(self, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text('{"iterations": 5}')
+    @pytest.mark.parametrize("config, flags", [
+        ('{"iterations": 5}', ["--iterations", "5"]),
+        ('{"seed": 5}', ["--seed", "5"]),
+        ('{"noise": "high"}', ["--noise", "high"]),
+    ], ids=["iterations", "seed", "noise"])
+    def test_bench_config_overrides_flags(self, tmp_path, config, flags):
+        # the sweep's seed and its one noise cell follow the config as the flags do
+        path = tmp_path / "config.json"
+        path.write_text(config)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["bench", "--repetitions", "1", "--config", str(config),
+        assert main(["bench", "--repetitions", "1", "--config", str(path),
                      "--out", str(a)]) == 0
-        assert main(["bench", "--repetitions", "1", "--iterations", "5", "--out", str(b)]) == 0
+        assert main(["bench", "--repetitions", "1", *flags, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("field", ["compute_mean", "desync_mean"])
+    def test_generate_too_large_a_time_names_the_field(self, tmp_path, capsys, field):
+        # request times near 1e300 round each end onto its start
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({field: 1e300, "iterations": 2}))
+        assert main(["generate", "--out", str(tmp_path / "x.jsonl"), "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err and "Traceback" not in err
 
     @pytest.mark.filterwarnings("ignore::ioperiod.SamplingQualityWarning")
     def test_bench_default_grid_errors_small(self, tmp_path):

@@ -20,6 +20,7 @@ from ioperiod import (
     suppress_harmonics,
 )
 from ioperiod.detection import DEFAULT_TOLERANCE, DEFAULT_Z_MIN, _passing, _zscore_array
+from ioperiod.sampling import sample_requests, snap_floor
 
 
 def make_spectrum(adjusted, fs=1.0, n=None):
@@ -160,6 +161,12 @@ class TestClassify:
         assert result.frequency is None
         assert result.period is None
 
+    def test_three_candidates_amplitude_tie_strongest_is_lower_frequency(self):
+        result = classify(cset(cand(0.1, 2.0, k=1), cand(0.3, 5.0, k=3),
+                               cand(0.2, 5.0, k=2)))
+        assert result.confidence == Confidence.LOW and result.frequency is None
+        assert result.candidates.strongest.frequency == 0.2
+
     def test_zero_candidates(self):
         result = classify(cset())
         assert result.confidence == Confidence.NO_CANDIDATE
@@ -199,6 +206,21 @@ class TestDetect:
         # a trace with no volume returns early, after the window is checked
         with pytest.raises(ValueError, match="window needs finite bounds with LO < HI"):
             analyze_trace(make_trace(rows), fs=10.0, window=window)
+
+    def test_low_confidence_metrics_use_the_strongest_candidate(self):
+        # bursts every 10, 7 and 3 s on three ranks; a low tolerance keeps
+        # many candidates, the strongest neither the first nor the last
+        rows = [(r, t, t + 1.0, 100) for r, p in enumerate((10.0, 7.0, 3.0))
+                for t in np.arange(0.0, 119.0, p)]
+        trace = make_trace(rows)
+        analysis = analyze_trace(trace, fs=10.0, tolerance=0.3)
+        assert analysis.confidence == Confidence.LOW and analysis.frequency is None
+        strongest = analysis.result.candidates.strongest
+        assert strongest not in (analysis.result.candidates.entries[0],
+                                 analysis.result.candidates.entries[-1])
+        _, sampled, _ = sample_requests(trace, 10.0)
+        assert analysis.metrics.periods_used == snap_floor(
+            sampled.duration * strongest.frequency)
 
     def test_result_serialization(self):
         adjusted = np.full(51, 0.1)
