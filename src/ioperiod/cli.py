@@ -1,5 +1,5 @@
-"""Command-line front end: offline detection, online prediction, trace
-generation, benchmark sweeps, and spectrum export.
+"""Command-line front end: offline detection (with spectrum export), online
+prediction, trace generation and benchmark sweeps.
 
 Each subcommand takes only the flags it reads.  Machine-readable output goes
 to stdout (or a file); diagnostics and warnings go to stderr.
@@ -18,24 +18,29 @@ from . import synth
 from .detection import DEFAULT_TOLERANCE, DEFAULT_Z_MIN
 from .online import watch
 from .pipeline import analyze_trace
-from .trace import TraceParseError, TraceValidationError, open_output, parse_trace, write_trace
+from .trace import (
+    KIND_FILTERS,
+    TraceParseError,
+    TraceValidationError,
+    open_output,
+    parse_trace,
+    write_trace,
+)
 
 DEFAULT_FS = 10.0
 
 
 def _add_common(parser: argparse.ArgumentParser, freq: float = DEFAULT_FS,
-                kind: bool = True, window: bool = True, thresholds: bool = True) -> None:
-    """The analysis flags; ``--kind``, ``--window``, ``--tolerance`` and
-    ``--z-min`` only where they are read."""
+                kind: bool = True, window: bool = True) -> None:
+    """The analysis flags; ``--kind`` and ``--window`` only where they are read."""
     parser.add_argument("--freq", type=float, default=freq,
                         help=f"sampling frequency in Hz (default {freq:g})")
-    if thresholds:
-        parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
-                            help="candidate Z-score tolerance in (0, 1] (default %(default)g)")
-        parser.add_argument("--z-min", type=float, default=DEFAULT_Z_MIN,
-                            help="minimum outlier Z-score (default %(default)g)")
+    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+                        help="candidate Z-score tolerance in (0, 1] (default %(default)g)")
+    parser.add_argument("--z-min", type=float, default=DEFAULT_Z_MIN,
+                        help="minimum outlier Z-score (default %(default)g)")
     if kind:
-        parser.add_argument("--kind", choices=["read", "write", "both"], default="both",
+        parser.add_argument("--kind", choices=KIND_FILTERS, default="both",
                             help="which request kinds to analyze")
     if window:
         parser.add_argument("--window", type=float, nargs=2, metavar=("LO", "HI"),
@@ -69,15 +74,13 @@ def _format_text(result: dict) -> str:
     return "\n".join(lines)
 
 
-_NO_SPECTRUM = "no I/O in the analysis window, so no spectrum"
-
-
 def _cmd_detect(args) -> int:
     trace = parse_trace(args.trace, kind_filter=args.kind)
     analysis = analyze_trace(trace, args.freq, window=args.window,
                              tolerance=args.tolerance, z_min=args.z_min)
     if args.spectrum_out and analysis.spectrum is None:
-        print(f"warning: {_NO_SPECTRUM}; {args.spectrum_out} not written", file=sys.stderr)
+        print(f"warning: no I/O in the analysis window, so no spectrum; "
+              f"{args.spectrum_out} not written", file=sys.stderr)
     elif args.spectrum_out:
         analysis.spectrum.to_csv(args.spectrum_out,
                                  amplitude_scale=analysis.volume_scale)
@@ -178,20 +181,8 @@ def _cmd_bench(args) -> int:
             for flag, field, cast in _GRID_FLAGS if getattr(args, flag)}
     base = _synth_config(args)
     rows = synth.sweep(grid or {"noise": [base.noise]}, args.repetitions, base,
-                       fs=args.freq, seed=base.seed,
-                       tolerance=args.tolerance, z_min=args.z_min)
+                       fs=args.freq, tolerance=args.tolerance, z_min=args.z_min)
     synth.sweep_to_csv(rows, args.out or sys.stdout)
-    return 0
-
-
-def _cmd_spectrum(args) -> int:
-    trace = parse_trace(args.trace, kind_filter=args.kind)
-    analysis = analyze_trace(trace, args.freq, window=args.window)
-    if analysis.spectrum is None:
-        print(f"error: {_NO_SPECTRUM}", file=sys.stderr)
-        return 1
-    # amplitudes in bytes/s, as ``detect --spectrum-out`` writes them
-    analysis.spectrum.to_csv(args.out or sys.stdout, amplitude_scale=analysis.volume_scale)
     return 0
 
 
@@ -261,12 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--request-bytes", type=int, default=16_000_000,
                    help="template request size (coarser is faster)")
     p.set_defaults(func=_cmd_bench)
-
-    p = sub.add_parser("spectrum", help="export the single-sided spectrum as CSV")
-    p.add_argument("trace")
-    _add_common(p, thresholds=False)  # the spectrum does not depend on them
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_spectrum)
 
     return parser
 

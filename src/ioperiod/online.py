@@ -25,7 +25,7 @@ import numpy as np
 
 from .detection import DEFAULT_TOLERANCE, DEFAULT_Z_MIN
 from .pipeline import AnalysisResult, analyze_trace, check_analysis_args
-from .trace import KINDS, Trace, parse_trace
+from .trace import KIND_FILTERS, Trace, parse_trace
 
 #: consecutive dominant findings required before the window is adapted
 ADAPT_AFTER = 3
@@ -122,7 +122,7 @@ class _Tail:
     def __init__(self, fs: float, tolerance: float, z_min: float, kind: str,
                  fixed_window: float | None):
         check_analysis_args(fs, tolerance, z_min)
-        if kind not in KINDS + ("both",):
+        if kind not in KIND_FILTERS:
             raise ValueError(f"unknown kind filter {kind!r}")
         if fixed_window is not None and not fixed_window > 0:
             raise ValueError(f"fixed window must be positive, got {fixed_window}")

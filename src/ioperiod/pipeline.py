@@ -2,8 +2,8 @@
 detection, metrics.
 
 ``analyze_trace`` is the one analysis path; every front end (``detect``,
-``spectrum``, ``predict``, ``replay``, ``bench``) calls it on a parsed or
-generated trace.  The grid is point-sampled straight from the requests
+``predict``, ``replay``, ``bench``) calls it on a parsed or generated
+trace.  The grid is point-sampled straight from the requests
 (``sampling.sample_requests``), normalized to unit total volume (the exact
 integer byte total divides every byte count).  This conditions the numerics
 and makes every dimensionless output bit-for-bit invariant under a uniform

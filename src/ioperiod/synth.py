@@ -37,6 +37,7 @@ NOISE_RATES = {"low": 500e6, "high": 1e9}
 NOISE_LEVELS = ("none", "low", "high")
 _NOISE_PERIOD = 2.2            # seconds between noise bursts
 _NOISE_BURSTS_PER_TILE = 10
+_MAX_NOISE_BURSTS = 1 << 22    # ~107 days of noise; a longer trace is an error
 
 
 class SynthConfigError(ValueError):
@@ -157,8 +158,11 @@ def _noise_requests(rng: np.random.Generator, t_end: float, rate: float, rank: i
     """Tile single-process noise traces (periodic short bursts) over [0, t_end]."""
     tile_len = _NOISE_BURSTS_PER_TILE * _NOISE_PERIOD
     burst_len = _NOISE_PERIOD / 2.0
-    starts = []
     t = -rng.uniform(0.0, tile_len)
+    # NaN (t_end = inf) fails the comparison too
+    if not (t_end - t) // tile_len * _NOISE_BURSTS_PER_TILE <= _MAX_NOISE_BURSTS:
+        raise SynthConfigError(f"noise over {t_end:g} s takes over {_MAX_NOISE_BURSTS} bursts")
+    starts = []
     while t < t_end:
         for j in range(_NOISE_BURSTS_PER_TILE):
             s = t + j * _NOISE_PERIOD
@@ -239,15 +243,15 @@ def generate(config: SynthConfig) -> tuple[Trace, GroundTruth]:
         bounds.append((io_start, io_end))
         t = io_end
         lo = hi
-    if config.noise != "none":
-        noise = _noise_requests(rng, t, NOISE_RATES[config.noise], processes)
-        if noise is not None:
-            rank, start, end, nbytes = (
-                np.concatenate(pair) for pair in zip((rank, start, end, nbytes), noise))
     try:
+        if config.noise != "none":
+            noise = _noise_requests(rng, t, NOISE_RATES[config.noise], processes)
+            if noise is not None:
+                rank, start, end, nbytes = (
+                    np.concatenate(pair) for pair in zip((rank, start, end, nbytes), noise))
         trace = Trace(rank, start, end, nbytes, np.ones(rank.shape[0], dtype=np.int8),  # write
                       metadata={"origin": "synthetic", "seed": str(config.seed)})
-    except TraceValidationError as exc:  # e.g. a request's end rounded onto its start
+    except (SynthConfigError, TraceValidationError) as exc:  # too many bursts, or end == start
         raise SynthConfigError(f"compute_mean {config.compute_mean:g} or desync_mean "
                                f"{config.desync_mean:g} is too large: {exc}") from exc
     io_starts = np.asarray(io_starts)
@@ -283,22 +287,24 @@ def sweep(
     repetitions: int,
     base: SynthConfig,
     fs: float = 1.0,
-    seed: int = 0,
+    seed: int | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
     z_min: float = DEFAULT_Z_MIN,
 ) -> list[dict]:
     """Run the full detection over a parameter grid of generated traces.
 
-    Every (combination, repetition) pair gets its own derived seed, so the
-    output table is reproducible byte for byte.  Grid keys name SynthConfig
-    fields.  Every cell needs at least 2 iterations, the fewest with a mean
-    iteration length to score against.
+    Every (combination, repetition) pair gets its own seed, derived from
+    ``seed`` (``base.seed`` when None), so the output table is reproducible
+    byte for byte.  Grid keys name SynthConfig fields.  Every cell needs at
+    least 2 iterations, the fewest with a mean iteration length to score
+    against.
     """
     keys = list(grid.keys())
     cells = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
     if any(params.get("iterations", base.iterations) < 2 for params in cells):
         raise SynthConfigError("a sweep needs >= 2 iterations per trace "
                                "to have a mean iteration length")
+    seed = base.seed if seed is None else seed
     rows = []
     for ci, params in enumerate(cells):
         for rep in range(repetitions):

@@ -22,7 +22,9 @@ import numpy as np
 
 KINDS = ("read", "write")
 _KIND_CODE = {"read": 0, "write": 1}
-_INT64_MAX = np.iinfo(np.int64).max
+#: what a kind filter may keep: one kind, or both
+KIND_FILTERS = KINDS + ("both",)
+_INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
 
 
 class TraceParseError(ValueError):
@@ -184,7 +186,9 @@ _JSON_SPACE = " \t\r\n"
 
 
 def _record_error(rank, start, end, nbytes, kind, lineno: int) -> ValueError:
-    """The error for a record whose fields failed ``parse_trace``'s test."""
+    """The error for a record whose fields failed ``parse_trace``'s test:
+    a JSON value of the wrong type or range, or else the request rule of
+    ``Trace`` that the one-row trace breaks, in ``Trace``'s words."""
     for name, value in (("rank", rank), ("bytes", nbytes)):
         if type(value) is not int:
             return TraceParseError(f"{name} must be an integer, got {value!r}", lineno)
@@ -195,16 +199,15 @@ def _record_error(rank, start, end, nbytes, kind, lineno: int) -> ValueError:
             return TraceParseError(f"{name} must be finite, got {value!r}", lineno)
     if kind not in KINDS:
         return TraceParseError(f"unknown kind {kind!r}", lineno)
-    if end < start:
-        return TraceValidationError(f"line {lineno}: negative duration")
-    if nbytes < 0:
-        return TraceValidationError(f"line {lineno}: negative byte count")
-    if rank < 0:
-        return TraceValidationError(f"line {lineno}: negative rank")
-    if end == start and nbytes:
-        return TraceValidationError(f"line {lineno}: zero-duration request with nonzero bytes")
-    name, value = ("rank", rank) if rank > _INT64_MAX else ("bytes", nbytes)
-    return TraceParseError(f"{name} {value} exceeds the 64-bit integer range", lineno)
+    for name, value in (("rank", rank), ("bytes", nbytes)):
+        if not _INT64_MIN <= value <= _INT64_MAX:
+            return TraceParseError(f"{name} {value} exceeds the 64-bit integer range", lineno)
+    try:
+        Trace([rank], [start], [end], [nbytes], [_KIND_CODE[kind]])
+    except TraceValidationError as exc:
+        return TraceValidationError(f"line {lineno}: {exc}")
+    # integer times with end < start, rounded to one float, and no bytes
+    return TraceValidationError(f"line {lineno}: negative duration request")
 
 
 def parse_trace(source, kind_filter: str = "both", first_line: int = 1) -> Trace:
@@ -215,7 +218,7 @@ def parse_trace(source, kind_filter: str = "both", first_line: int = 1) -> Trace
     being appended to.  Errors number the lines from ``first_line``, so
     a caller parsing a file's tail can count them from the file's start.
     """
-    if kind_filter not in KINDS + ("both",):
+    if kind_filter not in KIND_FILTERS:
         raise ValueError(f"unknown kind filter {kind_filter!r}")
     rank, start, end, nbytes, kind_code = [], [], [], [], []
     metadata: dict = {}

@@ -184,17 +184,17 @@ def loads_per_line(data, kind_filter="both", first_line=1):
                 raise TraceParseError(f"{name} must be finite, got {value!r}", lineno)
         if kind not in ("read", "write"):
             raise TraceParseError(f"unknown kind {kind!r}", lineno)
-        if end < start:
-            raise TraceValidationError(f"line {lineno}: negative duration")
-        if nbytes < 0:
-            raise TraceValidationError(f"line {lineno}: negative byte count")
+        for name, value in (("rank", rank), ("bytes", nbytes)):
+            if not -2 ** 63 <= value <= 2 ** 63 - 1:
+                raise TraceParseError(f"{name} {value} exceeds the 64-bit integer range", lineno)
         if rank < 0:
             raise TraceValidationError(f"line {lineno}: negative rank")
+        if end < start:
+            raise TraceValidationError(f"line {lineno}: negative duration request")
+        if nbytes < 0:
+            raise TraceValidationError(f"line {lineno}: negative byte count")
         if end == start and nbytes:
             raise TraceValidationError(f"line {lineno}: zero-duration request with nonzero bytes")
-        for name, value in (("rank", rank), ("bytes", nbytes)):
-            if value > 2 ** 63 - 1:
-                raise TraceParseError(f"{name} {value} exceeds the 64-bit integer range", lineno)
         if kind_filter in ("both", kind):
             for column, value in zip(columns.values(),
                                      (rank, start, end, nbytes, int(kind == "write"))):

@@ -51,6 +51,24 @@ class TestDetect:
         assert rows[0]["k"] == "0"
         assert len(rows) > 100
 
+    @pytest.mark.parametrize("rows, window", [
+        ([], []),
+        ([(0, 0.0, 1.0, 0), (0, 2.0, 3.0, 0)], []),
+        ([(0, 0.0, 1.0, 100)], ["--window", "5", "9"]),
+    ], ids=["empty", "zero-volume", "window-without-io"])
+    def test_no_spectrum_warns(self, tmp_path, capsys, rows, window):
+        # no I/O in the window, so no spectrum: detect says why on stderr
+        # and still prints its result
+        path = tmp_path / "t.jsonl"
+        path.write_text(trace_text(rows))
+        exported = tmp_path / "detect.csv"
+        assert main(["detect", str(path), *window, "--spectrum-out", str(exported)]) == 0
+        assert not exported.exists()
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["no_data"] is True
+        assert captured.err == ("warning: no I/O in the analysis window, so no spectrum; "
+                                f"{exported} not written\n")
+
     def test_empty_trace_is_no_data(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
@@ -209,43 +227,6 @@ class TestGenerateAndBench:
         assert {r["noise"] for r in rows} == {"none", "low"}
 
 
-class TestSpectrumCommand:
-    def test_spectrum_csv(self, tmp_path, capsys):
-        trace = write_pulses(tmp_path / "t.jsonl")
-        assert main(["spectrum", str(trace), "--freq", "10"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0].strip() == "k,f_k,amplitude,adjusted_amplitude,phase"
-        assert len(lines) > 100
-        # same sampler and amplitude scale as detect, so the same bytes
-        spectrum, exported = tmp_path / "spectrum.csv", tmp_path / "detect.csv"
-        window = ["--window", "1", "63.5"]
-        assert main(["spectrum", str(trace), "--freq", "10", *window,
-                     "--out", str(spectrum)]) == 0
-        assert main(["detect", str(trace), "--freq", "10", *window,
-                     "--spectrum-out", str(exported)]) == 0
-        assert spectrum.read_bytes() == exported.read_bytes()
-
-    @pytest.mark.parametrize("rows, window", [
-        ([], []),
-        ([(0, 0.0, 1.0, 0), (0, 2.0, 3.0, 0)], []),
-        ([(0, 0.0, 1.0, 100)], ["--window", "5", "9"]),
-    ], ids=["empty", "zero-volume", "window-without-io"])
-    def test_no_spectrum_exits_with_error(self, tmp_path, capsys, rows, window):
-        path = tmp_path / "t.jsonl"
-        path.write_text(trace_text(rows))
-        spectrum, exported = tmp_path / "spectrum.csv", tmp_path / "detect.csv"
-        assert main(["spectrum", str(path), *window, "--out", str(spectrum)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
-        # where detect writes no spectrum either: it says why on stderr and
-        # still prints its result
-        assert main(["detect", str(path), *window, "--spectrum-out", str(exported)]) == 0
-        assert not exported.exists()
-        captured = capsys.readouterr()
-        assert json.loads(captured.out)["no_data"] is True
-        assert captured.err == ("warning: no I/O in the analysis window, so no spectrum; "
-                                f"{exported} not written\n")
-
-
 class TestPredict:
     def test_predict_streams_json_lines(self, tmp_path, capsys):
         trace = write_pulses(tmp_path / "t.jsonl", n_pulses=5)
@@ -288,10 +269,7 @@ class TestUsageErrors:
         ["predict", "t.jsonl", "--window", "0", "1"],
         ["bench", "--window", "0", "1"],
         ["bench", "--kind", "read"],
-        ["spectrum", "t.jsonl", "--tolerance", "0.5"],
-        ["spectrum", "t.jsonl", "--z-min", "2"],
-    ], ids=["predict-window", "bench-window", "bench-kind", "spectrum-tolerance",
-            "spectrum-z-min"])
+    ], ids=["predict-window", "bench-window", "bench-kind"])
     def test_flag_the_command_does_not_read_exits_2(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -302,7 +280,7 @@ class TestUsageErrors:
 OUT_OF_RANGE = {
     "detect-freq-negative": ["detect", "TRACE", "--freq", "-1"],
     "detect-freq-nan": ["detect", "TRACE", "--freq", "nan"],
-    "spectrum-freq-zero": ["spectrum", "TRACE", "--freq", "0"],
+    "detect-freq-zero": ["detect", "TRACE", "--freq", "0"],
     "bench-freq-negative": ["bench", "--freq", "-1", "--repetitions", "1"],
     "detect-tolerance-above-1": ["detect", "TRACE", "--tolerance", "5"],
     "detect-tolerance-zero": ["detect", "TRACE", "--tolerance", "0"],
@@ -350,8 +328,7 @@ def test_out_of_range_flag_exits_with_error(tmp_path, capsys, argv):
                          ids=["nan", "infinity", "reversed", "empty",
                               "minus-infinity", "negative-exponent-accepted"])
 @pytest.mark.parametrize("pulses", [0, 5], ids=["metadata-only", "pulses"])
-@pytest.mark.parametrize("command", ["detect", "spectrum"])
-def test_bad_window_exits_with_error(tmp_path, capsys, command, pulses, window):
+def test_bad_window_exits_with_error(tmp_path, capsys, pulses, window):
     # analyze_trace checks the window before a trace with no volume returns
     # early; -inf and -1e3 are bounds, not flags
     path = tmp_path / "t.jsonl"
@@ -359,13 +336,12 @@ def test_bad_window_exits_with_error(tmp_path, capsys, command, pulses, window):
         write_pulses(path, n_pulses=pulses)
     else:
         path.write_text(trace_text([], meta={"job": "1"}))
-    code = main([command, str(path), "--window", *window])
+    code = main(["detect", str(path), "--window", *window])
     captured = capsys.readouterr()
     if window[0] == "-1e3":
-        # a good window: the analysis runs, and only spectrum fails, for
-        # want of I/O, on the metadata-only trace
+        # a good window: the analysis runs
         assert "window needs" not in captured.err
-        assert code == (1 if command == "spectrum" and not pulses else 0)
+        assert code == 0
         return
     assert code == 1
     assert captured.err.startswith("error: window needs finite bounds with LO < HI, got ")

@@ -1,6 +1,8 @@
 """Semi-synthetic trace generation, templates, and the sweep harness."""
 import hashlib
 import io
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -172,6 +174,16 @@ class TestGenerate:
         extra = vol_noisy - vol_quiet
         assert extra / span == pytest.approx(0.5e9, rel=0.25)
 
+    @pytest.mark.parametrize("field", ["compute_mean", "desync_mean"])
+    @pytest.mark.parametrize("value", [1e12, 1e308])
+    def test_noise_over_too_long_a_trace_names_the_field(self, templates, field, value):
+        # 1e12 s of noise is ~4.5e11 bursts, an error before any is laid;
+        # 1e308 overflows the trace's end to inf
+        config = SynthConfig(iterations=2, noise="low", templates=templates, **{field: value})
+        match = f"{field} {re.escape(f'{value:g}')} .*too large: noise"
+        with pytest.raises(SynthConfigError, match=match):
+            generate(config)
+
     # sha256 of the five trace columns, the phase bounds and lambda_avg,
     # recorded from the generator before it wrote phases into preallocated
     # columns; any change to the generated bytes shows here
@@ -246,6 +258,11 @@ class TestSweep:
         assert len(rows1) == 2 * 2 * 2
         assert rows1 == rows2
         assert {r["noise"] for r in rows1} == {"none", "low"}
+
+    def test_seed_defaults_to_the_base_seed(self, templates):
+        base = SynthConfig(iterations=10, templates=templates)
+        grid = {"noise": ["none"]}
+        assert sweep(grid, 1, replace(base, seed=5)) == sweep(grid, 1, base, seed=5)
 
     @pytest.mark.parametrize("iterations, grid", [(1, {"noise": ["none"]}),
                                                   (10, {"iterations": [5, 1]})],

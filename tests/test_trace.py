@@ -125,6 +125,30 @@ class TestParsing:
                            match="^line 3: zero-duration request with nonzero bytes$"):
             parse_trace(text.encode(), kind_filter=kind_filter)
 
+    @pytest.mark.parametrize("rank, start, end, nbytes", [
+        (-1, 0.0, 1.0, 5), (0, 2.0, 1.0, 5), (0, 0.0, 1.0, -5), (0, 1.0, 1.0, 5),
+        (-1, 2.0, 1.0, -5),
+    ], ids=["negative-rank", "negative-duration", "negative-bytes", "zero-duration-bytes",
+            "three-rules"])
+    def test_request_rules_are_stated_by_trace(self, rank, start, end, nbytes):
+        # parse_trace adds the line number to Trace's own message for the row
+        with pytest.raises(TraceValidationError) as want:
+            Trace([rank], [start], [end], [nbytes], [0])
+        line = json.dumps({"rank": rank, "start": start, "end": end, "bytes": nbytes,
+                           "kind": "read"})
+        with pytest.raises(TraceValidationError) as got:
+            parse_trace(line.encode() + b"\n")
+        assert str(got.value) == f"line 1: {want.value}"
+
+    @pytest.mark.parametrize("nbytes, rule", [(0, "negative duration request"),
+                                              (5, "zero-duration request with nonzero bytes")])
+    def test_integer_times_that_round_together_name_the_line(self, nbytes, rule):
+        # end < start as integers, one float64 (2**53) as Trace stores them
+        line = (b'{"rank":0,"start":9007199254740993,"end":9007199254740992,'
+                b'"bytes":%d,"kind":"read"}\n' % nbytes)
+        with pytest.raises(TraceValidationError, match=f"^line 1: {rule}$"):
+            parse_trace(line)
+
     def test_negative_bytes_rejected(self):
         with pytest.raises(TraceValidationError):
             parse_trace(b'{"rank":0,"start":0.0,"end":1.0,"bytes":-5,"kind":"read"}\n')
