@@ -105,8 +105,8 @@ def _scan(trace: Trace, t_lo, fs, n, w_hi):
     """One pass over the requests, ``_BLOCK`` rows at a time: the start, end
     and byte columns of those that can cover a sample of the grid
     t_lo + arange(n)/fs (the trace's own when all can), the exact byte total
-    of those wholly inside [t_lo, w_hi], and the indices of those straddling
-    an edge.
+    of those wholly inside [t_lo, w_hi], the indices of those straddling an
+    edge, and the bound delta below (None when the test is skipped).
 
     A request covers sample i when start <= g_i < end, where g_i =
     fl(t_lo + fl(i * ts)), ts = fl(1/fs), is the grid instant as computed.
@@ -122,50 +122,84 @@ def _scan(trace: Trace, t_lo, fs, n, w_hi):
     - rounding t_lo + i * ts gives at most 1.01 eps * (|t_lo| fs + i + 1);
     - a subnormal c(g_i) adds under eps.
 
-    For 0 <= i < n that totals under eps * (1.01 |t_lo| fs + 10.1 n), and
-    delta = 16 eps * (|t_lo| fs + n) exceeds it even as computed.  So
+    For 0 <= i < n that totals E < eps * (1.01 |t_lo| fs + 10.1 n), and
+    delta = 16 eps * (|t_lo| fs + n) exceeds 1.5 E even as computed.  So
     c(start) - delta <= i <= c(end) + delta; i is an exact float and
-    rounding is monotone, so the computed ceil and floor keep i between:
+    rounding is monotone, so the computed ceil keeps i between, and
 
-        max(ceil(c(start) - delta), 0) <= min(floor(c(end) + delta), n - 1)
+        max(ceil(c(start) - delta), 0) <= min(c(end) + delta, n - 1)
 
-    holds for every covering request, and a request failing it covers
-    nothing.  A huge time offset only widens delta; once delta reaches a
-    whole sample the test is not worth its passes and every request is
-    searched.
+    holds for every covering request; a request failing it covers nothing.
+    The left side is an integer, so c(end) + delta needs no floor, and the
+    clamps to [0, n - 1] are applied only to the few requests that pass
+    the rest.  A huge time offset only widens delta; from half a sample on
+    the test is not worth its passes, nor does ``_grid_index`` hold, and
+    every request is searched.
     """
-    lo, hi = np.empty((2, min(len(trace), _BLOCK)))
     delta = (abs(float(t_lo)) * fs + n) * 2.0 ** -49
-    candidates = [] if delta < 1.0 else None
+    filtered = delta < 0.5
+    lo, hi = np.empty((2, min(len(trace), _BLOCK)))
+    candidates = []
     straddlers, inside_bytes = [np.empty(0, np.intp)], 0
+    # the trace's earliest start settles the start side of every block, with
+    # no pass over a block's starts
+    starts_inside = trace.t_min >= t_lo
     for a in range(0, len(trace), _BLOCK):
         s, e, b = (col[a:a + _BLOCK] for col in (trace.start, trace.end, trace.nbytes))
-        lo, hi = lo[:s.shape[0]], hi[:s.shape[0]]
-        if candidates is not None:
+        if filtered:
+            lo, hi = lo[:s.shape[0]], hi[:s.shape[0]]
             np.subtract(s, t_lo, out=lo)
             np.multiply(lo, fs, out=lo)
             np.subtract(lo, delta, out=lo)
             np.ceil(lo, out=lo)
-            np.maximum(lo, 0.0, out=lo)
             np.subtract(e, t_lo, out=hi)
             np.multiply(hi, fs, out=hi)
             np.add(hi, delta, out=hi)
-            np.floor(hi, out=hi)
-            np.minimum(hi, n - 1, out=hi)
-            candidates.append(np.flatnonzero(lo <= hi) + a)
+            c = np.flatnonzero(lo <= hi)
+            c = c[(lo[c] <= n - 1) & (hi[c] >= 0.0)]
+            candidates.append(c + a)
+        if starts_inside and e.max() <= w_hi:   # then none straddles
+            inside_bytes += exact_sum(b)
+            continue
         inside = (s >= t_lo) & (e <= w_hi)
-        if inside.all():   # then none straddles
+        if inside.all():
             inside_bytes += exact_sum(b)
             continue
         inside_bytes += exact_sum(b[inside])
         # overlapping the window without lying inside it
         straddlers.append(np.flatnonzero((s < w_hi) & (e > t_lo) & ~inside) + a)
     columns = trace.start, trace.end, trace.nbytes
-    if candidates is not None:
+    if filtered:
         candidates = np.concatenate(candidates)
         if candidates.shape[0] < len(trace):
             columns = tuple(col[candidates] for col in columns)
-    return columns, inside_bytes, np.concatenate(straddlers)
+    return columns, inside_bytes, np.concatenate(straddlers), delta if filtered else None
+
+
+def _grid_index(grid, x, t_lo, fs, delta):
+    """``np.searchsorted(grid, x)``, m = #{i : g_i < x}, for the grid g_i of
+    ``_scan`` and its bound delta < 1/2, by arithmetic: m is k or k + 1 for
+    k = min(max(ceil(c(x) - delta), 0), n - 1), so m = k + (g_k < x).
+
+    With ``_scan``'s error E < delta / 1.5 < 1/3 and v = c(x) - delta, as
+    an exact real whose rounding fl(v) the code takes the ceil of:
+
+    - if m < n, g_m >= x gives m + E > c(g_m) >= c(x), so m > v; m is an
+      exact float, so m >= fl(v), m >= ceil(fl(v)) and m >= k.  If m = n,
+      m > n - 1 >= k.
+    - if m >= 2, g_{m-1} < x gives m - 1 < c(x) + E < v + 0.84, so v > 0.16
+      and ceil(fl(v)) >= 0.  Were m >= k + 2, then k < n - 1, so k =
+      ceil(fl(v)) and fl(v) <= k < v - 0.16; but fl(v) < n - 1 means v <
+      n - 1 < 2^21 (n <= ``MAX_SAMPLES``), which rounds by under 2^-31.  So
+      m <= k + 1, as it is when m < 2.
+    """
+    v = np.subtract(x, t_lo)
+    np.multiply(v, fs, out=v)
+    np.subtract(v, delta, out=v)
+    np.ceil(v, out=v)
+    np.clip(v, 0, grid.shape[0] - 1, out=v)
+    k = v.astype(np.intp)
+    return k + (grid[k] < x)
 
 
 def sample_requests(
@@ -195,12 +229,18 @@ def sample_requests(
     t_lo = window[0]
     n, ts = _grid_size(t_lo, window[1], fs)
     w_hi = t_lo + n * ts
-    (start, end, nbytes), inside_bytes, straddler = _scan(trace, t_lo, fs, n, w_hi)
+    (start, end, nbytes), inside_bytes, straddler, delta = _scan(trace, t_lo, fs, n, w_hi)
     grid = t_lo + np.arange(n) * ts
-    # each request covers the samples [first, stop); searchsorted on the
-    # grid itself puts an instant equal to start inside, one equal to end out
-    first = np.searchsorted(grid, start)
-    stop = np.searchsorted(grid, end)
+    # each request covers the samples [first, stop): the index of its start
+    # and end on the grid itself, so an instant equal to start is inside,
+    # one equal to end out; arithmetic finds it within one sample, searching
+    # only when delta is too wide for that
+    if delta is not None:
+        first = _grid_index(grid, start, t_lo, fs, delta)
+        stop = _grid_index(grid, end, t_lo, fs, delta)
+    else:
+        first = np.searchsorted(grid, start)
+        stop = np.searchsorted(grid, end)
     # only the requests that cover a sample get a rate
     covering = np.flatnonzero(first < stop)
     dur = end[covering] - start[covering]

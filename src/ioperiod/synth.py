@@ -181,13 +181,14 @@ def _noise_requests(rng: np.random.Generator, t_end: float, rate: float, rank: i
     )
 
 
-def _phase_rows(tmpl: Trace, processes: int):
-    """Rank, start, end and byte columns of a template's first ``processes`` ranks."""
-    cols = (tmpl.rank, tmpl.start, tmpl.end, tmpl.nbytes)
-    if tmpl.rank.max() + 1 == processes:
-        return cols
+def _phase_rows(tmpl: Trace, found: int, processes: int):
+    """Rank, start, end and byte columns of a template's first ``processes``
+    ranks, and their latest end; ``found`` is its ``rank.max() + 1``."""
+    if found == processes:
+        return tmpl.rank, tmpl.start, tmpl.end, tmpl.nbytes, tmpl.t_max
     keep = tmpl.rank < processes
-    return tuple(col[keep] for col in cols)
+    r, s, e, b = (col[keep] for col in (tmpl.rank, tmpl.start, tmpl.end, tmpl.nbytes))
+    return r, s, e, b, e.max()
 
 
 def generate(config: SynthConfig) -> tuple[Trace, GroundTruth]:
@@ -198,9 +199,10 @@ def generate(config: SynthConfig) -> tuple[Trace, GroundTruth]:
     """
     if not config.templates:
         raise SynthConfigError("phase template library must not be empty")
-    for tmpl in config.templates:
-        if (found := tmpl.rank.max(initial=-1) + 1) < config.processes:
-            raise SynthConfigError(f"template has {found} processes, need {config.processes}")
+    found = [int(tmpl.rank.max(initial=-1)) + 1 for tmpl in config.templates]
+    for count in found:
+        if count < config.processes:
+            raise SynthConfigError(f"template has {count} processes, need {config.processes}")
     rng = np.random.default_rng(config.seed)
     processes = config.processes
     # every draw comes first, in the order the phases use them, so that the
@@ -215,7 +217,8 @@ def generate(config: SynthConfig) -> tuple[Trace, GroundTruth]:
         else:
             delta = None
         draws.append((t_cpu, pick, delta))
-    phases = {pick: _phase_rows(config.templates[pick], processes) for _, pick, _ in draws}
+    phases = {pick: _phase_rows(config.templates[pick], found[pick], processes)
+              for pick in {pick for _, pick, _ in draws}}
     size = sum(phases[pick][0].shape[0] for _, pick, _ in draws)
     # one allocation holds the columns (8-byte numbers, as Trace gives):
     # glibc serves the block by mmap once, and freeing it lifts its mmap and
@@ -230,7 +233,7 @@ def generate(config: SynthConfig) -> tuple[Trace, GroundTruth]:
     t = 0.0
     lo = 0
     for t_cpu, pick, delta in draws:
-        r, s, e, b = phases[pick]
+        r, s, e, b, e_max = phases[pick]
         hi = lo + r.shape[0]
         io_start = t + t_cpu
         shift = np.float64(io_start) if delta is None else io_start + delta[r]
@@ -238,7 +241,9 @@ def generate(config: SynthConfig) -> tuple[Trace, GroundTruth]:
         np.add(e, shift, out=end[lo:hi])
         rank[lo:hi] = r
         nbytes[lo:hi] = b
-        io_end = float(end[lo:hi].max())
+        # rounding is monotone: the latest shifted end is the shifted
+        # latest end when every rank has the same shift
+        io_end = float(shift + e_max if delta is None else end[lo:hi].max())
         io_starts.append(io_start)
         bounds.append((io_start, io_end))
         t = io_end

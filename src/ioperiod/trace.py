@@ -3,7 +3,7 @@
 A trace file is line-delimited JSON, one request per line with fields
 ``rank`` (int), ``start`` (finite number, seconds), ``end`` (finite number,
 seconds, not before ``start``), ``bytes`` (int, 0 when ``end`` equals
-``start``), ``kind`` ("read"|"write").
+``start`` as float64 values), ``kind`` ("read"|"write").
 Integers are JSON integers within the int64 range, never booleans or
 fractions.  An optional first line holding
 ``"meta": true`` carries free-form string metadata.  Appends are always whole
@@ -83,15 +83,16 @@ class Trace:
         n = rank.shape[0]
         if not (start.shape[0] == end.shape[0] == nbytes.shape[0] == kind_code.shape[0] == n):
             raise ValueError("column length mismatch")
-        if np.any(rank < 0):
-            raise TraceValidationError("negative rank")
-        # one pass: NaN fails the comparison too
-        if not np.all(start <= end):
-            for name, col in (("start", start), ("end", end)):
-                if np.isnan(col).any():
-                    raise TraceValidationError(f"{name} time is NaN")
-            raise TraceValidationError("negative duration request")
         if n:
+            if rank.min() < 0:
+                raise TraceValidationError("negative rank")
+            # one pass settles a trace of positive durations; NaN fails it too
+            positive = np.less(start, end).all()
+            if not positive and not np.all(start <= end):
+                for name, col in (("start", start), ("end", end)):
+                    if np.isnan(col).any():
+                        raise TraceValidationError(f"{name} time is NaN")
+                raise TraceValidationError("negative duration request")
             # with start <= end, the earliest start and the latest end bound
             # every time
             self._t_min = float(start.min())
@@ -100,11 +101,12 @@ class Trace:
                 raise TraceValidationError("start time is -inf")
             if self._t_max == np.inf:
                 raise TraceValidationError("end time is inf")
-        if np.any(nbytes < 0):
-            raise TraceValidationError("negative byte count")
-        zero = start == end
-        if zero.any() and nbytes[zero].any():
-            raise TraceValidationError("zero-duration request with nonzero bytes")
+            if nbytes.min() < 0:
+                raise TraceValidationError("negative byte count")
+            if not positive:
+                zero = start == end
+                if zero.any() and nbytes[zero].any():
+                    raise TraceValidationError("zero-duration request with nonzero bytes")
         for arr in (rank, start, end, nbytes, kind_code):
             arr.setflags(write=False)
         self.rank = rank
@@ -256,12 +258,14 @@ def parse_trace(source, kind_filter: str = "both", first_line: int = 1) -> Trace
         except KeyError as exc:
             raise TraceParseError(f"missing field {exc}", lineno) from exc
         # one chained test keeps the per-line cost flat; _record_error then
-        # says which field failed
+        # says which field failed.  Integer times, which may round onto each
+        # other, are also compared as the float64 values Trace stores
         if not (type(r) is int and type(b) is int
                 and type(s) in _TIME_TYPES and type(e) in _TIME_TYPES
                 and 0 <= r <= _INT64_MAX and 0 <= b <= _INT64_MAX
                 and -_FLOAT_MAX <= s <= e <= _FLOAT_MAX and kind in KINDS
-                and (s < e or not b)):
+                and (s < e and (type(s) is float is type(e) or float(s) != float(e))
+                     or not b)):
             raise _record_error(r, s, e, b, kind, lineno)
         if kind_filter != "both" and kind != kind_filter:
             continue

@@ -9,6 +9,7 @@ rule finds each good size by counting up.  None of it
 imports library internals; it uses only the package's public names.
 """
 import json
+import math
 import sys
 
 import numpy as np
@@ -193,13 +194,33 @@ def loads_per_line(data, kind_filter="both", first_line=1):
             raise TraceValidationError(f"line {lineno}: negative duration request")
         if nbytes < 0:
             raise TraceValidationError(f"line {lineno}: negative byte count")
-        if end == start and nbytes:
+        if float(end) == float(start) and nbytes:   # as Trace stores them
             raise TraceValidationError(f"line {lineno}: zero-duration request with nonzero bytes")
         if kind_filter in ("both", kind):
             for column, value in zip(columns.values(),
                                      (rank, start, end, nbytes, int(kind == "write"))):
                 column.append(value)
     return columns, metadata
+
+
+def first_broken_rule(rows):
+    """The message of the first request rule that any of the (rank, start,
+    end, bytes) rows breaks, rule after rule in ``Trace``'s order, or None
+    when every row is legal."""
+    rules = [
+        ("negative rank", lambda r, s, e, b: r < 0),
+        ("start time is NaN", lambda r, s, e, b: math.isnan(s)),
+        ("end time is NaN", lambda r, s, e, b: math.isnan(e)),
+        ("negative duration request", lambda r, s, e, b: e < s),
+        ("start time is -inf", lambda r, s, e, b: s == -math.inf),
+        ("end time is inf", lambda r, s, e, b: e == math.inf),
+        ("negative byte count", lambda r, s, e, b: b < 0),
+        ("zero-duration request with nonzero bytes", lambda r, s, e, b: s == e and b != 0),
+    ]
+    for message, broken in rules:
+        if any(broken(*row) for row in rows):
+            return message
+    return None
 
 
 def request_rates(trace):

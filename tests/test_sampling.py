@@ -334,3 +334,64 @@ class TestSampleRequests:
         _, sampled, v_0 = sample_requests(trace, 1.0, (1.0, 3.0))
         assert not sampled.samples.any()
         assert volume_error(sampled, v_0) is None
+
+
+@st.composite
+def grid_times(draw):
+    """A sampling rate, a window start t_lo with |t_lo|·fs from 0 to just
+    past 2^48, where ``_scan``'s bound delta reaches half a sample, a sample
+    count n, and times on the grid's instants, one ulp either side of them,
+    and past its ends."""
+    fs = draw(st.sampled_from([0.5, 1.0, 3.0, 10.0, 150.0]))
+    n = draw(st.integers(1, 300))
+    scaled = draw(st.one_of(st.integers(0, 1000).map(float),
+                            st.floats(0.0, 2.0 ** 48 * 1.01),
+                            st.floats(2.0 ** 48 - 2000.0, 2.0 ** 48 + 10.0)))
+    t_lo = draw(st.sampled_from([1.0, -1.0])) * scaled / fs
+    ts = 1.0 / fs
+    grid = t_lo + np.arange(n) * ts
+    times = []
+    for _ in range(draw(st.integers(1, 20))):
+        i = draw(st.integers(-2, n + 1))
+        x = grid[i] if 0 <= i < n else t_lo + i * ts
+        times.append(float(np.nextafter(x, draw(st.sampled_from([-np.inf, x, np.inf])))))
+    return fs, t_lo, n, times
+
+
+class TestGridIndex:
+    @given(grid_times())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_a_search_of_the_grid(self, case):
+        fs, t_lo, n, times = case
+        ts = 1.0 / fs
+        w_hi = t_lo + n * ts
+        grid = t_lo + np.arange(n) * ts
+        x = np.asarray(times)
+        # the bound _scan takes for this grid; None from half a sample on
+        delta = sampling._scan(make_trace([(0, t_lo, w_hi, 1)]), t_lo, fs, n, w_hi)[3]
+        if delta is None:
+            assert (abs(t_lo) * fs + n) * 2.0 ** -49 >= 0.5
+        else:
+            got = sampling._grid_index(grid, x, t_lo, fs, delta)
+            assert np.array_equal(got, np.searchsorted(grid, x))
+        # on both sides of the switch, requests that start or end at these
+        # times are sampled as a search over every request samples them
+        rows = [row for t in times
+                for row in ((0, t - ts / 2, t, 10 ** 6), (1, t, t + ts / 2, 3 * 10 ** 6))]
+        TestSampleRequests.assert_matches_every_request(
+            make_trace(rows), fs, (t_lo, t_lo + (n + 0.5) * ts))
+
+
+class TestScan:
+    @pytest.mark.parametrize("window", [(500.3, 507.6), (-3.0, 4.0), (990.0, 1010.0)])
+    def test_candidates_lie_near_the_window(self, window):
+        # requests of 1 s every 2.5 s, most covering a sample coordinate
+        # outside the window: only those within a sample of it are kept
+        rows = [(0, 2.5 * j, 2.5 * j + 1.0, 10 ** 6) for j in range(400)]
+        trace, fs = make_trace(rows), 10.0
+        n, ts = sampling._grid_size(window[0], window[1], fs)
+        w_hi = window[0] + n * ts
+        (start, end, _), _, _, delta = sampling._scan(trace, window[0], fs, n, w_hi)
+        assert delta is not None
+        assert 0 < start.shape[0] < len(trace)
+        assert np.all(end >= window[0] - ts) and np.all(start <= w_hi + ts)

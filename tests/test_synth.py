@@ -134,6 +134,32 @@ class TestGenerate:
         assert got_truth.phase_bounds == want_truth.phase_bounds
         assert got_truth.lambda_avg == want_truth.lambda_avg
 
+    @pytest.mark.parametrize("desync_mean", [0.0, 2.0])
+    def test_phase_bounds_end_at_the_latest_end_of_their_rows(self, templates, desync_mean):
+        trace, truth = generate(SynthConfig(iterations=6, compute_std=3.0, processes=20,
+                                            desync_mean=desync_mean, templates=templates,
+                                            seed=11))
+        # phases do not overlap, so a row's phase is the last one started
+        # by the row's start
+        phase = np.searchsorted(truth.iteration_starts, trace.start, side="right") - 1
+        for j, (io_start, io_end) in enumerate(truth.phase_bounds):
+            assert io_start == truth.iteration_starts[j]
+            assert io_end == trace.end[phase == j].max()
+
+    @pytest.mark.parametrize("desync_mean", [0.0, 2.0])
+    def test_wider_templates_give_the_trace_of_their_first_ranks(self, templates, desync_mean):
+        # a template of 32 ranks drawn for 20 processes gives what the same
+        # template cut to ranks 0-19 gives
+        cut = tuple(Trace(*(col[t.rank < 20] for col in (t.rank, t.start, t.end, t.nbytes,
+                                                          t.kind_code))) for t in templates)
+        params = dict(iterations=6, processes=20, compute_std=3.0, desync_mean=desync_mean,
+                      seed=12)
+        want, want_truth = generate(SynthConfig(templates=cut, **params))
+        got, got_truth = generate(SynthConfig(templates=templates, **params))
+        for col in ("rank", "start", "end", "nbytes", "kind_code"):
+            np.testing.assert_array_equal(getattr(got, col), getattr(want, col))
+        assert got_truth.phase_bounds == want_truth.phase_bounds
+
     def test_degenerate_distributions_give_fixed_spacing(self, templates):
         # sigma=0 and no desync: iteration starts exactly t_cpu + phase apart
         config = SynthConfig(iterations=6, compute_mean=11.0, compute_std=0.0,

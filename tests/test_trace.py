@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import HOSTILE_RECORDS, make_trace, trace_text
-from oracles import brute_bandwidth_at, loads_per_line
+from oracles import brute_bandwidth_at, first_broken_rule, loads_per_line
 
 from ioperiod import (
     Trace,
@@ -37,6 +37,25 @@ FIELD_VALUES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from(["read", "write", "1.0"]), st.lists(st.integers(), max_size=2),
 )
+
+
+@st.composite
+def request_rows(draw):
+    """A (rank, start, end, bytes) row, legal or with one field breaking a
+    request rule: a negative rank or byte count, a NaN or infinite time, a
+    negative duration, or bytes over a zero duration."""
+    start = draw(st.sampled_from([0.0, 1.0, 2.5]))
+    end = start + draw(st.sampled_from([0.0, 0.5, 1.0, 1.0]))
+    row = [draw(st.integers(0, 3)), start, end, draw(st.integers(1, 100)) if end > start else 0]
+    if draw(st.integers(0, 2)) == 0:
+        field = draw(st.integers(0, 3))
+        row[field] = draw([
+            st.just(-1),
+            st.sampled_from([np.nan, -np.inf, np.inf, 9.0]),
+            st.sampled_from([np.nan, -np.inf, np.inf, 0.0, start]),
+            st.sampled_from([-1, 7]),
+        ][field])
+    return tuple(row)
 
 
 @st.composite
@@ -140,14 +159,33 @@ class TestParsing:
             parse_trace(line.encode() + b"\n")
         assert str(got.value) == f"line 1: {want.value}"
 
-    @pytest.mark.parametrize("nbytes, rule", [(0, "negative duration request"),
-                                              (5, "zero-duration request with nonzero bytes")])
-    def test_integer_times_that_round_together_name_the_line(self, nbytes, rule):
+    @pytest.mark.parametrize("start, end, nbytes, rule", [
         # end < start as integers, one float64 (2**53) as Trace stores them
-        line = (b'{"rank":0,"start":9007199254740993,"end":9007199254740992,'
-                b'"bytes":%d,"kind":"read"}\n' % nbytes)
+        (b"9007199254740993", b"9007199254740992", 0, "negative duration request"),
+        (b"9007199254740993", b"9007199254740992", 5, "zero-duration request with nonzero bytes"),
+        # start < end as numbers, one float64 too
+        (b"9007199254740992.0", b"9007199254740993", 5,
+         "zero-duration request with nonzero bytes"),
+        (b"9007199254740992", b"9007199254740993", 5, "zero-duration request with nonzero bytes"),
+    ], ids=["0-negative duration request", "5-zero-duration request with nonzero bytes",
+            "float-start-integer-end", "integer-start-integer-end"])
+    def test_integer_times_that_round_together_name_the_line(self, start, end, nbytes, rule):
+        line = (b'{"rank":0,"start":%s,"end":%s,"bytes":%d,"kind":"read"}\n'
+                % (start, end, nbytes))
         with pytest.raises(TraceValidationError, match=f"^line 1: {rule}$"):
             parse_trace(line)
+
+    def test_integer_times_that_stay_apart_are_accepted(self):
+        # exact in float64 below 2**53, and apart above it when a float
+        # lies between them
+        trace = parse_trace(b'{"rank":0,"start":9007199254740991,"end":9007199254740992,'
+                            b'"bytes":5,"kind":"read"}\n'
+                            b'{"rank":0,"start":9007199254740992,"end":9007199254740994,'
+                            b'"bytes":5,"kind":"read"}\n'
+                            b'{"rank":0,"start":9007199254740993,"end":9007199254740993,'
+                            b'"bytes":0,"kind":"read"}\n')
+        assert trace.start.tolist() == [2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53]
+        assert trace.end.tolist() == [2.0 ** 53, 2.0 ** 53 + 2, 2.0 ** 53]
 
     def test_negative_bytes_rejected(self):
         with pytest.raises(TraceValidationError):
@@ -367,6 +405,50 @@ class TestRequestModel:
         # request's bytes would drop out of the analysis without a word
         with pytest.raises(TraceValidationError, match=f"^{message}$"):
             Trace([0, 0, 0], [0.0, start, 2.0], [1.0, end, 3.0], [10, 10 ** 6, 10], [1, 1, 1])
+
+    @pytest.mark.parametrize("rows, message", [
+        # row 2 breaks the bytes rule and row 3 the rank rule: rank comes first
+        ([(0, 0.0, 1.0, 5), (0, 1.0, 2.0, -5), (-1, 2.0, 3.0, 5)], "negative rank"),
+        ([(0, np.nan, 1.0, 5), (-1, 2.0, 3.0, 5)], "negative rank"),
+        ([(0, 0.0, 1.0, -5), (0, 2.0, 1.0, 5)], "negative duration request"),
+        ([(0, 2.0, 1.0, 5), (0, 0.0, np.nan, 5)], "end time is NaN"),
+        ([(0, 0.0, np.nan, 5), (0, np.nan, 1.0, 5)], "start time is NaN"),
+        ([(0, 1.0, 1.0, 5), (0, -np.inf, 1.0, 5)], "start time is -inf"),
+        ([(0, 0.0, 1.0, -5), (0, 0.0, np.inf, 5)], "end time is inf"),
+        ([(0, 1.0, 1.0, 5), (0, 0.0, 1.0, -5)], "negative byte count"),
+        ([(0, 0.0, 1.0, 5), (0, 1.0, 1.0, 0), (0, 2.0, 2.0, 5)],
+         "zero-duration request with nonzero bytes"),
+        # one rule broken among rows of positive duration
+        ([(0, 0.0, 1.0, 5), (-1, 1.0, 2.0, 5)], "negative rank"),
+        ([(0, 0.0, 1.0, 5), (0, 1.0, 2.0, -5)], "negative byte count"),
+        ([(0, 0.0, 1.0, 5), (0, -np.inf, 2.0, 5)], "start time is -inf"),
+        ([(0, 0.0, np.inf, 5), (0, 1.0, 2.0, 5)], "end time is inf"),
+    ], ids=["bytes-then-rank", "nan-and-rank", "bytes-and-duration", "duration-and-nan-end",
+            "nan-end-and-nan-start", "zero-duration-and-minus-inf", "bytes-and-inf",
+            "zero-duration-and-bytes", "zero-duration-after-a-legal-one", "only-rank",
+            "only-bytes", "only-minus-inf", "only-inf"])
+    def test_first_rule_in_order_names_the_error(self, rows, message):
+        with pytest.raises(TraceValidationError, match=f"^{message}$"):
+            make_trace(rows)
+
+    @given(st.lists(request_rows(), min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_rules_are_checked_in_order(self, rows):
+        message = first_broken_rule(rows)
+        if message is not None:
+            with pytest.raises(TraceValidationError, match=f"^{message}$"):
+                make_trace(rows)
+            return
+        trace = make_trace(rows)
+        assert trace.t_min == min(row[1] for row in rows)
+        assert trace.t_max == max(row[2] for row in rows)
+
+    def test_zero_duration_rows_without_bytes_are_accepted(self):
+        trace = make_trace([(0, 5.0, 5.0, 0), (1, 1.0, 2.0, 10), (0, 7.0, 7.0, 0),
+                            (2, 0.5, 0.5, 0)])
+        assert (trace.t_min, trace.t_max) == (0.5, 7.0)
+        only = make_trace([(0, 3.0, 3.0, 0)])
+        assert (only.t_min, only.t_max, only.volume) == (3.0, 3.0, 0)
 
     def test_trace_columns_are_immutable(self):
         trace = make_trace([(0, 0.0, 1.0, 10)])
