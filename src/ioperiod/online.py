@@ -2,8 +2,8 @@
 data arrives, shrinking the analysis window once a dominant frequency has
 been found repeatedly.  ``watch`` and ``replay`` both drive a ``_Tail``,
 which holds a session's rows, its last record and its analysis arguments,
-parses each appended whole line once and copies its rows onto the end of
-growable columns.  Each append chooses its window once and analyses only
+and parses each appended whole line once into ``parse_trace``'s growable
+columns.  Each append chooses its window once and analyses only
 the rows of the appends that can reach it, so once the window has adapted
 an append costs O(its own lines + the window), not O(session).  Every
 restart forgets the rows and the last record alike (``_Tail.reset``).  Each
@@ -13,6 +13,7 @@ replaced file at WARNING (a ``UserWarning`` if ``logging`` is not loaded).
 from __future__ import annotations
 
 import bisect
+import io
 import math
 import os
 import sys
@@ -21,11 +22,9 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from .detection import DEFAULT_TOLERANCE, DEFAULT_Z_MIN
 from .pipeline import AnalysisResult, analyze_trace, check_analysis_args
-from .trace import KIND_FILTERS, Trace, parse_trace
+from .trace import Trace, _Rows
 
 #: consecutive dominant findings required before the window is adapted
 ADAPT_AFTER = 3
@@ -99,31 +98,15 @@ def _window_and_reason(
     return (lo, now), reason
 
 
-#: the tail's columns, in ``Trace``'s argument order, and their dtypes
-_COLUMNS = (("rank", np.int64), ("start", np.float64), ("end", np.float64),
-            ("nbytes", np.int64), ("kind_code", np.int8))
-
-
 class _Tail:
-    """An online session: the byte offset and count of the whole lines of a
-    growing trace consumed so far, the rows one parse of them would give,
-    the last record and the arguments of every analysis.
-
-    The rows sit in growable columns whose capacity doubles, so an append
-    copies only its own rows.  For each append that brought rows the tail
-    keeps its first row and the running maximum of ``end`` up to it, and it
-    keeps the exact integer volume V, ``t_max`` and the metadata as running
-    values.  ``view(lo)`` leaves out the appends whose rows all end at or
-    before ``lo``: such rows cover no sample of a window starting at ``lo``
-    and neither lie inside it nor straddle it, so with V kept whole an
-    analysis of the view is bit for bit one of every row.
-    """
+    """An online session: the byte offset of the whole lines of a growing
+    trace consumed so far, the rows they give (``parsed``), the first row
+    of each append that brought rows and the running maximum of ``end`` up
+    to it, the last record and the arguments of every analysis."""
 
     def __init__(self, fs: float, tolerance: float, z_min: float, kind: str,
                  fixed_window: float | None):
         check_analysis_args(fs, tolerance, z_min)
-        if kind not in KIND_FILTERS:
-            raise ValueError(f"unknown kind filter {kind!r}")
         if fixed_window is not None and not fixed_window > 0:
             raise ValueError(f"fixed window must be positive, got {fixed_window}")
         self.fs, self.tolerance, self.z_min = fs, tolerance, z_min
@@ -132,65 +115,36 @@ class _Tail:
 
     def reset(self) -> None:
         self.offset = 0
-        self.lines = 0
-        self.rows = 0
-        self.volume = 0
-        self.metadata: dict = {}
         # fresh columns, so rows under an earlier view are never overwritten
-        self._columns = [np.empty(0, dtype) for _, dtype in _COLUMNS]
+        self.parsed = _Rows(self.kind)
         self._first_row: list[int] = []   # per append that brought rows
-        self._max_end: list[float] = []   # nondecreasing, one per such append
+        self.max_end: list[float] = []   # nondecreasing, one per such append
         self.fed = (0, 0, 0.0)   # bytes, lines, seconds of the last feed
         self.last: PredictionRecord | None = None   # all the next analysis reads
 
-    @property
-    def t_max(self) -> float:
-        """The latest end time of any row; the tail must hold rows."""
-        return self._max_end[-1]
-
-    def feed(self, data: bytes) -> bool:
-        """Consume the whole lines of ``data``, the bytes past ``offset``;
-        return whether there were any.  Errors count lines from the start."""
+    def feed(self, stream) -> bool:
+        """Consume the whole lines of a binary stream of the bytes past
+        ``offset``; return whether there were any."""
         start = time.perf_counter()
-        end = data.rfind(b"\n") + 1
-        lines = data.count(b"\n", 0, end)
-        if end:
-            new = parse_trace(data[:end], kind_filter=self.kind, first_line=self.lines + 1)
-            if len(new):
-                self._append(new)
-            self.metadata.update(new.metadata)
-            self.offset += end
-            self.lines += lines
-        self.fed = (len(data), lines, time.perf_counter() - start)
-        return end > 0
-
-    def _append(self, new: Trace) -> None:
-        rows = self.rows + len(new)
-        if rows > self._columns[0].shape[0]:
-            capacity = max(rows, 2 * self._columns[0].shape[0])
-            grown = [np.empty(capacity, dtype) for _, dtype in _COLUMNS]
-            for old, col in zip(self._columns, grown):
-                col[:self.rows] = old[:self.rows]
-            self._columns = grown
-        for (name, _), col in zip(_COLUMNS, self._columns):
-            col[self.rows:rows] = getattr(new, name)
-        self._first_row.append(self.rows)
-        self._max_end.append(max(new.t_max, self._max_end[-1]) if self._max_end
-                             else new.t_max)
-        self.volume += new.volume
-        self.rows = rows
+        rows, lines = self.parsed.rows, self.parsed.lines
+        consumed = self.parsed.read(stream)
+        if self.parsed.rows > rows:
+            t_max = self.parsed.trace(rows).t_max
+            self._first_row.append(rows)
+            self.max_end.append(max(t_max, self.max_end[-1]) if self.max_end else t_max)
+        self.offset += consumed
+        self.fed = (consumed, self.parsed.lines - lines, time.perf_counter() - start)
+        return consumed > 0
 
     def view(self, lo: float) -> Trace:
         """The rows from the first append whose running maximum ``end`` is
         past ``lo``, or the last append's when none is, without a copy, as
-        a Trace carrying the whole tail's volume; never empty, as the
-        newest append is always in it."""
-        i = min(bisect.bisect_right(self._max_end, lo), len(self._max_end) - 1)
-        first = self._first_row[i] if i >= 0 else 0
-        view = Trace(*(col[first:self.rows] for col in self._columns),
-                     metadata=self.metadata)
-        view._volume = self.volume   # the whole tail's, not the view's own
-        return view
+        a Trace carrying the volume V of every row.  The rows left out end
+        at or before ``lo``, so they cover no sample of a window starting
+        there and neither lie inside it nor straddle it: with V kept, an
+        analysis of the view is bit for bit one of every row."""
+        i = min(bisect.bisect_right(self.max_end, lo), len(self.max_end) - 1)
+        return self.parsed.trace(self._first_row[i] if i >= 0 else 0)
 
     def predict(self, now: float) -> PredictionRecord:
         """Analyze the rows at trace time ``now`` in the window the last
@@ -209,7 +163,7 @@ class _Tail:
             read, lines, parse_s = self.fed
             log.debug("append: read %d bytes, %d lines; %d rows kept, %d analysed; "
                       "window (%.6g, %.6g) %s; parse %.3f ms, analysis %.3f ms",
-                      read, lines, self.rows, len(view), *window, reason,
+                      read, lines, self.parsed.rows, len(view), *window, reason,
                       parse_s * 1e3, analysis_s * 1e3)
         return self.last
 
@@ -236,7 +190,7 @@ def replay(
         if not text.startswith(consumed):
             tail.reset()
             consumed = ""
-        tail.feed(text[len(consumed):].encode())
+        tail.feed(io.BytesIO(text[len(consumed):].encode()))
         # ``text`` itself, not a copy, when the snapshot ends with a newline
         consumed = text[:text.rfind("\n") + 1]
         records.append(tail.predict(now))
@@ -274,21 +228,21 @@ def watch(
     file_id = None        # (device, inode) of the file last read
     idle = 0.0
     while True:
-        data = b""        # bytes past the tail's offset; None: truncated or replaced
+        rows = tail.parsed.rows
+        fed = lost = False   # lost: the file was truncated or replaced
         try:
             with open(path, "rb") as f:
                 st = os.fstat(f.fileno())
                 if tail.offset and (st.st_size < tail.offset
                                     or (st.st_dev, st.st_ino) != file_id):
-                    data = None
+                    lost = True
                 elif st.st_size > tail.offset:
                     f.seek(tail.offset)
-                    data = f.read(st.st_size - tail.offset)
+                    fed = tail.feed(f)
                 file_id = (st.st_dev, st.st_ino)
         except FileNotFoundError:
-            if tail.offset:
-                data = None
-        if data is None:
+            lost = tail.offset > 0
+        if lost:
             message = f"{os.fspath(path)} was truncated or replaced; restarting analysis state"
             if (log := _logger()) is None:
                 warnings.warn(message)
@@ -296,11 +250,10 @@ def watch(
                 log.warning(message)
             tail.reset()
             continue
-        rows = tail.rows
-        if tail.feed(data):
+        if fed:
             # metadata or filtered-out rows alone would repeat the last record
-            if tail.rows > rows:
-                yield tail.predict(tail.t_max)
+            if tail.parsed.rows > rows:
+                yield tail.predict(tail.max_end[-1])
             idle = 0.0
             continue
         idle += poll_interval

@@ -200,9 +200,13 @@ def generate(config: SynthConfig) -> tuple[Trace, GroundTruth]:
     if not config.templates:
         raise SynthConfigError("phase template library must not be empty")
     found = [int(tmpl.rank.max(initial=-1)) + 1 for tmpl in config.templates]
-    for count in found:
+    for i, (tmpl, count) in enumerate(zip(config.templates, found)):
         if count < config.processes:
             raise SynthConfigError(f"template has {count} processes, need {config.processes}")
+        # a wider template gives its first ranks, so it must have rows there
+        if count > config.processes and tmpl.rank.min() >= config.processes:
+            raise SynthConfigError(f"template {i} has no rows for ranks "
+                                   f"0..{config.processes - 1}")
     rng = np.random.default_rng(config.seed)
     processes = config.processes
     # every draw comes first, in the order the phases use them, so that the

@@ -13,6 +13,7 @@ it.
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import os
 import sys
@@ -149,35 +150,6 @@ class Trace:
         return self._volume
 
 
-#: bytes of whole lines decoded at once; the strings of one block are all
-#: that is held besides the file's bytes
-_BLOCK_BYTES = 1 << 16
-
-
-def _iter_complete_lines(source) -> Iterator[str]:
-    """Yield whole lines of a path/stream, dropping an unterminated tail."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as f:
-            data = f.read()
-    elif isinstance(source, bytes):
-        data = source
-    else:
-        data = source.read()
-        if isinstance(data, str):
-            data = data.encode()
-    # appends are whole lines, so anything after the last newline is a
-    # partial write from a concurrent producer
-    end = data.rfind(b"\n") + 1
-    lo = 0
-    while lo < end:
-        # a block of whole lines of about _BLOCK_BYTES; a newline byte is
-        # never part of a UTF-8 sequence, so one decode of the block gives
-        # the strings a decode of each line would
-        hi = data.find(b"\n", min(lo + _BLOCK_BYTES, end) - 1) + 1
-        yield from data[lo:hi - 1].decode("utf-8", errors="replace").split("\n")
-        lo = hi
-
-
 #: JSON number types a time may have; bool is excluded by exact type tests
 _TIME_TYPES = (float, int)
 _FLOAT_MAX = sys.float_info.max
@@ -188,7 +160,7 @@ _JSON_SPACE = " \t\r\n"
 
 
 def _record_error(rank, start, end, nbytes, kind, lineno: int) -> ValueError:
-    """The error for a record whose fields failed ``parse_trace``'s test:
+    """The error for a record whose fields failed ``_Rows.feed``'s test:
     a JSON value of the wrong type or range, or else the request rule of
     ``Trace`` that the one-row trace breaks, in ``Trace``'s words."""
     for name, value in (("rank", rank), ("bytes", nbytes)):
@@ -212,6 +184,129 @@ def _record_error(rank, start, end, nbytes, kind, lineno: int) -> ValueError:
     return TraceValidationError(f"line {lineno}: negative duration request")
 
 
+#: bytes read at once, then up to the end of the line they stop in; one
+#: block's strings are all that is held besides the columns
+_BLOCK_BYTES = 1 << 16
+#: the columns' dtypes, in ``Trace``'s argument order
+_DTYPES = (np.int64, np.float64, np.float64, np.int64, np.int8)
+
+
+class _Rows:
+    """The rows of the whole lines of a trace file parsed so far: growable
+    columns whose capacity doubles, so a block copies only its own rows,
+    the counts of rows and lines, the exact integer volume and the
+    metadata.  Errors number the lines from ``lines + 1``."""
+
+    def __init__(self, kind_filter: str, lines: int = 0):
+        if kind_filter not in KIND_FILTERS:
+            raise ValueError(f"unknown kind filter {kind_filter!r}")
+        self.kind_filter = kind_filter
+        self.rows = 0
+        self.lines = lines
+        self.volume = 0
+        self.metadata: dict = {}
+        self._columns = [np.empty(0, dtype) for dtype in _DTYPES]
+
+    def read(self, stream) -> int:
+        """Parse the whole lines of a binary or text stream a block at a
+        time, up to its end or a partial line; return the bytes they take."""
+        consumed = 0
+        while True:
+            block = stream.read(_BLOCK_BYTES) + stream.readline()
+            if isinstance(block, str):
+                block = block.encode()
+            if b"\n" in block:
+                consumed += self.feed(block)
+            # appends are whole lines, so anything after the last newline
+            # is a partial write from a concurrent producer
+            if not block.endswith(b"\n"):
+                return consumed
+
+    def feed(self, data: bytes) -> int:
+        """Parse the whole lines of ``data``, at least one; return the bytes they take."""
+        cut = data.rfind(b"\n") + 1
+        kind_filter, metadata = self.kind_filter, self.metadata
+        rank, start, end, nbytes, kind_code = [], [], [], [], []
+        # a newline byte is never part of a UTF-8 sequence, so one decode of
+        # the block gives the strings a decode of each line would
+        lines = data[:cut - 1].decode("utf-8", errors="replace").split("\n")
+        for lineno, line in enumerate(lines, start=self.lines + 1):
+            # the scanner takes a record with none of json.loads' Python
+            # layers; a line it does not read whole (blank, leading space, BOM,
+            # bad JSON) goes to json.loads, whose result or error is the same
+            try:
+                rec, stop = _scan_once(line, 0)
+                whole = stop == len(line) or not line[stop:].strip(_JSON_SPACE)
+            except (StopIteration, ValueError, RecursionError):
+                whole = False
+            if not whole:
+                if not line.strip():
+                    continue
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise TraceParseError(f"invalid JSON: {exc.msg}", lineno) from exc
+                except ValueError as exc:  # an integer past int()'s digit limit
+                    raise TraceParseError(f"invalid JSON: {exc}", lineno) from exc
+                except RecursionError as exc:
+                    raise TraceParseError("invalid JSON: nested too deeply", lineno) from exc
+            if not isinstance(rec, dict):
+                raise TraceParseError("record is not an object", lineno)
+            if rec.get("meta"):
+                metadata.update({k: str(v) for k, v in rec.items() if k != "meta"})
+                continue
+            try:
+                r = rec["rank"]
+                s = rec["start"]
+                e = rec["end"]
+                b = rec["bytes"]
+                kind = rec["kind"]
+            except KeyError as exc:
+                raise TraceParseError(f"missing field {exc}", lineno) from exc
+            # one chained test keeps the per-line cost flat; _record_error then
+            # says which field failed.  Integer times, which may round onto each
+            # other, are also compared as the float64 values Trace stores
+            if not (type(r) is int and type(b) is int
+                    and type(s) in _TIME_TYPES and type(e) in _TIME_TYPES
+                    and 0 <= r <= _INT64_MAX and 0 <= b <= _INT64_MAX
+                    and -_FLOAT_MAX <= s <= e <= _FLOAT_MAX and kind in KINDS
+                    and (s < e and (type(s) is float is type(e) or float(s) != float(e))
+                         or not b)):
+                raise _record_error(r, s, e, b, kind, lineno)
+            if kind_filter != "both" and kind != kind_filter:
+                continue
+            rank.append(r)
+            start.append(s)
+            end.append(e)
+            nbytes.append(b)
+            kind_code.append(_KIND_CODE[kind])
+        self.lines = lineno
+        self.volume += sum(nbytes)   # exact: Python integers
+        self._append(rank, start, end, nbytes, kind_code)
+        return cut
+
+    def _append(self, *values: list) -> None:
+        """Copy a block's rows, a list per column, onto the columns' end."""
+        rows = self.rows + len(values[0])
+        if rows > self._columns[0].shape[0]:
+            capacity = max(rows, 2 * self._columns[0].shape[0])
+            grown = [np.empty(capacity, dtype) for dtype in _DTYPES]
+            for old, col in zip(self._columns, grown):
+                col[:self.rows] = old[:self.rows]
+            self._columns = grown
+        for col, new in zip(self._columns, values):
+            col[self.rows:rows] = new
+        self.rows = rows
+
+    def trace(self, first: int = 0) -> Trace:
+        """The rows from ``first`` on, without a copy, as a Trace carrying
+        the volume of every row."""
+        trace = Trace(*(col[first:self.rows] for col in self._columns),
+                      metadata=self.metadata)
+        trace._volume = self.volume
+        return trace
+
+
 def parse_trace(source, kind_filter: str = "both", first_line: int = 1) -> Trace:
     """Parse a line-delimited trace from a path, stream, or bytes.
 
@@ -220,61 +315,13 @@ def parse_trace(source, kind_filter: str = "both", first_line: int = 1) -> Trace
     being appended to.  Errors number the lines from ``first_line``, so
     a caller parsing a file's tail can count them from the file's start.
     """
-    if kind_filter not in KIND_FILTERS:
-        raise ValueError(f"unknown kind filter {kind_filter!r}")
-    rank, start, end, nbytes, kind_code = [], [], [], [], []
-    metadata: dict = {}
-    for lineno, line in enumerate(_iter_complete_lines(source), start=first_line):
-        # the scanner takes a record with none of json.loads' Python
-        # layers; a line it does not read whole (blank, leading space, BOM,
-        # bad JSON) goes to json.loads, whose result or error is the same
-        try:
-            rec, stop = _scan_once(line, 0)
-            whole = stop == len(line) or not line[stop:].strip(_JSON_SPACE)
-        except (StopIteration, ValueError, RecursionError):
-            whole = False
-        if not whole:
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceParseError(f"invalid JSON: {exc.msg}", lineno) from exc
-            except ValueError as exc:  # an integer past int()'s digit limit
-                raise TraceParseError(f"invalid JSON: {exc}", lineno) from exc
-            except RecursionError as exc:
-                raise TraceParseError("invalid JSON: nested too deeply", lineno) from exc
-        if not isinstance(rec, dict):
-            raise TraceParseError("record is not an object", lineno)
-        if rec.get("meta"):
-            metadata.update({k: str(v) for k, v in rec.items() if k != "meta"})
-            continue
-        try:
-            r = rec["rank"]
-            s = rec["start"]
-            e = rec["end"]
-            b = rec["bytes"]
-            kind = rec["kind"]
-        except KeyError as exc:
-            raise TraceParseError(f"missing field {exc}", lineno) from exc
-        # one chained test keeps the per-line cost flat; _record_error then
-        # says which field failed.  Integer times, which may round onto each
-        # other, are also compared as the float64 values Trace stores
-        if not (type(r) is int and type(b) is int
-                and type(s) in _TIME_TYPES and type(e) in _TIME_TYPES
-                and 0 <= r <= _INT64_MAX and 0 <= b <= _INT64_MAX
-                and -_FLOAT_MAX <= s <= e <= _FLOAT_MAX and kind in KINDS
-                and (s < e and (type(s) is float is type(e) or float(s) != float(e))
-                     or not b)):
-            raise _record_error(r, s, e, b, kind, lineno)
-        if kind_filter != "both" and kind != kind_filter:
-            continue
-        rank.append(r)
-        start.append(s)
-        end.append(e)
-        nbytes.append(b)
-        kind_code.append(_KIND_CODE[kind])
-    return Trace(rank, start, end, nbytes, kind_code, metadata=metadata)
+    rows = _Rows(kind_filter, lines=first_line - 1)
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "rb") as f:
+            rows.read(f)
+    else:
+        rows.read(io.BytesIO(source) if isinstance(source, bytes) else source)
+    return rows.trace()
 
 
 @contextlib.contextmanager

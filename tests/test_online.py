@@ -25,6 +25,7 @@ from ioperiod import (
     replay,
     watch,
 )
+from ioperiod import trace as trace_module
 from ioperiod.online import (
     ADAPT_AFTER,
     MIN_WINDOW_BINS,
@@ -267,12 +268,13 @@ class TestWatch:
 
     def test_each_byte_parsed_once(self, tmp_path, monkeypatch):
         received = []
+        feed = trace_module._Rows.feed
 
-        def counting_parse(source, *args, **kwargs):
-            received.append(len(source))
-            return parse_trace(source, *args, **kwargs)
+        def counting_feed(rows, data):
+            received.append(len(data))
+            return feed(rows, data)
 
-        monkeypatch.setattr(online, "parse_trace", counting_parse)
+        monkeypatch.setattr(trace_module._Rows, "feed", counting_feed)
         chunks = [trace_text([row]) for row in pulse_rows(12)]
         # one append ends mid-line; the next completes the line
         cut = len(chunks[5]) // 2

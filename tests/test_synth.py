@@ -94,6 +94,12 @@ class TestConfigValidation:
         with pytest.raises(SynthConfigError, match="has 0 processes"):
             generate(SynthConfig(templates=(parse_trace(b""),)))
 
+    def test_rejects_template_without_rows_for_the_first_ranks(self, templates):
+        # rank.max() + 1 = 4 processes are enough for 2, but no row has rank 0 or 1
+        wide = Trace([3], [0.0], [1.0], [5], [1])
+        with pytest.raises(SynthConfigError, match=r"^template 1 has no rows for ranks 0\.\.1$"):
+            generate(SynthConfig(processes=2, templates=(templates[0], wide)))
+
 
 class TestGenerate:
     def test_deterministic_for_fixed_seed(self, templates):

@@ -2,6 +2,10 @@
 import builtins
 import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -12,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import HOSTILE_RECORDS, make_trace, trace_text
 from oracles import brute_bandwidth_at, first_broken_rule, loads_per_line
 
+import ioperiod
 from ioperiod import (
     Trace,
     TraceParseError,
@@ -23,7 +28,7 @@ from ioperiod import (
 from ioperiod import SampledSignal, dft, sweep_to_csv
 from ioperiod import trace as trace_module
 from ioperiod.sampling import sample_requests
-from ioperiod.synth import SWEEP_FIELDS
+from ioperiod.synth import SWEEP_FIELDS, SynthConfig, bundled_phase_templates, generate
 from ioperiod.trace import KINDS
 
 
@@ -224,25 +229,30 @@ class TestParsing:
            st.sampled_from([1, 7, 64, trace_module._BLOCK_BYTES]))
     @settings(max_examples=300, deadline=None)
     def test_matches_line_by_line_loads(self, data, kind_filter, first_line, block_bytes):
-        # small blocks start the search for a block's end inside lines and
-        # UTF-8 sequences, and hold one line or several
-        def parse():
-            with mock.patch.object(trace_module, "_BLOCK_BYTES", block_bytes):
-                return parse_trace(data, kind_filter, first_line)
-
+        # small blocks end reads inside lines, CRLFs, UTF-8 sequences and the
+        # trailing partial line, and hold one line or several; bytes and a
+        # file path are both read a block at a time
         try:
             want = loads_per_line(data, kind_filter, first_line)
         except (TraceParseError, TraceValidationError) as exc:
-            with pytest.raises(type(exc)) as got:
-                parse()
-            assert type(got.value) is type(exc) and str(got.value) == str(exc)
-            return
-        trace = parse()
-        columns, metadata = want
-        for name, values in columns.items():
-            got = getattr(trace, name)
-            assert np.array_equal(got, np.asarray(values, dtype=got.dtype))
-        assert trace.metadata == metadata
+            want = exc
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(trace_module, "_BLOCK_BYTES", block_bytes):
+            path = os.path.join(tmp, "trace.jsonl")
+            with open(path, "wb") as f:
+                f.write(data)
+            for source in (data, path):
+                if isinstance(want, Exception):
+                    with pytest.raises(type(want)) as got:
+                        parse_trace(source, kind_filter, first_line)
+                    assert type(got.value) is type(want) and str(got.value) == str(want)
+                    continue
+                trace = parse_trace(source, kind_filter, first_line)
+                columns, metadata = want
+                for name, values in columns.items():
+                    got = getattr(trace, name)
+                    assert np.array_equal(got, np.asarray(values, dtype=got.dtype))
+                assert trace.metadata == metadata
 
     def test_kind_filter(self):
         text = trace_text([(0, 0.0, 1.0, 100, "read"), (0, 1.0, 2.0, 200, "write")])
@@ -325,6 +335,63 @@ def trace_rows(draw):
         rows.append((draw(st.integers(0, INT64_MAX)), start, end, nbytes,
                      draw(st.sampled_from(KINDS))))
     return rows
+
+
+#: peak resident memory a parse may add, per byte of the columns it gives
+PARSE_RSS_PER_COLUMN_BYTE = 3
+#: and on top of that: a block's strings and lists, a Trace's check
+#: temporaries, and pages rounded up where the kernel backs them with huge ones
+PARSE_RSS_SLACK = 8 << 20
+#: a child that reports the rise of its peak resident set (VmHWM, which,
+#: unlike getrusage's maxrss, starts afresh at exec) over its post-import
+#: peak while it parses the file, or watches it for one poll
+MEASURE_RSS = """
+import sys
+from ioperiod import parse_trace, watch
+
+def peak():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) * 1024 for line in f if line.startswith("VmHWM:"))
+
+mode, path = sys.argv[1:]
+before = peak()
+if mode == "parse":
+    parse_trace(path)
+else:
+    (record,) = watch(path, fs=1.0, idle_timeout=0)
+print(peak() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's VmHWM")
+class TestParseMemory:
+    """A parse holds a small multiple of its columns, not of the file.
+
+    Peak resident memory is read in a fresh interpreter: tracemalloc does
+    not see numpy's buffers, and this process's peak is already past it.
+    """
+
+    @pytest.fixture(scope="class")
+    def trace_file(self, tmp_path_factory):
+        """A generated file of 224,000 rows (23 MB) and its column bytes."""
+        config = SynthConfig(iterations=2, templates=tuple(bundled_phase_templates()))
+        trace, _ = generate(config)
+        path = tmp_path_factory.mktemp("memory") / "trace.jsonl"
+        write_trace(trace, path)
+        return path, sum(col.nbytes for col in (
+            trace.rank, trace.start, trace.end, trace.nbytes, trace.kind_code))
+
+    @pytest.mark.parametrize("mode", ["parse", "watch"])
+    def test_peak_rss_rise_is_a_small_multiple_of_the_columns(self, trace_file, mode):
+        path, column_bytes = trace_file
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(ioperiod.__file__)),
+             os.environ.get("PYTHONPATH", "")]))
+        rise = int(subprocess.run([sys.executable, "-c", MEASURE_RSS, mode, str(path)],
+                                  env=env, capture_output=True, text=True, check=True).stdout)
+        assert rise <= PARSE_RSS_PER_COLUMN_BYTE * column_bytes + PARSE_RSS_SLACK, (
+            f"{mode}: peak RSS rose {rise / 2 ** 20:.1f} MiB for "
+            f"{column_bytes / 2 ** 20:.1f} MiB of columns")
 
 
 class TestWriteTrace:
