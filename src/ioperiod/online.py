@@ -129,7 +129,7 @@ class _Tail:
         rows, lines = self.parsed.rows, self.parsed.lines
         consumed = self.parsed.read(stream)
         if self.parsed.rows > rows:
-            t_max = self.parsed.trace(rows).t_max
+            t_max = self.parsed.latest_end(rows)
             self._first_row.append(rows)
             self.max_end.append(max(t_max, self.max_end[-1]) if self.max_end else t_max)
         self.offset += consumed

@@ -29,7 +29,7 @@ from ioperiod import SampledSignal, dft, sweep_to_csv
 from ioperiod import trace as trace_module
 from ioperiod.sampling import sample_requests
 from ioperiod.synth import SWEEP_FIELDS, SynthConfig, bundled_phase_templates, generate
-from ioperiod.trace import KINDS
+from ioperiod.trace import KIND_FILTERS, KINDS
 
 
 #: lines that are no record on their own: blank, not JSON, not an object,
@@ -96,6 +96,64 @@ def trace_files(draw):
     lines = draw(st.lists(trace_lines(), max_size=8))
     tail = draw(st.sampled_from([b"", b'{"rank": 0, "st', b"\r"]))
     return b"".join(line + b"\n" for line in lines) + tail
+
+
+#: a request line with each value given as its text
+SPELLED = '{"rank": %s, "start": %s, "end": %s, "bytes": %s, "kind": "%s"}'
+#: lines to put among runs of request lines: in write_trace's order of
+#: keys but breaking a request rule; with a rank or byte count of 18
+#: digits, the most the bulk path takes, or of 19, within int64 or past it;
+#: with integer times of 15 digits, the most it takes, or of 16; with
+#: other spaces; or lines it never takes
+ODD_LINES_AMONG_RUNS = {
+    "start-1e999": SPELLED % (3, "1e999", "2.5", 10, "read"),
+    "start-minus-1e999": SPELLED % (3, "-1e999", "2.5", 0, "write"),
+    "end-1E400": SPELLED % (3, "1.5", "1E400", 10, "write"),
+    "negative-duration": SPELLED % (3, "2.5", "1.5", 10, "read"),
+    "zero-duration-bytes": SPELLED % (3, "1.5", "1.5E0", 10, "write"),
+    "signed-zero-duration-bytes": SPELLED % (3, "0.0", "-0.0", 10, "read"),
+    "zero-duration": SPELLED % (3, "-0.0", "0e0", 0, "read"),
+    "rank-18-digits": SPELLED % (10 ** 18 - 1, "1.5", "2.5", 10, "write"),
+    "bytes-19-digits": SPELLED % (3, "1.5", "2.5", 2 ** 63 - 1, "read"),
+    "rank-past-int64": SPELLED % (2 ** 63, "1.5", "2.5", 10, "read"),
+    "bytes-past-int64": SPELLED % (3, "1.5", "2.5", 10 ** 19, "write"),
+    "rank-leading-zero": SPELLED % ("03", "1.5", "2.5", 10, "read"),
+    "integer-times-15-digits": SPELLED % (3, 10 ** 15 - 2, 10 ** 15 - 1, 10, "write"),
+    "integer-negative-duration": SPELLED % (3, 5, 4, 0, "read"),
+    # equal as float64, and end < start as integers
+    "integer-times-16-digits": SPELLED % (3, 2 ** 53 + 1, 2 ** 53, 0, "read"),
+    # the integer -0 is 0, so its time is +0.0
+    "integer-minus-zero": SPELLED % (3, "-0", "0.5", 10, "read"),
+    "meta": '{"meta": true, "job": "7"}',
+    "compact": '{"rank":3,"start":1.5,"end":2.5,"bytes":10,"kind":"read"}',
+    "spaced": '{ "rank" :3 ,\t"start":1.5 , "end" : 2.5,"bytes":10, "kind":"read" } ',
+    "keys-reordered": '{"start": 1.5, "rank": 3, "end": 2.5, "bytes": 10, "kind": "read"}',
+    "blank": "",
+    "bom": "\ufeff" + SPELLED % (3, "1.5", "2.5", 10, "read"),
+    "bad-json": (SPELLED % (3, "1.5", "2.5", 10, "read"))[:-1],
+}
+#: the spellings of request lines that the bulk path takes: write_trace's,
+#: compact separators, and integer times
+RUN_SPELLINGS = ("write_trace", "compact", "integer")
+
+
+def request_lines(n: int, seed: int, spelling: str) -> list[str]:
+    """``n`` valid request lines, each ending in a newline, in ``spelling``."""
+    rng = np.random.default_rng(seed)
+    if spelling == "integer":
+        start = rng.integers(0, 10 ** 15 - 10, n)
+    else:
+        start = rng.uniform(0.0, 1e4, n)
+    end = start + rng.choice([0, 1, 3], n)
+    nbytes = np.where(start < end, rng.integers(1, 10 ** 12, n), 0)
+    trace = Trace(rng.integers(0, 8, n), start, end, nbytes, rng.integers(0, 2, n))
+    if spelling == "write_trace":
+        buf = io.StringIO()
+        write_trace(trace, buf)
+        return buf.getvalue().splitlines(keepends=True)
+    return [json.dumps({"rank": int(rank), "start": s.item(), "end": e.item(), "bytes": int(b),
+                        "kind": KINDS[code]}, separators=(",", ":")) + "\n"
+            for rank, s, e, b, code in zip(trace.rank, start, end, nbytes, trace.kind_code)]
 
 
 class TestParsing:
@@ -254,6 +312,107 @@ class TestParsing:
                     assert np.array_equal(got, np.asarray(values, dtype=got.dtype))
                 assert trace.metadata == metadata
 
+    @pytest.mark.parametrize("odd", ODD_LINES_AMONG_RUNS.values(),
+                             ids=ODD_LINES_AMONG_RUNS.keys())
+    @given(st.integers(trace_module._RUN_LINES, 3 * trace_module._RUN_LINES),
+           st.integers(0, 2 ** 32 - 1), st.data(), st.sampled_from(RUN_SPELLINGS),
+           st.sampled_from(KIND_FILTERS), st.booleans(),
+           st.sampled_from([8192, 12288, trace_module._BLOCK_BYTES]))
+    @settings(max_examples=25, deadline=None)
+    def test_request_runs_match_line_by_line_loads(self, odd, n, seed, data, spelling,
+                                                   kind_filter, crlf, block_bytes):
+        # runs of request lines around one line that the bulk path may not
+        # take, in blocks that end inside the runs
+        lines = request_lines(n, seed, spelling)
+        lines.insert(data.draw(st.integers(0, n)), odd + "\n")
+        text = "".join(lines).encode()
+        if crlf:
+            text = text.replace(b"\n", b"\r\n")
+        try:
+            want = loads_per_line(text, kind_filter)
+        except (TraceParseError, TraceValidationError) as exc:
+            want = exc
+        with mock.patch.object(trace_module, "_BLOCK_BYTES", block_bytes):
+            if isinstance(want, Exception):
+                with pytest.raises(type(want)) as got:
+                    parse_trace(text, kind_filter)
+                assert type(got.value) is type(want) and str(got.value) == str(want)
+                assert getattr(got.value, "line_number", None) == getattr(want, "line_number", None)
+                return
+            trace = parse_trace(text, kind_filter)
+        columns, metadata = want
+        for name, values in columns.items():
+            got = getattr(trace, name)
+            assert got.tobytes() == np.asarray(values, dtype=got.dtype).tobytes(), name
+        assert trace.volume == sum(columns["nbytes"])
+        assert trace.metadata == metadata
+
+    @pytest.mark.parametrize("spelling", RUN_SPELLINGS)
+    def test_request_lines_are_read_in_bulk(self, monkeypatch, spelling):
+        # only the line whose keys stand in another order goes line by line
+        n = 2 * trace_module._RUN_LINES
+        lines = request_lines(n, 7, spelling)
+        odd = '{"start": 1.0, "rank": 0, "end": 2.0, "bytes": 5, "kind": "read"}\n'
+        lines.insert(n // 2, odd)
+        by_line = []
+        feed_lines = trace_module._Rows._feed_lines
+
+        def recording_feed_lines(rows, data):
+            by_line.append(data)
+            feed_lines(rows, data)
+
+        monkeypatch.setattr(trace_module._Rows, "_feed_lines", recording_feed_lines)
+        trace = parse_trace("".join(lines).encode())
+        assert by_line == [odd.encode()]
+        columns, _ = loads_per_line("".join(lines).encode())
+        assert len(trace) == n + 1 and trace.start[n // 2] == 1.0
+        assert trace.volume == sum(columns["nbytes"])
+
+    def test_short_runs_are_read_line_by_line(self, monkeypatch):
+        # runs shorter than _RUN_LINES cost less in the line loop
+        lines = request_lines(3 * trace_module._RUN_LINES, 7, "write_trace")
+        odd = '{"start": 1.0, "rank": 0, "end": 2.0, "bytes": 5, "kind": "read"}\n'
+        short = trace_module._RUN_LINES - 1
+        for at in range(short, len(lines), short + 1):
+            lines.insert(at, odd)
+        by_bulk = []
+        feed_run = trace_module._Rows._feed_run
+
+        def recording_feed_run(rows, data):
+            by_bulk.append(data)
+            return feed_run(rows, data)
+
+        monkeypatch.setattr(trace_module._Rows, "_feed_run", recording_feed_run)
+        trace = parse_trace("".join(lines).encode())
+        assert by_bulk == []
+        assert len(trace) == len(lines)
+
+    def test_bulk_stops_once_most_lines_are_in_another_spelling(self, monkeypatch):
+        run = trace_module._RUN_LINES
+        lines = request_lines(4 * run, 7, "write_trace")
+        reordered = [json.dumps(json.loads(line), sort_keys=True) + "\n" for line in lines]
+        feeds = [lines[:run - 1], lines[run:2 * run], reordered[:run], lines[2 * run:]]
+        by_bulk = []
+        feed_run = trace_module._Rows._feed_run
+
+        def recording_feed_run(rows, data):
+            by_bulk.append(data.count(b"\n"))
+            return feed_run(rows, data)
+
+        monkeypatch.setattr(trace_module._Rows, "_feed_run", recording_feed_run)
+        rows = trace_module._Rows("both")
+        bulk = []
+        for feed in feeds:
+            rows.feed("".join(feed).encode())
+            bulk.append(rows.bulk)
+        # too few lines to look for runs; a run; none, so no more looking
+        assert by_bulk == [run] and bulk == [True, True, False, False]
+        columns, _ = loads_per_line("".join(sum(feeds, [])).encode())
+        trace = rows.trace()
+        for name, values in columns.items():
+            assert getattr(trace, name).tobytes() == np.asarray(
+                values, dtype=getattr(trace, name).dtype).tobytes(), name
+
     def test_kind_filter(self):
         text = trace_text([(0, 0.0, 1.0, 100, "read"), (0, 1.0, 2.0, 200, "write")])
         assert parse_trace(text.encode(), kind_filter="read").volume == 100
@@ -322,18 +481,23 @@ TIMES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
 )
 INT64_MAX = 2 ** 63 - 1
+#: ranks and byte counts of at most 18 digits, which the parser's bulk path
+#: reads, and of any size int64 holds, each with its edges
+INTEGERS = (st.sampled_from([0, 1, 10 ** 17, 10 ** 18 - 1]) | st.integers(0, 10 ** 18 - 1),
+            st.sampled_from([10 ** 18, INT64_MAX]) | st.integers(0, INT64_MAX))
 
 
 @st.composite
 def trace_rows(draw):
-    """Rows of a valid trace: (rank, start, end, bytes, kind)."""
+    """Rows of a valid trace: (rank, start, end, bytes, kind), often
+    enough of them for the parser's bulk path."""
     rows = []
-    for _ in range(draw(st.integers(0, 12))):
+    integers = draw(st.sampled_from(INTEGERS))
+    for _ in range(draw(st.integers(0, 2 * trace_module._RUN_LINES))):
         start, end = sorted([draw(TIMES), draw(TIMES)])
         # a request without duration moves no bytes
-        nbytes = draw(st.integers(0, INT64_MAX)) if start < end else 0
-        rows.append((draw(st.integers(0, INT64_MAX)), start, end, nbytes,
-                     draw(st.sampled_from(KINDS))))
+        nbytes = draw(integers) if start < end else 0
+        rows.append((draw(integers), start, end, nbytes, draw(st.sampled_from(KINDS))))
     return rows
 
 
@@ -410,6 +574,7 @@ class TestWriteTrace:
             # bit for bit, so -0.0 must come back as -0.0
             assert getattr(back, name).tobytes() == getattr(trace, name).tobytes(), name
         assert back.metadata == (meta or {})
+        assert back.volume == sum(row[3] for row in rows)
         if rows:
             assert back.t_min == min(row[1] for row in rows)
             assert back.t_max == max(row[2] for row in rows)
