@@ -1,0 +1,109 @@
+#!/usr/bin/env bash
+# Checks of the ioperiod console script that need the command itself: the
+# files it writes, its outputs for equivalent inputs, and its error
+# messages.  The command is $IOPERIOD, default "ioperiod"; from a checkout
+# without installing, run
+#   PYTHONPATH=$PWD/src IOPERIOD="python -m ioperiod.cli" bash ci/console-checks.sh
+# It works in a temporary directory that it removes on exit.
+set -euo pipefail
+IOPERIOD=${IOPERIOD:-ioperiod}
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+cd "$work"
+
+$IOPERIOD generate --out synth.jsonl --iterations 4 --request-bytes 16000000
+# every line is spelled exactly as json.dumps spells its record
+python -c 'import json
+for n, line in enumerate(open("synth.jsonl").read().splitlines(), 1):
+    assert line == json.dumps(json.loads(line)), (n, line)'
+# the same seed writes the same file
+$IOPERIOD generate --out synth-again.jsonl --iterations 4 --request-bytes 16000000
+cmp synth.jsonl synth-again.jsonl
+$IOPERIOD detect synth.jsonl --freq 1 --format text
+# CRLF line endings give the same result
+sed 's/$/\r/' synth.jsonl > synth-crlf.jsonl
+$IOPERIOD detect synth.jsonl --freq 1 > detect.json
+$IOPERIOD detect synth-crlf.jsonl --freq 1 > detect-crlf.json
+cmp detect.json detect-crlf.json
+# every other line in compact separators, also read in bulk, and
+# every 50th with its keys in another order, read line by line,
+# give the same result
+python -c 'import json
+lines = open("synth.jsonl").read().splitlines()
+with open("synth-mixed.jsonl", "w") as f:
+    for n, line in enumerate(lines):
+        if n % 50 == 0:
+            line = json.dumps(json.loads(line), sort_keys=True)
+        elif n % 2:
+            line = json.dumps(json.loads(line), separators=(",", ":"))
+        f.write(line + "\n")'
+$IOPERIOD detect synth-mixed.jsonl --freq 1 > detect-mixed.json
+cmp detect.json detect-mixed.json
+# an infinite end spelled as write_trace spells a record, inside a
+# run read in bulk, names its line
+sed '100s/"end": [^,]*/"end": 1e999/' synth.jsonl > inf.jsonl
+if $IOPERIOD detect inf.jsonl --freq 1 2> inf.err; then exit 1; fi
+grep -q "^error: line 100: end must be finite" inf.err
+if grep -q Traceback inf.err; then exit 1; fi
+# a file cut mid-line reads as the file without its last line
+head -c -30 synth.jsonl > synth-cut.jsonl
+head -n -1 synth.jsonl > synth-whole.jsonl
+$IOPERIOD detect synth-cut.jsonl --freq 1 > detect-cut.json
+$IOPERIOD detect synth-whole.jsonl --freq 1 > detect-whole.json
+cmp detect-cut.json detect-whole.json
+# a negative bound in scientific notation is a value, not a flag
+$IOPERIOD detect synth.jsonl --freq 1 --window -1e1 1e2 > window.json
+# at 8 Hz the window holds 614 = 2*307 samples, an even length whose
+# bins come from a half-length complex FFT
+$IOPERIOD detect synth.jsonl --freq 8 --spectrum-out d.csv > /dev/null
+python -c 'import csv; from ioperiod import spectral
+n = round(8 / float(list(csv.DictReader(open("d.csv")))[1]["f_k"]))
+assert n % 2 == 0 and spectral._rfft_is_bluestein(n), n'
+$IOPERIOD predict synth.jsonl --freq 1 --idle-timeout 1 --log-level debug > predict.jsonl 2> predict.log
+# the debug log has a line per append that names its window
+grep -q "window (.*) full" predict.log
+# one iteration has no mean length; the truth file must still be JSON
+$IOPERIOD generate --out one.jsonl --iterations 1 --request-bytes 16000000 --truth truth.json
+# a zero request size is an error message, not a traceback
+if $IOPERIOD generate --out z.jsonl --request-bytes 0 2> zero.err; then exit 1; fi
+grep -q "^error: " zero.err
+if grep -q Traceback zero.err; then exit 1; fi
+# a one-iteration sweep has no mean length to score against: an error too
+if $IOPERIOD bench --repetitions 1 --iterations 1 2> one.err; then exit 1; fi
+grep -q "^error: " one.err
+if grep -q Traceback one.err; then exit 1; fi
+# a non-finite generator value is an error, not an endless draw
+if timeout 60 $IOPERIOD generate --out nan.jsonl --compute-std nan 2> nan.err; then exit 1; fi
+grep -q "^error: " nan.err
+if grep -q Traceback nan.err; then exit 1; fi
+# so is noise over a trace too long to fill with bursts
+if timeout 60 $IOPERIOD generate --out n.jsonl --noise low --compute-mean 1e12 --iterations 2 --request-bytes 16000000 2> noise.err; then exit 1; fi
+grep -q "^error: .*compute_mean" noise.err
+if grep -q Traceback noise.err; then exit 1; fi
+# so is a window without finite bounds
+if $IOPERIOD detect synth.jsonl --window nan 5 2> nan-window.err; then exit 1; fi
+grep -q "^error: " nan-window.err
+if grep -q Traceback nan-window.err; then exit 1; fi
+# integer times that round onto each other name their line
+echo '{"rank": 0, "start": 9007199254740992.0, "end": 9007199254740993, "bytes": 5, "kind": "read"}' > round.jsonl
+if $IOPERIOD detect round.jsonl 2> round.err; then exit 1; fi
+grep -q "^error: line 1: zero-duration" round.err
+if grep -q Traceback round.err; then exit 1; fi
+# every output line is strict JSON: NaN or Infinity fails the step
+python -c 'import json, sys
+def reject(name): raise ValueError(f"{name} is not JSON")
+for path in sys.argv[1:]:
+    lines = open(path).read().splitlines()
+    assert lines, f"{path} is empty"
+    for line in lines: json.loads(line, parse_constant=reject)' detect.json window.json predict.jsonl truth.json
+$IOPERIOD bench --repetitions 1 --iterations 4 --out bench.csv
+# a --config file's seed is the sweep's seed, as --seed is
+echo '{"seed": 5}' > seed.json
+$IOPERIOD bench --repetitions 1 --iterations 4 --config seed.json --out bench-config.csv
+$IOPERIOD bench --repetitions 1 --iterations 4 --seed 5 --out bench-seed.csv
+cmp bench-config.csv bench-seed.csv
+# request times too large for their own resolution name the generator field
+echo '{"compute_mean": 1e300, "iterations": 2}' > huge.json
+if $IOPERIOD generate --out huge.jsonl --config huge.json 2> huge.err; then exit 1; fi
+grep -q "^error: .*compute_mean" huge.err
+if grep -q Traceback huge.err; then exit 1; fi

@@ -38,9 +38,6 @@ class CandidateSet:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def frequencies(self) -> tuple[float, ...]:
-        return tuple(c.frequency for c in self.entries)
-
     @property
     def strongest(self) -> Candidate | None:
         """The highest-amplitude candidate, ties toward the lower frequency
@@ -103,14 +100,11 @@ def _zscore_array(spectrum: Spectrum) -> tuple[float, float, np.ndarray] | None:
     return mean, std, (amps - mean) / std
 
 
-def _passing(k: np.ndarray, z: np.ndarray, spectrum_n: int, tolerance: float,
-             z_min: float) -> np.ndarray:
-    """Mask of the bins whose Z-score is >= tolerance * max(z) and >= z_min.
-
-    The maximum is taken over k < n/2 (all bins if none is below it).
-    """
-    below_nyquist = k < spectrum_n / 2
-    pool = z[below_nyquist] if below_nyquist.any() else z
+def _passing(z: np.ndarray, spectrum_n: int, tolerance: float, z_min: float) -> np.ndarray:
+    """Mask of the bins k = 1, 2, ... of ``z`` whose Z-score is >= tolerance *
+    max(z) and >= z_min; the maximum is over k < n/2, the first (n - 1) // 2
+    bins (all bins if none is below it)."""
+    pool = z[:(spectrum_n - 1) // 2] if spectrum_n > 2 else z
     cut = tolerance * float(pool.max())
     return (z >= cut) & (z >= z_min)
 
@@ -196,8 +190,7 @@ def detect(
     if scores is None:
         return NO_CANDIDATE_RESULT
     mean, std, z = scores
-    k = np.arange(1, z.shape[0] + 1)
-    idx = np.flatnonzero(_passing(k, z, spectrum.n, tolerance, z_min))
+    idx = np.flatnonzero(_passing(z, spectrum.n, tolerance, z_min))
     cands = CandidateSet(entries=_candidates(spectrum, z, idx), mean_amplitude=mean,
                          std_amplitude=std)
     kept, suppressed = suppress_harmonics(cands, spectrum.bin_width)

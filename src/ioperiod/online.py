@@ -212,8 +212,9 @@ def watch(
 
     Only whole lines are consumed, so a writer flushing mid-line is safe,
     and each is parsed once.  A file that shrinks below what was consumed
-    (truncation) or is replaced by another file (rotation, seen by its
-    inode) resets the analysis state with a warning: a WARNING record on
+    (truncation), is replaced by another file (rotation, seen by its
+    inode) or holds other bytes where the last line read was (an in-place
+    rewrite) resets the analysis state with a warning: a WARNING record on
     the ``ioperiod`` logger once the program has imported ``logging``,
     else a ``UserWarning``.  With an ``idle_timeout`` the generator returns
     after that many seconds without growth; otherwise it polls forever.
@@ -233,11 +234,13 @@ def watch(
         try:
             with open(path, "rb") as f:
                 st = os.fstat(f.fileno())
+                last = tail.parsed.last_line
+                f.seek(tail.offset - len(last))
                 if tail.offset and (st.st_size < tail.offset
-                                    or (st.st_dev, st.st_ino) != file_id):
+                                    or (st.st_dev, st.st_ino) != file_id
+                                    or f.read(len(last)) != last):
                     lost = True
                 elif st.st_size > tail.offset:
-                    f.seek(tail.offset)
                     fed = tail.feed(f)
                 file_id = (st.st_dev, st.st_ino)
         except FileNotFoundError:

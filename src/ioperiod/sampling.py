@@ -162,9 +162,6 @@ def _scan(trace: Trace, t_lo, fs, n, w_hi):
             inside_bytes += exact_sum(b)
             continue
         inside = (s >= t_lo) & (e <= w_hi)
-        if inside.all():
-            inside_bytes += exact_sum(b)
-            continue
         inside_bytes += exact_sum(b[inside])
         # overlapping the window without lying inside it
         straddlers.append(np.flatnonzero((s < w_hi) & (e > t_lo) & ~inside) + a)
@@ -222,9 +219,8 @@ def sample_requests(
     if volume == 0:   # an empty trace too
         raise TraceValidationError("cannot normalize a zero-volume trace")
     if window is None:
+        # a volume needs a request with bytes, which Trace gives a duration
         positive = trace.start < trace.end
-        if not positive.any():
-            raise TraceValidationError("no requests with positive duration")
         window = (float(trace.start[positive].min()), float(trace.end[positive].max()))
     t_lo = window[0]
     n, ts = _grid_size(t_lo, window[1], fs)

@@ -136,12 +136,12 @@ class GroundTruth:
     phase_bounds: tuple[tuple[float, float], ...]
     lambda_avg: float
 
-    def io_time_fraction(self, t_hi: float, t_lo: float = 0.0) -> float:
-        """Fraction of [t_lo, t_hi] covered by I/O phases."""
+    def io_time_fraction(self, t_hi: float) -> float:
+        """Fraction of [0, t_hi] covered by I/O phases."""
         covered = sum(
-            max(0.0, min(e, t_hi) - max(s, t_lo)) for s, e in self.phase_bounds
+            max(0.0, min(e, t_hi) - max(s, 0.0)) for s, e in self.phase_bounds
         )
-        return covered / (t_hi - t_lo)
+        return covered / t_hi
 
 
 def _draw_positive_normal(rng: np.random.Generator, mu: float, sigma: float) -> float:

@@ -143,7 +143,7 @@ def brute_candidates(adjusted, n, tolerance, z_min):
     return mean, std, z, cut, kept
 
 
-def loads_per_line(data, kind_filter="both", first_line=1):
+def loads_per_line(data, kind_filter="both"):
     """Columns and metadata of trace-file bytes, read line by line.
 
     Each whole line is decoded on its own and read by ``json.loads``, and
@@ -154,7 +154,7 @@ def loads_per_line(data, kind_filter="both", first_line=1):
     raw_lines = data[:last_nl].split(b"\n") if last_nl >= 0 else []
     columns = {"rank": [], "start": [], "end": [], "nbytes": [], "kind_code": []}
     metadata = {}
-    for lineno, raw in enumerate(raw_lines, start=first_line):
+    for lineno, raw in enumerate(raw_lines, start=1):
         line = raw.decode("utf-8", errors="replace")
         if not line.strip():
             continue

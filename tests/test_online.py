@@ -266,6 +266,42 @@ class TestWatch:
         assert dumps(records[1:]) == dumps(
             replay([(text, parse_trace(text.encode()).t_max)], fs=10.0))
 
+    @pytest.mark.parametrize("change", ["rewrite-mid-line", "rewrite-line-start", "delete"])
+    def test_rewrite_or_deletion_resets_with_warning(self, tmp_path, caplog, change):
+        # an in-place rewrite keeps the inode and leaves the file no shorter
+        # than the offset; the last line read no longer ends there.  Lines of
+        # one width put the offset on a line start of the new file
+        caplog.set_level(logging.WARNING, logger="ioperiod")
+        old_rows = pulse_rows(40)
+        new_rows = [(1, s, e, b) for _, s, e, b in pulse_rows(90, period=9.0)]
+        if change == "rewrite-line-start":
+            line = '{"rank": %d, "start": %9.3f, "end": %9.3f, "bytes": %d, "kind": "write"}\n'
+            old, new = ("".join(line % row for row in rows) for rows in (old_rows, new_rows))
+        else:
+            old, new = trace_text(old_rows), trace_text(new_rows)
+        at_line_start = new.encode()[:len(old.encode())].endswith(b"\n")
+        assert at_line_start == (change == "rewrite-line-start")
+        path = tmp_path / "trace.jsonl"
+        path.write_text(old)
+        inode = path.stat().st_ino
+        steps = [lambda: path.write_text(new)]
+        if change == "delete":
+            steps.insert(0, path.unlink)
+
+        def fake_sleep(_):
+            if steps:
+                steps.pop(0)()
+
+        records = list(watch(path, fs=10.0, poll_interval=0.01, idle_timeout=0.03,
+                             _sleep=fake_sleep))
+        if change != "delete":
+            assert path.stat().st_ino == inode
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path} was truncated or replaced; restarting analysis state"]
+        assert len(records) == 2
+        assert dumps(records[1:]) == dumps(
+            replay([(new, parse_trace(new.encode()).t_max)], fs=10.0))
+
     def test_each_byte_parsed_once(self, tmp_path, monkeypatch):
         received = []
         feed = trace_module._Rows.feed

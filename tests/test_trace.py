@@ -283,15 +283,15 @@ class TestParsing:
             assert np.all(np.isfinite(trace.start)) and np.all(np.isfinite(trace.end))
             assert trace.nbytes[1] == record["bytes"]
 
-    @given(trace_files(), st.sampled_from(["both", "read", "write"]), st.integers(1, 99),
+    @given(trace_files(), st.sampled_from(["both", "read", "write"]),
            st.sampled_from([1, 7, 64, trace_module._BLOCK_BYTES]))
     @settings(max_examples=300, deadline=None)
-    def test_matches_line_by_line_loads(self, data, kind_filter, first_line, block_bytes):
+    def test_matches_line_by_line_loads(self, data, kind_filter, block_bytes):
         # small blocks end reads inside lines, CRLFs, UTF-8 sequences and the
         # trailing partial line, and hold one line or several; bytes and a
         # file path are both read a block at a time
         try:
-            want = loads_per_line(data, kind_filter, first_line)
+            want = loads_per_line(data, kind_filter)
         except (TraceParseError, TraceValidationError) as exc:
             want = exc
         with tempfile.TemporaryDirectory() as tmp, \
@@ -302,10 +302,10 @@ class TestParsing:
             for source in (data, path):
                 if isinstance(want, Exception):
                     with pytest.raises(type(want)) as got:
-                        parse_trace(source, kind_filter, first_line)
+                        parse_trace(source, kind_filter)
                     assert type(got.value) is type(want) and str(got.value) == str(want)
                     continue
-                trace = parse_trace(source, kind_filter, first_line)
+                trace = parse_trace(source, kind_filter)
                 columns, metadata = want
                 for name, values in columns.items():
                     got = getattr(trace, name)
@@ -367,6 +367,34 @@ class TestParsing:
         columns, _ = loads_per_line("".join(lines).encode())
         assert len(trace) == n + 1 and trace.start[n // 2] == 1.0
         assert trace.volume == sum(columns["nbytes"])
+
+    @pytest.mark.parametrize("odd", [None, ODD_LINES_AMONG_RUNS["end-1E400"]],
+                             ids=["valid", "end-1E400"])
+    def test_without_the_run_regex_every_line_is_read_one_at_a_time(self, monkeypatch, odd):
+        # Python 3.10's re has no possessive quantifiers, so no _RUN is built
+        lines = request_lines(3 * trace_module._RUN_LINES, 7, "write_trace")
+        if odd is not None:
+            lines.insert(100, odd + "\n")
+        text = "".join(lines).encode()
+
+        def parse():
+            try:
+                return parse_trace(text)
+            except (TraceParseError, TraceValidationError) as exc:
+                return exc
+
+        want = parse()
+        monkeypatch.setattr(trace_module, "_RUN", None)
+        monkeypatch.setattr(trace_module._Rows, "_feed_run",
+                            lambda rows, data: pytest.fail("read in bulk"))
+        got = parse()
+        if odd is not None:
+            assert type(got) is type(want) and str(got) == str(want)
+            assert got.line_number == want.line_number == 101
+            return
+        for name in ("rank", "start", "end", "nbytes", "kind_code"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.volume == want.volume and got.metadata == want.metadata
 
     def test_short_runs_are_read_line_by_line(self, monkeypatch):
         # runs shorter than _RUN_LINES cost less in the line loop
