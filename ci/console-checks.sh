@@ -89,13 +89,33 @@ echo '{"rank": 0, "start": 9007199254740992.0, "end": 9007199254740993, "bytes":
 if $IOPERIOD detect round.jsonl 2> round.err; then exit 1; fi
 grep -q "^error: line 1: zero-duration" round.err
 if grep -q Traceback round.err; then exit 1; fi
+# epoch timestamps, 30 one-second pulses every 10 s from 1.7e9 s: detect
+# finds the period; predict measures its windows from trace time 0, so it
+# needs --fixed-window, and without one it exits 1 with the window error
+python -c 'import numpy as np; from ioperiod import Trace, write_trace
+start = 1.7e9 + 10.0 * np.arange(30)
+write_trace(Trace(np.zeros(30, int), start, start + 1.0, np.full(30, 10 ** 8),
+                  np.ones(30, int)), "epoch.jsonl")'
+$IOPERIOD detect epoch.jsonl --freq 10 > epoch.json
+python -c 'import json; period = json.load(open("epoch.json"))["period_s"]
+assert abs(period - 10.0) < 0.1, period'
+$IOPERIOD predict epoch.jsonl --freq 10 --idle-timeout 0 --fixed-window 60 > epoch-predict.jsonl
+python -c 'import json; records = [json.loads(line) for line in open("epoch-predict.jsonl")]
+assert len(records) == 1 and records[0]["period_s"] == 10.0, records
+assert records[0]["window"] == [1700000231.0, 1700000291.0], records[0]["window"]'
+status=0
+$IOPERIOD predict epoch.jsonl --freq 10 --idle-timeout 0 > /dev/null 2> epoch.err || status=$?
+test "$status" -eq 1
+grep -q "^error: window of" epoch.err
+if grep -q Traceback epoch.err; then exit 1; fi
 # every output line is strict JSON: NaN or Infinity fails the step
 python -c 'import json, sys
 def reject(name): raise ValueError(f"{name} is not JSON")
 for path in sys.argv[1:]:
     lines = open(path).read().splitlines()
     assert lines, f"{path} is empty"
-    for line in lines: json.loads(line, parse_constant=reject)' detect.json window.json predict.jsonl truth.json
+    for line in lines: json.loads(line, parse_constant=reject)' detect.json window.json predict.jsonl truth.json \
+    epoch.json epoch-predict.jsonl
 $IOPERIOD bench --repetitions 1 --iterations 4 --out bench.csv
 # a --config file's seed is the sweep's seed, as --seed is
 echo '{"seed": 5}' > seed.json

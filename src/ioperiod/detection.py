@@ -54,11 +54,14 @@ class PeriodicityResult:
     suppressed_harmonics: tuple[float, ...] = ()
 
     @property
+    def has_dominant(self) -> bool:
+        """Whether the confidence is high or moderate."""
+        return self.confidence in (Confidence.HIGH, Confidence.MODERATE)
+
+    @property
     def frequency(self) -> float | None:
-        """The strongest candidate's frequency when confidence is high or moderate."""
-        if self.confidence in (Confidence.HIGH, Confidence.MODERATE):
-            return self.candidates.strongest.frequency
-        return None
+        """The strongest candidate's frequency when there is a dominant one."""
+        return self.candidates.strongest.frequency if self.has_dominant else None
 
     @property
     def period(self) -> float | None:
@@ -164,8 +167,8 @@ def classify(
     strongest wins (``CandidateSet.strongest``); three or more mean the
     signal is probably not periodic.
     """
-    confidence = (Confidence.NO_CANDIDATE, Confidence.HIGH, Confidence.MODERATE,
-                  Confidence.LOW)[min(len(candidates), 3)]
+    confidence = (Confidence.NO_CANDIDATE, Confidence.HIGH,
+                  Confidence.MODERATE, Confidence.LOW)[min(len(candidates), 3)]
     return PeriodicityResult(confidence, candidates, suppressed)
 
 

@@ -12,7 +12,6 @@ replaced file at WARNING (a ``UserWarning`` if ``logging`` is not loaded).
 """
 from __future__ import annotations
 
-import bisect
 import io
 import math
 import os
@@ -24,7 +23,7 @@ from typing import Iterable, Iterator
 
 from .detection import DEFAULT_TOLERANCE, DEFAULT_Z_MIN
 from .pipeline import AnalysisResult, analyze_trace, check_analysis_args
-from .trace import Trace, _Rows
+from .trace import _Rows
 
 #: consecutive dominant findings required before the window is adapted
 ADAPT_AFTER = 3
@@ -60,10 +59,6 @@ class PredictionRecord:
         return self.analysis.window[1]
 
     @property
-    def has_dominant(self) -> bool:
-        return self.analysis.has_dominant
-
-    @property
     def period(self) -> float | None:
         return self.analysis.period
 
@@ -91,7 +86,8 @@ def _window_and_reason(
         lo = max(0.0, now - WINDOW_PERIODS * previous.period)
         reason = (f"adapted after a streak of {previous.dominant_streak} "
                   f"with period {previous.period:.6g} s")
-    # guard against a spuriously high frequency collapsing the window
+    # a period is at least 2 samples, so only a fixed window shorter than
+    # MIN_WINDOW_BINS samples (or a hand-built record) meets the guard
     guard = max(0.0, now - MIN_WINDOW_BINS / fs)
     if guard < lo:
         lo, reason = guard, "min-bins guard"
@@ -99,10 +95,10 @@ def _window_and_reason(
 
 
 class _Tail:
-    """An online session: the byte offset of the whole lines of a growing
-    trace consumed so far, the rows they give (``parsed``), the first row
-    of each append that brought rows and the running maximum of ``end`` up
-    to it, the last record and the arguments of every analysis."""
+    """An online session: the rows of the whole lines of a growing trace
+    consumed so far (``parsed``, which also keeps their byte offset and
+    chooses the rows each window reads), the last record and the arguments
+    of every analysis."""
 
     def __init__(self, fs: float, tolerance: float, z_min: float, kind: str,
                  fixed_window: float | None):
@@ -114,44 +110,26 @@ class _Tail:
         self.reset()
 
     def reset(self) -> None:
-        self.offset = 0
         # fresh columns, so rows under an earlier view are never overwritten
         self.parsed = _Rows(self.kind)
-        self._first_row: list[int] = []   # per append that brought rows
-        self.max_end: list[float] = []   # nondecreasing, one per such append
         self.fed = (0, 0, 0.0)   # bytes, lines, seconds of the last feed
         self.last: PredictionRecord | None = None   # all the next analysis reads
 
     def feed(self, stream) -> bool:
         """Consume the whole lines of a binary stream of the bytes past
-        ``offset``; return whether there were any."""
+        ``parsed.offset``; return whether there were any."""
         start = time.perf_counter()
-        rows, lines = self.parsed.rows, self.parsed.lines
+        lines = self.parsed.lines
         consumed = self.parsed.read(stream)
-        if self.parsed.rows > rows:
-            t_max = self.parsed.latest_end(rows)
-            self._first_row.append(rows)
-            self.max_end.append(max(t_max, self.max_end[-1]) if self.max_end else t_max)
-        self.offset += consumed
         self.fed = (consumed, self.parsed.lines - lines, time.perf_counter() - start)
         return consumed > 0
-
-    def view(self, lo: float) -> Trace:
-        """The rows from the first append whose running maximum ``end`` is
-        past ``lo``, or the last append's when none is, without a copy, as
-        a Trace carrying the volume V of every row.  The rows left out end
-        at or before ``lo``, so they cover no sample of a window starting
-        there and neither lie inside it nor straddle it: with V kept, an
-        analysis of the view is bit for bit one of every row."""
-        i = min(bisect.bisect_right(self.max_end, lo), len(self.max_end) - 1)
-        return self.parsed.trace(self._first_row[i] if i >= 0 else 0)
 
     def predict(self, now: float) -> PredictionRecord:
         """Analyze the rows at trace time ``now`` in the window the last
         record calls for, keep the record and log the append at DEBUG."""
         last = self.last
         window, reason = _window_and_reason(last, now, self.fs, self.fixed_window)
-        view = self.view(window[0])
+        view = self.parsed.trace(window[0])
         start = time.perf_counter()
         analysis = analyze_trace(view, self.fs, window=window, tolerance=self.tolerance,
                                  z_min=self.z_min)
@@ -179,8 +157,9 @@ def replay(
     """Replay a scripted append schedule of (trace text so far, trigger time).
 
     Only the text past the whole lines consumed so far is encoded and
-    parsed.  A snapshot that does not extend them restarts the session as a
-    truncated or replaced file does in ``watch``, with no last record.
+    parsed.  A snapshot that does not extend the whole text consumed so far
+    restarts the session with no last record, even where ``watch``, which
+    checks only the last line read, would not.
     Deterministic: identical schedules produce identical records.
     """
     tail = _Tail(fs, tolerance, z_min, kind, fixed_window)
@@ -216,7 +195,9 @@ def watch(
     inode) or holds other bytes where the last line read was (an in-place
     rewrite) resets the analysis state with a warning: a WARNING record on
     the ``ioperiod`` logger once the program has imported ``logging``,
-    else a ``UserWarning``.  With an ``idle_timeout`` the generator returns
+    else a ``UserWarning``.  Reading all it consumed on every poll would
+    cost O(file), so, unlike ``replay``, it takes a rewrite that leaves the
+    last line read in place for growth.  With an ``idle_timeout`` it returns
     after that many seconds without growth; otherwise it polls forever.
     Bad arguments raise ValueError before the first poll.
     """
@@ -229,22 +210,22 @@ def watch(
     file_id = None        # (device, inode) of the file last read
     idle = 0.0
     while True:
-        rows = tail.parsed.rows
+        parsed = tail.parsed
+        rows, offset, last = parsed.rows, parsed.offset, parsed.last_line
         fed = lost = False   # lost: the file was truncated or replaced
         try:
             with open(path, "rb") as f:
                 st = os.fstat(f.fileno())
-                last = tail.parsed.last_line
-                f.seek(tail.offset - len(last))
-                if tail.offset and (st.st_size < tail.offset
-                                    or (st.st_dev, st.st_ino) != file_id
-                                    or f.read(len(last)) != last):
+                f.seek(offset - len(last))
+                if offset and (st.st_size < offset
+                               or (st.st_dev, st.st_ino) != file_id
+                               or f.read(len(last)) != last):
                     lost = True
-                elif st.st_size > tail.offset:
+                elif st.st_size > offset:
                     fed = tail.feed(f)
                 file_id = (st.st_dev, st.st_ino)
         except FileNotFoundError:
-            lost = tail.offset > 0
+            lost = offset > 0
         if lost:
             message = f"{os.fspath(path)} was truncated or replaced; restarting analysis state"
             if (log := _logger()) is None:
@@ -255,8 +236,8 @@ def watch(
             continue
         if fed:
             # metadata or filtered-out rows alone would repeat the last record
-            if tail.parsed.rows > rows:
-                yield tail.predict(tail.max_end[-1])
+            if parsed.rows > rows:
+                yield tail.predict(parsed.max_end[-1])
             idle = 0.0
             continue
         idle += poll_interval

@@ -64,7 +64,7 @@ class AnalysisResult:
 
     @property
     def has_dominant(self) -> bool:
-        return self.confidence in (Confidence.HIGH, Confidence.MODERATE)
+        return self.result.has_dominant
 
     def to_dict(self) -> dict:
         out = self.result.to_dict(amplitude_scale=self.volume_scale)

@@ -106,7 +106,7 @@ def _scan(trace: Trace, t_lo, fs, n, w_hi):
     and byte columns of those that can cover a sample of the grid
     t_lo + arange(n)/fs (the trace's own when all can), the exact byte total
     of those wholly inside [t_lo, w_hi], the indices of those straddling an
-    edge, and the bound delta below (None when the test is skipped).
+    edge, and the bound delta below.
 
     A request covers sample i when start <= g_i < end, where g_i =
     fl(t_lo + fl(i * ts)), ts = fl(1/fs), is the grid instant as computed.
@@ -132,12 +132,10 @@ def _scan(trace: Trace, t_lo, fs, n, w_hi):
     holds for every covering request; a request failing it covers nothing.
     The left side is an integer, so c(end) + delta needs no floor, and the
     clamps to [0, n - 1] are applied only to the few requests that pass
-    the rest.  A huge time offset only widens delta; from half a sample on
-    the test is not worth its passes, nor does ``_grid_index`` hold, and
-    every request is searched.
+    the rest.  A huge time offset only widens delta, and the test still
+    keeps every covering request.
     """
     delta = (abs(float(t_lo)) * fs + n) * 2.0 ** -49
-    filtered = delta < 0.5
     lo, hi = np.empty((2, min(len(trace), _BLOCK)))
     candidates = []
     straddlers, inside_bytes = [np.empty(0, np.intp)], 0
@@ -146,18 +144,17 @@ def _scan(trace: Trace, t_lo, fs, n, w_hi):
     starts_inside = trace.t_min >= t_lo
     for a in range(0, len(trace), _BLOCK):
         s, e, b = (col[a:a + _BLOCK] for col in (trace.start, trace.end, trace.nbytes))
-        if filtered:
-            lo, hi = lo[:s.shape[0]], hi[:s.shape[0]]
-            np.subtract(s, t_lo, out=lo)
-            np.multiply(lo, fs, out=lo)
-            np.subtract(lo, delta, out=lo)
-            np.ceil(lo, out=lo)
-            np.subtract(e, t_lo, out=hi)
-            np.multiply(hi, fs, out=hi)
-            np.add(hi, delta, out=hi)
-            c = np.flatnonzero(lo <= hi)
-            c = c[(lo[c] <= n - 1) & (hi[c] >= 0.0)]
-            candidates.append(c + a)
+        lo, hi = lo[:s.shape[0]], hi[:s.shape[0]]
+        np.subtract(s, t_lo, out=lo)
+        np.multiply(lo, fs, out=lo)
+        np.subtract(lo, delta, out=lo)
+        np.ceil(lo, out=lo)
+        np.subtract(e, t_lo, out=hi)
+        np.multiply(hi, fs, out=hi)
+        np.add(hi, delta, out=hi)
+        c = np.flatnonzero(lo <= hi)
+        c = c[(lo[c] <= n - 1) & (hi[c] >= 0.0)]
+        candidates.append(c + a)
         if starts_inside and e.max() <= w_hi:   # then none straddles
             inside_bytes += exact_sum(b)
             continue
@@ -166,11 +163,10 @@ def _scan(trace: Trace, t_lo, fs, n, w_hi):
         # overlapping the window without lying inside it
         straddlers.append(np.flatnonzero((s < w_hi) & (e > t_lo) & ~inside) + a)
     columns = trace.start, trace.end, trace.nbytes
-    if filtered:
-        candidates = np.concatenate(candidates)
-        if candidates.shape[0] < len(trace):
-            columns = tuple(col[candidates] for col in columns)
-    return columns, inside_bytes, np.concatenate(straddlers), delta if filtered else None
+    candidates = np.concatenate(candidates)
+    if candidates.shape[0] < len(trace):
+        columns = tuple(col[candidates] for col in columns)
+    return columns, inside_bytes, np.concatenate(straddlers), delta
 
 
 def _grid_index(grid, x, t_lo, fs, delta):
@@ -229,9 +225,9 @@ def sample_requests(
     grid = t_lo + np.arange(n) * ts
     # each request covers the samples [first, stop): the index of its start
     # and end on the grid itself, so an instant equal to start is inside,
-    # one equal to end out; arithmetic finds it within one sample, searching
-    # only when delta is too wide for that
-    if delta is not None:
+    # one equal to end out; arithmetic finds it within one sample, and from
+    # half a sample of delta on the kept requests are searched
+    if delta < 0.5:
         first = _grid_index(grid, start, t_lo, fs, delta)
         stop = _grid_index(grid, end, t_lo, fs, delta)
     else:

@@ -20,9 +20,11 @@ goes through ``json`` one line at a time, which names the line of an error.
 """
 from __future__ import annotations
 
+import bisect
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -242,9 +244,11 @@ _DTYPES = (np.int64, np.float64, np.float64, np.int64, np.int8)
 class _Rows:
     """The rows of the whole lines of a trace file parsed so far: growable
     columns whose capacity doubles, so a block copies only its own rows,
-    the counts of rows and lines, the exact integer volume, the metadata
-    and the bytes of the last whole line ``read`` took.  ``bulk`` says
-    whether ``feed`` still looks for runs to read in bulk."""
+    the counts of rows and lines, the exact integer volume, the metadata,
+    the bytes ``read`` consumed (``offset``) and the last whole line they
+    end with, and, for each ``read`` that brought rows, its first row and
+    the running maximum of ``end`` up to it.  ``bulk`` says whether
+    ``feed`` still looks for runs to read in bulk."""
 
     def __init__(self, kind_filter: str):
         if kind_filter not in KIND_FILTERS:
@@ -254,14 +258,17 @@ class _Rows:
         self.lines = 0
         self.volume = 0
         self.metadata: dict = {}
+        self.offset = 0
         self.last_line = b""
+        self.first_row: list[int] = []
+        self.max_end: list[float] = []   # nondecreasing
         self.bulk = _RUN is not None
         self._columns = [np.empty(0, dtype) for dtype in _DTYPES]
 
     def read(self, stream) -> int:
         """Parse the whole lines of a binary or text stream a block at a
         time, up to its end or a partial line; return the bytes they take."""
-        consumed = 0
+        consumed, rows = 0, self.rows
         while True:
             block = stream.read(_BLOCK_BYTES) + stream.readline()
             if isinstance(block, str):
@@ -272,7 +279,13 @@ class _Rows:
             # appends are whole lines, so anything after the last newline
             # is a partial write from a concurrent producer
             if not block.endswith(b"\n"):
-                return consumed
+                break
+        self.offset += consumed
+        if self.rows > rows:
+            t_max = float(self._columns[2][rows:self.rows].max())
+            self.first_row.append(rows)
+            self.max_end.append(max(t_max, self.max_end[-1]) if self.max_end else t_max)
+        return consumed
 
     def feed(self, data: bytes) -> int:
         """Parse the whole lines of ``data``, at least one; return the bytes they take.
@@ -406,13 +419,16 @@ class _Rows:
             col[self.rows:rows] = new
         self.rows = rows
 
-    def latest_end(self, first: int) -> float:
-        """The latest end of the rows from ``first`` on; there must be one."""
-        return float(self._columns[2][first:self.rows].max())
-
-    def trace(self, first: int = 0) -> Trace:
-        """The rows from ``first`` on, without a copy, as a Trace carrying
-        the volume of every row."""
+    def trace(self, lo: float = -math.inf) -> Trace:
+        """Without a copy, the rows from the first ``read`` whose running
+        maximum ``end`` is past ``lo`` (the last read's if none is; every
+        row if that is the first read or no read brought rows), as a Trace
+        carrying the volume V of every row.  The rows left out end by
+        ``lo``, so they cover no sample of a window from ``lo`` and neither
+        lie in it nor straddle it: with V kept, an analysis of the view is
+        bit for bit one of every row."""
+        i = min(bisect.bisect_right(self.max_end, lo), len(self.max_end) - 1)
+        first = self.first_row[i] if i > 0 else 0
         trace = Trace(*(col[first:self.rows] for col in self._columns),
                       metadata=self.metadata)
         trace._volume = self.volume

@@ -243,7 +243,7 @@ def test_criterion_8_online_window_adaptation():
     records = runs[0]
     lo, hi = records[3].window
     checks = [
-        all(r.has_dominant for r in records[:3]),
+        all(r.analysis.has_dominant for r in records[:3]),
         records[2].period == pytest.approx(8.1, abs=1e-12),
         hi == 47.4,
         lo == 47.4 - 3 * records[2].period,

@@ -175,6 +175,16 @@ class TestClassify:
         assert result.confidence == Confidence.NO_CANDIDATE
         assert result.frequency is None
 
+    @pytest.mark.parametrize("n_candidates", [0, 1, 2, 3])
+    def test_dominant_exactly_for_high_and_moderate(self, n_candidates):
+        # 0, 1, 2 and 3 candidates give each of the four confidences
+        result = classify(cset(*(cand(0.1 * (j + 1), 1.0, k=j + 1)
+                                 for j in range(n_candidates))))
+        assert result.confidence == [Confidence.NO_CANDIDATE, Confidence.HIGH,
+                                     Confidence.MODERATE, Confidence.LOW][n_candidates]
+        assert result.has_dominant == (n_candidates in (1, 2))
+        assert result.has_dominant == (result.frequency is not None)
+
 
 class TestDetect:
     def test_full_chain_on_spectrum(self):

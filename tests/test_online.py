@@ -75,7 +75,7 @@ class TestWindowAdaptation:
     def test_streak_shrinks_window(self):
         triggers = [24.3, 32.4, 40.5, 47.4]
         records = replay(pulse_schedule(triggers), fs=10.0)
-        assert [r.has_dominant for r in records[:3]] == [True, True, True]
+        assert [r.analysis.has_dominant for r in records[:3]] == [True, True, True]
         # the first three analyses all land on exactly 8.1 s
         assert records[2].period == pytest.approx(8.1, abs=1e-12)
         lo, hi = records[3].window
@@ -90,7 +90,7 @@ class TestWindowAdaptation:
         empty = trace_text([(0, 0.0, 40.5, 0)])
         snapshots[2] = (empty, 40.5)
         records = replay(snapshots, fs=10.0)
-        assert not records[2].has_dominant
+        assert not records[2].analysis.has_dominant
         assert records[2].dominant_streak == 0
         # the broken streak means the fourth analysis keeps the full window
         assert records[3].window == (0.0, 47.4)
@@ -105,7 +105,7 @@ class TestWindowAdaptation:
         window = MIN_WINDOW_BINS / 10.0
         records = replay(pulse_schedule([17.2, 25.3]), fs=10.0, fixed_window=window)
         assert [r.analysis.spectrum.n for r in records] == [MIN_WINDOW_BINS] * 2
-        assert not any(r.has_dominant for r in records)
+        assert not any(r.analysis.has_dominant for r in records)
 
     def test_min_window_guard(self):
         # a spuriously short period must not collapse the window below
@@ -157,7 +157,7 @@ class TestWatch:
         records = list(watch(path, fs=10.0, poll_interval=0.01, idle_timeout=0.02,
                              _sleep=lambda s: None))
         assert len(records) == 1
-        assert records[0].has_dominant
+        assert records[0].analysis.has_dominant
 
     def test_incremental_appends(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -388,6 +388,20 @@ class TestWatch:
         watched = list(watch(path, fs=10.0, poll_interval=0.01, idle_timeout=0.03,
                              _sleep=rewrite))
         assert dumps(watched) == dumps(replayed)
+
+    def test_replay_restarts_on_a_rewrite_that_keeps_the_last_line(self):
+        # line 1 rewritten in place with as many bytes, so the last line
+        # consumed stays where it was: replay restarts all the same
+        line = '{"rank": %d, "start": %9.3f, "end": %9.3f, "bytes": %d, "kind": "write"}\n'
+        rows = pulse_rows(20)
+        old = "".join(line % row for row in rows[:10])
+        new = "".join(line % row for row in [rows[0][:3] + (2 * rows[0][3],)] + rows[1:])
+        assert len(new.encode()) > len(old.encode()) and not new.startswith(old)
+        assert new[:len(old)].endswith(line % rows[9])
+        now = parse_trace(new.encode()).t_max
+        records = replay([(old, rows[9][2]), (new, now)], fs=10.0)
+        assert records[0].dominant_streak == 1
+        assert dumps(records[1:]) == dumps(replay([(new, now)], fs=10.0))
 
     def test_replay_encodes_only_new_text(self):
         encoded = []

@@ -287,13 +287,16 @@ class TestSampleRequests:
 
     def test_offset_beyond_one_sample_of_rounding(self):
         # at 1e15 s and 10 Hz the grid's rounding bound is about 18 samples,
-        # so the covering test is skipped and every request is searched,
-        # and the result is still exact
+        # so the kept requests are searched rather than indexed; the
+        # covering test still leaves most requests out, and the result is
+        # still exact
         rows = [(j % 4, 1e15 + 2.5 * j, 1e15 + 2.5 * j + 1.0 + 0.125 * (j % 3), 10 ** 6)
                 for j in range(40)]
         trace = make_trace(rows)
         t_lo = 1e15 + 30.0
-        assert sampling._scan(trace, t_lo, 10.0, 180, t_lo + 18.0)[0][0] is trace.start
+        (start, _, _), _, _, delta = sampling._scan(trace, t_lo, 10.0, 180, t_lo + 18.0)
+        assert delta >= 0.5
+        assert 0 < start.shape[0] < len(trace)
         self.assert_matches_every_request(trace, 10.0, (1e15 + 30.0, 1e15 + 48.0))
 
     def test_window_holding_every_request_has_unit_volume(self):
@@ -367,11 +370,10 @@ class TestGridIndex:
         w_hi = t_lo + n * ts
         grid = t_lo + np.arange(n) * ts
         x = np.asarray(times)
-        # the bound _scan takes for this grid; None from half a sample on
+        # the bound _scan takes for this grid; from half a sample on
+        # sample_requests searches instead
         delta = sampling._scan(make_trace([(0, t_lo, w_hi, 1)]), t_lo, fs, n, w_hi)[3]
-        if delta is None:
-            assert (abs(t_lo) * fs + n) * 2.0 ** -49 >= 0.5
-        else:
+        if delta < 0.5:
             got = sampling._grid_index(grid, x, t_lo, fs, delta)
             assert np.array_equal(got, np.searchsorted(grid, x))
         # on both sides of the switch, requests that start or end at these
@@ -392,6 +394,6 @@ class TestScan:
         n, ts = sampling._grid_size(window[0], window[1], fs)
         w_hi = window[0] + n * ts
         (start, end, _), _, _, delta = sampling._scan(trace, window[0], fs, n, w_hi)
-        assert delta is not None
+        assert delta < 0.5
         assert 0 < start.shape[0] < len(trace)
         assert np.all(end >= window[0] - ts) and np.all(start <= w_hi + ts)

@@ -415,6 +415,27 @@ class TestParsing:
         assert by_bulk == []
         assert len(trace) == len(lines)
 
+    def test_view_keeps_the_reads_that_reach_its_start(self):
+        # three reads whose running maximum end goes 10, 10, 30: the second
+        # ends at 8, so a view from past 8 but before 10 keeps it
+        reads = [[(0, 0.0, 10.0, 1)], [(1, 2.0, 8.0, 2)],
+                 [(0, 20.0, 30.0, 4), (1, 25.0, 26.0, 8)]]
+        rows = trace_module._Rows("both")
+        for read in reads:
+            rows.read(io.BytesIO(trace_text(read).encode()))
+        assert rows.max_end == [10.0, 10.0, 30.0]
+        every, third = [0.0, 2.0, 20.0, 25.0], [20.0, 25.0]
+        for view, starts in ((rows.trace(9.5), every), (rows.trace(10.0), third),
+                             (rows.trace(50.0), third), (rows.trace(), every)):
+            assert view.start.tolist() == starts
+            assert view.volume == 15
+        # rows fed without a read are indexed by no read: the view is every row
+        fed = trace_module._Rows("both")
+        for read in reads:
+            fed.feed(trace_text(read).encode())
+        assert fed.first_row == fed.max_end == []
+        assert fed.trace().start.tolist() == every and fed.trace().volume == 15
+
     def test_bulk_stops_once_most_lines_are_in_another_spelling(self, monkeypatch):
         run = trace_module._RUN_LINES
         lines = request_lines(4 * run, 7, "write_trace")
