@@ -39,6 +39,19 @@ with open("synth-mixed.jsonl", "w") as f:
         f.write(line + "\n")'
 $IOPERIOD detect synth-mixed.jsonl --freq 1 > detect-mixed.json
 cmp detect.json detect-mixed.json
+# every line re-spaced in valid JSON that the bulk path refuses (spaces
+# before punctuation, or a tab after each colon), so read line by line,
+# gives the same result
+python -c 'import json
+lines = open("synth.jsonl").read().splitlines()
+for name, separators in (("spaced", (" , ", " : ")), ("tab", (", ", ":\t"))):
+    with open(f"synth-{name}.jsonl", "w") as f:
+        for line in lines:
+            f.write(json.dumps(json.loads(line), separators=separators) + "\n")'
+for name in spaced tab; do
+    $IOPERIOD detect synth-$name.jsonl --freq 1 > detect-$name.json
+    cmp detect.json detect-$name.json
+done
 # an infinite end spelled as write_trace spells a record, inside a
 # run read in bulk, names its line
 sed '100s/"end": [^,]*/"end": 1e999/' synth.jsonl > inf.jsonl

@@ -12,11 +12,13 @@ it.
 
 A block of lines is read on two paths with one outcome.  Long runs of
 lines that hold a request in the order of keys of ``write_trace``'s own
-template ``_LINE``, with JSON's spaces or none between the tokens, are
-proved by one regex built from that template and read in bulk: one split
-gives the values and ``float`` and ``int``, the casts ``json`` makes,
-convert them.  Every other line, and a run with a line that breaks a rule,
-goes through ``json`` one line at a time, which names the line of an error.
+template ``_LINE``, with one optional space after each ``:`` and ``,``, as
+``json.dumps`` writes with its default or compact separators, are proved
+by one regex built from that template and read in bulk: one split gives
+the values, ``float``, the cast ``json`` makes, converts the times, and
+numpy's C parser the integers, which the regex keeps within int64.  Every
+other line, and a run with a line that breaks a rule, goes through
+``json`` one line at a time, which names the line of an error.
 """
 from __future__ import annotations
 
@@ -209,23 +211,27 @@ _SPELLING = {"%d": rb"(?:0|[1-9][0-9]{0,17}+)",
              '"%s"': b'"(?:%s)"' % "|".join(KINDS).encode(), "\n": rb"\r?\n"}
 #: the fewest lines ``_Rows.feed`` reads in bulk.  A run's numpy calls, and
 #: the line loop's call for the lines around it, cost about 25 us, and bulk
-#: saves about 0.6 us a line, regex included; with another writer's line
-#: after every k lines of a file, k = 40 still parsed up to 15% slower than
-#: the line loop alone, k = 64 as fast
+#: saves about 0.8 us a line, regex included.  With another writer's line
+#: after every k lines of a file, 32, 40 or 48 parsed k = 63 faster than 64
+#: does, but none was faster at every k of 40, 63, 64 and 96
 _RUN_LINES = 64
 
 
 def _run_regex(template: str) -> re.Pattern:
     """A regex for a run of whole lines, each holding the tokens of the
-    ``%`` template ``template`` in its order, with JSON's spaces and tabs
-    between any two of them.  It begins with the template's first
-    character, so a search skips at C speed to where that stands, and a
-    lookbehind puts it at a line start.  Each quantifier is possessive, so
-    a line that fails is tried once; greedy ones took about 0.24 us a line
-    more (Python 3.11, Xeon VM), 40% of the 0.6 us that bulk reading saves."""
+    ``%`` template ``template`` in its order, with one optional space after
+    each ``:`` and ``,`` and none anywhere else: the spellings of
+    ``json.dumps``, with its default or compact separators, and so of
+    ``write_trace``.  It begins with the template's first character, so a
+    search skips at C speed to where that stands, and a lookbehind puts it
+    at a line start.  Each quantifier is possessive, so a line that fails
+    is tried once.  Allowing any spaces and tabs between every two tokens,
+    where no JSON writer's defaults put them, cost about 0.15 us a line
+    more (Python 3.11, Xeon VM), a fifth of what bulk reading saves."""
     tokens = re.findall(r'"%s"|%[drs]|"[^"]*"|[^ ]', template)
-    head, *rest = (_SPELLING.get(tok) or re.escape(tok.encode()) for tok in tokens)
-    rest = b"".join(rb"[ \t]*+" + part for part in rest)
+    head, *rest = (_SPELLING.get(tok) or re.escape(tok.encode()) + rb" ?+" * (tok in (":", ","))
+                   for tok in tokens)
+    rest = b"".join(rest)
     return re.compile(rb"(?m)%s(?<=^%s)%s(?:%s%s)*+" % (head, head, rest, head, rest))
 
 
@@ -291,7 +297,7 @@ class _Rows:
         """Parse the whole lines of ``data``, at least one; return the bytes they take.
 
         A run of ``_RUN_LINES`` or more lines holding a request as
-        ``write_trace`` writes it, up to JSON's spaces, is read in bulk;
+        ``write_trace`` writes it, or with compact separators, is read in bulk;
         the lines between such runs, and a run with a line that breaks a
         request rule, are read one at a time.  Once fewer than half the
         lines of ``data`` are in such runs, the regex that finds them costs
@@ -304,7 +310,7 @@ class _Rows:
             in_runs = 0
             for run in _RUN.finditer(data, 0, cut):
                 first, last = run.span()
-                run_lines = data.count(b"\n", first, last)
+                run_lines = lines if (first, last) == (0, cut) else data.count(b"\n", first, last)
                 if run_lines < _RUN_LINES:
                     continue
                 if first > pos:
@@ -322,18 +328,20 @@ class _Rows:
     def _feed_run(self, data: bytes) -> bool:
         """Add the rows of lines that ``_RUN`` matched, unless one breaks a
         request rule; return whether it added them.  The regex leaves
-        nothing to check but the times' order and range: the integers are
-        unsigned and of 18 digits at most, so within int64, and ``float``
-        reads each time as ``json`` does."""
+        nothing to check but the times' order and range: ``float`` reads
+        each time as ``json`` does, and numpy's C parse reads the integers,
+        which the regex bounds."""
         # the keys and values of a line, ten tokens
         tokens = data.translate(_SEPARATORS).split()
         start = np.array(list(map(float, tokens[3::10])))
         end = np.array(list(map(float, tokens[5::10])))
-        nbytes = np.array(list(map(int, tokens[7::10])), np.int64)
+        # exact only because _SPELLING["%d"] admits unsigned integers of 18
+        # digits at most, within int64: past it, fromstring clamps silently
+        nbytes = np.fromstring(b" ".join(tokens[7::10]), np.int64, sep=" ")
         if not (np.all((start < end) | ((start == end) & (nbytes == 0)))
                 and np.isfinite(start).all() and np.isfinite(end).all()):
             return False
-        rank = np.array(list(map(int, tokens[1::10])), np.int64)
+        rank = np.fromstring(b" ".join(tokens[1::10]), np.int64, sep=" ")
         # "read" is 0 and "write" 1, as their lengths less 4 are
         kind_code = np.array(list(map(len, tokens[9::10])), np.int8) - 4
         self.lines += kind_code.shape[0]

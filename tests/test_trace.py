@@ -1,8 +1,10 @@
 """Trace parsing, validation, and the bandwidth merged from the requests."""
 import builtins
+import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -104,7 +106,8 @@ SPELLED = '{"rank": %s, "start": %s, "end": %s, "bytes": %s, "kind": "%s"}'
 #: keys but breaking a request rule; with a rank or byte count of 18
 #: digits, the most the bulk path takes, or of 19, within int64 or past it;
 #: with integer times of 15 digits, the most it takes, or of 16; with
-#: other spaces; or lines it never takes
+#: spaces it refuses (a tab, two spaces, a space before punctuation or
+#: after a brace), which only the line loop reads; or lines it never takes
 ODD_LINES_AMONG_RUNS = {
     "start-1e999": SPELLED % (3, "1e999", "2.5", 10, "read"),
     "start-minus-1e999": SPELLED % (3, "-1e999", "2.5", 0, "write"),
@@ -127,14 +130,19 @@ ODD_LINES_AMONG_RUNS = {
     "meta": '{"meta": true, "job": "7"}',
     "compact": '{"rank":3,"start":1.5,"end":2.5,"bytes":10,"kind":"read"}',
     "spaced": '{ "rank" :3 ,\t"start":1.5 , "end" : 2.5,"bytes":10, "kind":"read" } ',
+    "doubled-spaces": '{"rank":  3, "start": 1.5,  "end": 2.5, "bytes": 10, "kind": "read"}',
     "keys-reordered": '{"start": 1.5, "rank": 3, "end": 2.5, "bytes": 10, "kind": "read"}',
     "blank": "",
     "bom": "\ufeff" + SPELLED % (3, "1.5", "2.5", 10, "read"),
     "bad-json": (SPELLED % (3, "1.5", "2.5", 10, "read"))[:-1],
 }
 #: the spellings of request lines that the bulk path takes: write_trace's,
-#: compact separators, and integer times
+#: which is json.dumps' with its default separators, compact separators,
+#: and integer times; it takes one space after a colon or a comma, or none
 RUN_SPELLINGS = ("write_trace", "compact", "integer")
+#: separators of valid JSON that the bulk path refuses, so a file written
+#: with them is read line by line: spaces before punctuation, a tab
+REFUSED_SEPARATORS = {"spaced": (" , ", " : "), "tab-after-colon": (", ", ":\t")}
 
 
 def request_lines(n: int, seed: int, spelling: str) -> list[str]:
@@ -395,6 +403,77 @@ class TestParsing:
         for name in ("rank", "start", "end", "nbytes", "kind_code"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
         assert got.volume == want.volume and got.metadata == want.metadata
+
+    @pytest.mark.parametrize("value", [10 ** 18, 2 ** 63 - 1, 10 ** 19])
+    @pytest.mark.parametrize("field", ["rank", "bytes"])
+    def test_run_regex_refuses_integers_of_19_digits(self, field, value):
+        # numpy parses a run's integers exactly only within int64, and
+        # clamps past it without a word; 18 digits are the most it is given
+        def line(n):
+            rank, nbytes = (n, 10) if field == "rank" else (3, n)
+            return (SPELLED % (rank, "1.5", "2.5", nbytes, "read") + "\n").encode()
+
+        assert trace_module._RUN.search(line(value)) is None
+        assert trace_module._RUN.fullmatch(line(10 ** 18 - 1))
+
+    @pytest.mark.parametrize("spelling", RUN_SPELLINGS)
+    def test_bulk_path_gets_integers_of_18_digits_at_most(self, monkeypatch, spelling):
+        by_bulk = []
+        feed_run = trace_module._Rows._feed_run
+
+        def recording_feed_run(rows, data):
+            by_bulk.append(data)
+            return feed_run(rows, data)
+
+        monkeypatch.setattr(trace_module._Rows, "_feed_run", recording_feed_run)
+        run = trace_module._RUN_LINES
+        for odd in ODD_LINES_AMONG_RUNS.values():
+            lines = request_lines(2 * run, 7, spelling)
+            lines.insert(run, odd + "\n")
+            with contextlib.suppress(TraceParseError, TraceValidationError):
+                parse_trace("".join(lines).encode())
+        integers = re.findall(rb'"(?:rank|bytes)": ?-?([0-9]+)', b"".join(by_bulk))
+        # the 18-digit rank among the lines shows the bound is reached
+        assert integers and max(map(len, integers)) == 18
+
+    @pytest.mark.parametrize("separators", REFUSED_SEPARATORS.values(),
+                             ids=REFUSED_SEPARATORS.keys())
+    @pytest.mark.parametrize("bad", [False, True], ids=["valid", "negative-duration"])
+    def test_a_file_in_a_refused_spelling_is_read_line_by_line(self, monkeypatch,
+                                                                separators, bad):
+        def spell(record):
+            return json.dumps(record, separators=separators) + "\n"
+
+        run = trace_module._RUN_LINES
+        lines = [spell({"meta": True, "job": "7"})] + [
+            spell(json.loads(line)) for line in request_lines(3 * run, 7, "write_trace")]
+        if bad:
+            lines.insert(2 * run, spell({"rank": 3, "start": 2.5, "end": 1.5, "bytes": 10,
+                                         "kind": "read"}))
+        text = "".join(lines).encode()
+        try:
+            want = loads_per_line(text)
+        except (TraceParseError, TraceValidationError) as exc:
+            want = exc
+        monkeypatch.setattr(trace_module._Rows, "_feed_run",
+                            lambda rows, data: pytest.fail("read in bulk"))
+        rows = trace_module._Rows("both")
+        rows.feed("".join(lines[:run + 1]).encode())
+        assert not rows.bulk
+        rest = "".join(lines[run + 1:]).encode()
+        if bad:
+            with pytest.raises(type(want)) as got:
+                rows.feed(rest)
+            assert str(got.value) == str(want) and "line 129" in str(want)
+            return
+        rows.feed(rest)
+        trace = rows.trace()
+        columns, metadata = want
+        for name, values in columns.items():
+            got = getattr(trace, name)
+            assert got.tobytes() == np.asarray(values, dtype=got.dtype).tobytes(), name
+        assert trace.volume == sum(columns["nbytes"])
+        assert trace.metadata == metadata == {"job": "7"}
 
     def test_short_runs_are_read_line_by_line(self, monkeypatch):
         # runs shorter than _RUN_LINES cost less in the line loop
