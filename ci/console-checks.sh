@@ -121,6 +121,13 @@ $IOPERIOD predict epoch.jsonl --freq 10 --idle-timeout 0 > /dev/null 2> epoch.er
 test "$status" -eq 1
 grep -q "^error: window of" epoch.err
 if grep -q Traceback epoch.err; then exit 1; fi
+# a fixed window of fewer than 3 samples exits 1 rather than being widened
+status=0
+$IOPERIOD predict epoch.jsonl --fixed-window 0.2 --freq 10 --idle-timeout 0 > /dev/null \
+    2> short-window.err || status=$?
+test "$status" -eq 1
+grep -q "^error: fixed window" short-window.err
+if grep -q Traceback short-window.err; then exit 1; fi
 # every output line is strict JSON: NaN or Infinity fails the step
 python -c 'import json, sys
 def reject(name): raise ValueError(f"{name} is not JSON")

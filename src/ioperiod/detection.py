@@ -3,7 +3,7 @@ and confidence classification."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -122,40 +122,22 @@ def _candidates(spectrum: Spectrum, z: np.ndarray, idx: np.ndarray) -> tuple[Can
     )
 
 
-def suppress_harmonics(
-    candidates: CandidateSet, bin_width: float
-) -> tuple[CandidateSet, tuple[float, ...]]:
+def suppress_harmonics(candidates: CandidateSet) -> tuple[CandidateSet, tuple[float, ...]]:
     """Drop candidates that are power-of-two multiples of a surviving one.
 
-    A candidate f_j is a harmonic of a kept f_i when f_j = 2^m * f_i (m >= 1)
-    within half a bin width; survivors are the lowest member of each chain.
+    A candidate at bin k_j is a harmonic of a kept lower bin k_i when
+    k_j = 2^m * k_i (m >= 1): k_i divides k_j with a power-of-two quotient.
+    Survivors are the lowest member of each chain; the suppressed
+    frequencies come in ascending order.
     """
-    tol = bin_width / 2.0
     kept: list[Candidate] = []
     suppressed: list[float] = []
-    for c in sorted(candidates.entries, key=lambda c: c.frequency):
-        is_harmonic = False
-        for base in kept:
-            if base.frequency <= 0:
-                continue
-            mult = 2.0 * base.frequency
-            while mult <= c.frequency + tol:
-                if abs(c.frequency - mult) <= tol:
-                    is_harmonic = True
-                    break
-                mult *= 2.0
-            if is_harmonic:
-                break
-        if is_harmonic:
+    for c in sorted(candidates.entries, key=lambda c: c.k):
+        if any(c.k % base.k == 0 and (q := c.k // base.k) & (q - 1) == 0 for base in kept):
             suppressed.append(c.frequency)
         else:
             kept.append(c)
-    kept_set = CandidateSet(
-        entries=tuple(sorted(kept, key=lambda c: c.k)),
-        mean_amplitude=candidates.mean_amplitude,
-        std_amplitude=candidates.std_amplitude,
-    )
-    return kept_set, tuple(suppressed)
+    return replace(candidates, entries=tuple(kept)), tuple(suppressed)
 
 
 def classify(
@@ -196,5 +178,5 @@ def detect(
     idx = np.flatnonzero(_passing(z, spectrum.n, tolerance, z_min))
     cands = CandidateSet(entries=_candidates(spectrum, z, idx), mean_amplitude=mean,
                          std_amplitude=std)
-    kept, suppressed = suppress_harmonics(cands, spectrum.bin_width)
+    kept, suppressed = suppress_harmonics(cands)
     return classify(kept, suppressed)

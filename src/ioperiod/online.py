@@ -23,6 +23,7 @@ from typing import Iterable, Iterator
 
 from .detection import DEFAULT_TOLERANCE, DEFAULT_Z_MIN
 from .pipeline import AnalysisResult, analyze_trace, check_analysis_args
+from .sampling import snap_floor
 from .trace import _Rows
 
 #: consecutive dominant findings required before the window is adapted
@@ -72,13 +73,14 @@ class PredictionRecord:
 def _window_and_reason(
     previous: PredictionRecord | None,
     now: float,
-    fs: float,
     fixed_window: float | None,
 ) -> tuple[tuple[float, float], str]:
     """The window of an analysis at trace time ``now`` and why, as logged:
-    "full", "fixed at W s", "adapted after a streak of N with period P s"
+    "full", "fixed at W s" or "adapted after a streak of N with period P s"
     (``WINDOW_PERIODS`` periods, once ``previous``, the last record, ends a
-    streak of ``ADAPT_AFTER`` dominant findings) or "min-bins guard"."""
+    streak of ``ADAPT_AFTER`` dominant findings).  A fixed window holds at
+    least ``MIN_WINDOW_BINS`` samples (``_Tail`` checks it), and an adapted
+    one at least ``WINDOW_PERIODS`` periods of 2 samples or more."""
     lo, reason = 0.0, "full"
     if fixed_window is not None:
         lo, reason = max(0.0, now - fixed_window), f"fixed at {fixed_window:g} s"
@@ -86,11 +88,6 @@ def _window_and_reason(
         lo = max(0.0, now - WINDOW_PERIODS * previous.period)
         reason = (f"adapted after a streak of {previous.dominant_streak} "
                   f"with period {previous.period:.6g} s")
-    # a period is at least 2 samples, so only a fixed window shorter than
-    # MIN_WINDOW_BINS samples (or a hand-built record) meets the guard
-    guard = max(0.0, now - MIN_WINDOW_BINS / fs)
-    if guard < lo:
-        lo, reason = guard, "min-bins guard"
     return (lo, now), reason
 
 
@@ -103,8 +100,11 @@ class _Tail:
     def __init__(self, fs: float, tolerance: float, z_min: float, kind: str,
                  fixed_window: float | None):
         check_analysis_args(fs, tolerance, z_min)
-        if fixed_window is not None and not fixed_window > 0:
-            raise ValueError(f"fixed window must be positive, got {fixed_window}")
+        # samples counted as _grid_size counts them; NaN fails the first test
+        if fixed_window is not None and not (fixed_window > 0 and snap_floor(
+                min(fixed_window * fs, MIN_WINDOW_BINS)) == MIN_WINDOW_BINS):
+            raise ValueError(f"fixed window must hold at least {MIN_WINDOW_BINS} samples "
+                             f"at {fs:g} Hz, got {fixed_window} s")
         self.fs, self.tolerance, self.z_min = fs, tolerance, z_min
         self.kind, self.fixed_window = kind, fixed_window
         self.reset()
@@ -128,7 +128,7 @@ class _Tail:
         """Analyze the rows at trace time ``now`` in the window the last
         record calls for, keep the record and log the append at DEBUG."""
         last = self.last
-        window, reason = _window_and_reason(last, now, self.fs, self.fixed_window)
+        window, reason = _window_and_reason(last, now, self.fixed_window)
         view = self.parsed.trace(window[0])
         start = time.perf_counter()
         analysis = analyze_trace(view, self.fs, window=window, tolerance=self.tolerance,

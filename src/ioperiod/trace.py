@@ -10,15 +10,16 @@ fractions.  An optional first line holding
 lines; readers tolerate a trailing partial line (online tailing) by ignoring
 it.
 
-A block of lines is read on two paths with one outcome.  Long runs of
-lines that hold a request in the order of keys of ``write_trace``'s own
-template ``_LINE``, with one optional space after each ``:`` and ``,``, as
-``json.dumps`` writes with its default or compact separators, are proved
-by one regex built from that template and read in bulk: one split gives
-the values, ``float``, the cast ``json`` makes, converts the times, and
-numpy's C parser the integers, which the regex keeps within int64.  Every
-other line, and a run with a line that breaks a rule, goes through
-``json`` one line at a time, which names the line of an error.
+A block of lines is read on two paths with one outcome.  Every run of
+``_RUN_LINES`` or more lines that hold a request in the order of keys of
+``write_trace``'s own template ``_LINE``, with one optional space after
+each ``:`` and ``,``, as ``json.dumps`` writes with its default or compact
+separators, is proved by one regex built from that template and read in
+bulk: one split gives the values, ``float``, the cast ``json`` makes,
+converts the times, and numpy's C parser the integers, which the regex
+keeps within int64.  Every other line, and a run with a line that breaks a
+rule, goes through ``json`` one line at a time, which names the line of an
+error.
 """
 from __future__ import annotations
 
@@ -236,8 +237,7 @@ def _run_regex(template: str) -> re.Pattern:
 
 
 #: a run of whole lines holding a request in ``write_trace``'s order of keys
-#: (None before Python 3.11, whose ``re`` has no possessive quantifiers)
-_RUN = _run_regex(_LINE) if sys.version_info >= (3, 11) else None
+_RUN = _run_regex(_LINE)
 #: the separators ``_Rows._feed_run`` splits a run's tokens at
 _SEPARATORS = bytes.maketrans(b'{}":,', b"     ")
 #: bytes read at once, then up to the end of the line they stop in; one
@@ -253,8 +253,7 @@ class _Rows:
     the counts of rows and lines, the exact integer volume, the metadata,
     the bytes ``read`` consumed (``offset``) and the last whole line they
     end with, and, for each ``read`` that brought rows, its first row and
-    the running maximum of ``end`` up to it.  ``bulk`` says whether
-    ``feed`` still looks for runs to read in bulk."""
+    the running maximum of ``end`` up to it."""
 
     def __init__(self, kind_filter: str):
         if kind_filter not in KIND_FILTERS:
@@ -268,7 +267,6 @@ class _Rows:
         self.last_line = b""
         self.first_row: list[int] = []
         self.max_end: list[float] = []   # nondecreasing
-        self.bulk = _RUN is not None
         self._columns = [np.empty(0, dtype) for dtype in _DTYPES]
 
     def read(self, stream) -> int:
@@ -296,22 +294,19 @@ class _Rows:
     def feed(self, data: bytes) -> int:
         """Parse the whole lines of ``data``, at least one; return the bytes they take.
 
-        A run of ``_RUN_LINES`` or more lines holding a request as
+        Each run of ``_RUN_LINES`` or more lines holding a request as
         ``write_trace`` writes it, or with compact separators, is read in bulk;
         the lines between such runs, and a run with a line that breaks a
-        request rule, are read one at a time.  Once fewer than half the
-        lines of ``data`` are in such runs, the regex that finds them costs
-        more than it saves, and the rest of the stream is read line by line.
+        request rule, are read one at a time.  Only ``data`` decides, so
+        every feed of ``_RUN_LINES`` or more lines looks for runs.
         """
         cut = data.rfind(b"\n") + 1
         lines = data.count(b"\n", 0, cut)
         pos = 0
-        if self.bulk and lines >= _RUN_LINES:
-            in_runs = 0
+        if lines >= _RUN_LINES:
             for run in _RUN.finditer(data, 0, cut):
                 first, last = run.span()
-                run_lines = lines if (first, last) == (0, cut) else data.count(b"\n", first, last)
-                if run_lines < _RUN_LINES:
+                if (first, last) != (0, cut) and data.count(b"\n", first, last) < _RUN_LINES:
                     continue
                 if first > pos:
                     self._feed_lines(data[pos:first])
@@ -319,8 +314,6 @@ class _Rows:
                 if not self._feed_run(data[first:last]):
                     self._feed_lines(data[first:last])
                 pos = last
-                in_runs += run_lines
-            self.bulk = 2 * in_runs >= lines
         if cut > pos:
             self._feed_lines(data[pos:cut])
         return cut

@@ -299,6 +299,8 @@ OUT_OF_RANGE = {
                                    "--idle-timeout", "0.02"],
     "predict-fixed-window-negative": ["predict", "TRACE", "--fixed-window", "-2",
                                       "--idle-timeout", "0.02"],
+    "predict-fixed-window-below-3-samples": ["predict", "TRACE", "--fixed-window", "0.2",
+                                             "--idle-timeout", "0.02"],
     "generate-request-bytes-zero": ["generate", "--out", "TRACE", "--request-bytes", "0"],
     "bench-request-bytes-zero": ["bench", "--request-bytes", "0", "--repetitions", "1"],
     "bench-request-bytes-negative": ["bench", "--request-bytes", "-1", "--repetitions", "1"],

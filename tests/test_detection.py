@@ -99,39 +99,36 @@ class TestFindCandidates:
 class TestSuppressHarmonics:
     def test_single_octave(self):
         kept, suppressed = suppress_harmonics(
-            cset(cand(0.01, 2.0, k=1), cand(0.02, 1.0, k=2)), bin_width=0.001)
+            cset(cand(0.01, 2.0, k=1), cand(0.02, 1.0, k=2)))
         assert frequencies(kept) == (0.01,)
         assert suppressed == (0.02,)
 
     def test_singleton_unchanged(self):
-        kept, suppressed = suppress_harmonics(
-            cset(cand(0.09, 1.0, k=7)), bin_width=0.001)
+        kept, suppressed = suppress_harmonics(cset(cand(0.09, 1.0, k=7)))
         assert frequencies(kept) == (0.09,)
         assert suppressed == ()
 
     def test_full_chain_collapses(self):
         kept, suppressed = suppress_harmonics(
-            cset(cand(0.01, 3.0, k=1), cand(0.02, 2.0, k=2), cand(0.04, 1.0, k=4)),
-            bin_width=0.001)
+            cset(cand(0.01, 3.0, k=1), cand(0.02, 2.0, k=2), cand(0.04, 1.0, k=4)))
         assert frequencies(kept) == (0.01,)
         assert suppressed == (0.02, 0.04)
 
     def test_non_power_of_two_multiple_survives(self):
         kept, suppressed = suppress_harmonics(
-            cset(cand(0.01, 2.0, k=1), cand(0.03, 1.0, k=3)), bin_width=0.001)
+            cset(cand(0.01, 2.0, k=1), cand(0.03, 1.0, k=3)))
         assert frequencies(kept) == (0.01, 0.03)
         assert suppressed == ()
 
-    def test_tolerance_is_half_bin(self):
-        bw = 0.01
-        near = 0.02 + 0.4 * bw     # within half a bin of 2x
-        far = 0.02 + 0.6 * bw      # outside
+    @pytest.mark.parametrize("bins, kept_bins", [([3, 6, 12, 18], [3, 18]),
+                                                 ([5, 10, 11], [5, 11])],
+                             ids=["3-6-12-18", "5-10-11"])
+    def test_harmonic_bins_are_power_of_two_multiples(self, bins, kept_bins):
+        # 18 = 6 * 3 and 11 is no multiple of 5: both survive
         kept, suppressed = suppress_harmonics(
-            cset(cand(0.01, 2.0, k=1), cand(near, 1.0, k=2)), bin_width=bw)
-        assert suppressed == (near,)
-        kept, suppressed = suppress_harmonics(
-            cset(cand(0.01, 2.0, k=1), cand(far, 1.0, k=2)), bin_width=bw)
-        assert suppressed == ()
+            cset(*(cand(0.01 * k, 1.0, k=k) for k in bins)))
+        assert [c.k for c in kept.entries] == kept_bins
+        assert suppressed == tuple(0.01 * k for k in bins if k not in kept_bins)
 
 
 class TestClassify:
@@ -305,7 +302,7 @@ class TestAgainstPerBinOracle:
                                     amplitude=adjusted[k], zscore=z[k - 1]) for k in kept),
             mean_amplitude=mean, std_amplitude=std,
         )
-        expect = classify(*suppress_harmonics(oracle_set, spec.bin_width))
+        expect = classify(*suppress_harmonics(oracle_set))
         assert [c.k for c in result.candidates.entries] == [c.k for c in expect.candidates.entries]
         assert [c.zscore for c in result.candidates.entries] == pytest.approx(
             [c.zscore for c in expect.candidates.entries], rel=0, abs=1e-12)

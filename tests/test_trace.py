@@ -378,8 +378,8 @@ class TestParsing:
 
     @pytest.mark.parametrize("odd", [None, ODD_LINES_AMONG_RUNS["end-1E400"]],
                              ids=["valid", "end-1E400"])
-    def test_without_the_run_regex_every_line_is_read_one_at_a_time(self, monkeypatch, odd):
-        # Python 3.10's re has no possessive quantifiers, so no _RUN is built
+    def test_below_run_lines_every_line_is_read_one_at_a_time(self, monkeypatch, odd):
+        # a feed of fewer than _RUN_LINES lines never looks for runs
         lines = request_lines(3 * trace_module._RUN_LINES, 7, "write_trace")
         if odd is not None:
             lines.insert(100, odd + "\n")
@@ -392,7 +392,7 @@ class TestParsing:
                 return exc
 
         want = parse()
-        monkeypatch.setattr(trace_module, "_RUN", None)
+        monkeypatch.setattr(trace_module, "_RUN_LINES", len(lines) + 1)
         monkeypatch.setattr(trace_module._Rows, "_feed_run",
                             lambda rows, data: pytest.fail("read in bulk"))
         got = parse()
@@ -459,7 +459,6 @@ class TestParsing:
                             lambda rows, data: pytest.fail("read in bulk"))
         rows = trace_module._Rows("both")
         rows.feed("".join(lines[:run + 1]).encode())
-        assert not rows.bulk
         rest = "".join(lines[run + 1:]).encode()
         if bad:
             with pytest.raises(type(want)) as got:
@@ -515,7 +514,7 @@ class TestParsing:
         assert fed.first_row == fed.max_end == []
         assert fed.trace().start.tolist() == every and fed.trace().volume == 15
 
-    def test_bulk_stops_once_most_lines_are_in_another_spelling(self, monkeypatch):
+    def test_every_feed_of_a_run_or_more_looks_for_runs(self, monkeypatch):
         run = trace_module._RUN_LINES
         lines = request_lines(4 * run, 7, "write_trace")
         reordered = [json.dumps(json.loads(line), sort_keys=True) + "\n" for line in lines]
@@ -529,13 +528,35 @@ class TestParsing:
 
         monkeypatch.setattr(trace_module._Rows, "_feed_run", recording_feed_run)
         rows = trace_module._Rows("both")
-        bulk = []
         for feed in feeds:
             rows.feed("".join(feed).encode())
-            bulk.append(rows.bulk)
-        # too few lines to look for runs; a run; none, so no more looking
-        assert by_bulk == [run] and bulk == [True, True, False, False]
+        # too few lines to look for runs; a run; none; a run again
+        assert by_bulk == [run, 2 * run]
         columns, _ = loads_per_line("".join(sum(feeds, [])).encode())
+        trace = rows.trace()
+        for name, values in columns.items():
+            assert getattr(trace, name).tobytes() == np.asarray(
+                values, dtype=getattr(trace, name).dtype).tobytes(), name
+
+    def test_a_stream_begun_in_another_spelling_is_read_in_bulk_later(self, monkeypatch):
+        # a first read in another order of keys must not keep the rest of
+        # the stream off the bulk path
+        run = trace_module._RUN_LINES
+        lines = request_lines(100 + 3 * run, 11, "write_trace")
+        reordered = [json.dumps(json.loads(line), sort_keys=True) + "\n" for line in lines[:100]]
+        by_bulk = []
+        feed_run = trace_module._Rows._feed_run
+
+        def recording_feed_run(rows, data):
+            by_bulk.append(data.count(b"\n"))
+            return feed_run(rows, data)
+
+        monkeypatch.setattr(trace_module._Rows, "_feed_run", recording_feed_run)
+        rows = trace_module._Rows("both")
+        rows.read(io.BytesIO("".join(reordered).encode()))
+        rows.read(io.BytesIO("".join(lines[100:]).encode()))
+        assert by_bulk == [3 * run]
+        columns, _ = loads_per_line("".join(reordered + lines[100:]).encode())
         trace = rows.trace()
         for name, values in columns.items():
             assert getattr(trace, name).tobytes() == np.asarray(
