@@ -51,26 +51,34 @@ def compute_metrics(
     are reported absent.
     """
     samples = sampled.samples
-    if float(samples.sum()) == 0.0:
+    n = sampled.n
+    total = float(samples.sum())
+    if total == 0.0:
         return MetricsReport(None, 0.0, None, None, None, None, None, None)
-    threshold = float(samples.mean())
+    threshold = total / n
     mask = samples > threshold
-    r_io = float(mask.mean())
-    substantial = samples[mask]
-    b_io = float(substantial.mean()) * volume_scale if mask.any() else None
+    n_sub = np.count_nonzero(mask)
+    r_io = n_sub / n
+    sub_sum = float(samples[mask].sum())
+    b_io = sub_sum / n_sub * volume_scale if n_sub else None
     lf = snap_floor(sampled.duration * f_d) if f_d is not None and f_d > 0 else None
     if lf is None or lf < 2:
         return MetricsReport(threshold * volume_scale, r_io, b_io, None, None, None, None, None)
-    idx = snap_floor(np.arange(sampled.n) * (sampled.ts * f_d))
-    keep = idx < lf
-    idx = idx[keep]
-    vols = np.bincount(idx, weights=samples[keep], minlength=lf)
-    counts = np.bincount(idx, minlength=lf)
-    sub_counts = np.bincount(idx, weights=mask[keep].astype(np.float64), minlength=lf)
+    bounds = _period_bounds(n, sampled.ts * f_d, lf)
+    counts = np.diff(bounds)
+    # reduceat sums up to the next index given, so it gets the starts of the
+    # periods that hold a sample: an empty period lies between two of them
+    # and adds nothing; sample 0 is in period 0, so there is always one
+    held = counts > 0
+    starts = bounds[:-1][held]
+    vols = np.zeros(lf)
+    vols[held] = np.add.reduceat(samples[:bounds[-1]], starts)
+    sub_counts = np.zeros(lf)
+    sub_counts[held] = np.add.reduceat(mask[:bounds[-1]], starts, dtype=np.intp)
     vmax = vols.max()
     sv = 0.0 if vmax == 0.0 else float((vols / vmax).std())
     st = float(np.sqrt(np.mean((sub_counts / np.maximum(counts, 1) - r_io) ** 2)))
-    v_s = sampled.ts * float(substantial.sum())
+    v_s = sampled.ts * sub_sum
     return MetricsReport(
         threshold=threshold * volume_scale,
         r_io=r_io,
@@ -81,3 +89,22 @@ def compute_metrics(
         score=1.0 - sv - st,
         periods_used=lf,
     )
+
+
+def _period_bounds(n: int, step: float, lf: int) -> np.ndarray:
+    """The first sample of each of periods 0..lf, clipped to n.
+
+    Sample i lies in period snap_floor(i * step), which never decreases as
+    i grows, so period p holds the samples [b_p, b_p+1).  ceil(p / step) is
+    within a sample or two of b_p; each bound is then moved until sample
+    b_p - 1 lies before period p and sample b_p in it (or b_p = n).
+    """
+    p = np.arange(lf + 1)
+    b = np.minimum(np.ceil(p / step), n)
+    while True:
+        late = (b > 0) & (snap_floor((b - 1) * step) >= p)
+        early = (b < n) & (snap_floor(b * step) < p)
+        if not (late.any() or early.any()):
+            return b.astype(np.intp)
+        b += early
+        b -= late

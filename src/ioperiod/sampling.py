@@ -134,6 +134,10 @@ def _scan(trace: Trace, t_lo, fs, n, w_hi):
     clamps to [0, n - 1] are applied only to the few requests that pass
     the rest.  A huge time offset only widens delta, and the test still
     keeps every covering request.
+
+    The inside bytes are summed from the rows themselves: the trace's
+    volume, less the bytes of the rows outside, would count the rows that a
+    view (``_Rows.trace``) leaves out but whose bytes its volume still holds.
     """
     delta = (abs(float(t_lo)) * fs + n) * 2.0 ** -49
     lo, hi = np.empty((2, min(len(trace), _BLOCK)))
@@ -169,10 +173,12 @@ def _scan(trace: Trace, t_lo, fs, n, w_hi):
     return columns, inside_bytes, np.concatenate(straddlers), delta
 
 
-def _grid_index(grid, x, t_lo, fs, delta):
-    """``np.searchsorted(grid, x)``, m = #{i : g_i < x}, for the grid g_i of
-    ``_scan`` and its bound delta < 1/2, by arithmetic: m is k or k + 1 for
-    k = min(max(ceil(c(x) - delta), 0), n - 1), so m = k + (g_k < x).
+def _grid_index(x, t_lo, fs, ts, n, delta):
+    """``np.searchsorted(grid, x)``, m = #{i : g_i < x}, for the grid g_i =
+    t_lo + i * ts, i < n, of ``_scan`` and its bound delta < 1/2, by
+    arithmetic: m is k or k + 1 for k = min(max(ceil(c(x) - delta), 0),
+    n - 1), so m = k + (g_k < x).  g_k is computed for these k alone, with
+    the same roundings as the grid, so the grid itself is never built.
 
     With ``_scan``'s error E < delta / 1.5 < 1/3 and v = c(x) - delta, as
     an exact real whose rounding fl(v) the code takes the ceil of:
@@ -190,9 +196,12 @@ def _grid_index(grid, x, t_lo, fs, delta):
     np.multiply(v, fs, out=v)
     np.subtract(v, delta, out=v)
     np.ceil(v, out=v)
-    np.clip(v, 0, grid.shape[0] - 1, out=v)
+    np.clip(v, 0, n - 1, out=v)
     k = v.astype(np.intp)
-    return k + (grid[k] < x)
+    np.multiply(v, ts, out=v)   # g_k, k as an exact float
+    np.add(v, t_lo, out=v)
+    k += v < x
+    return k
 
 
 def sample_requests(
@@ -222,15 +231,16 @@ def sample_requests(
     n, ts = _grid_size(t_lo, window[1], fs)
     w_hi = t_lo + n * ts
     (start, end, nbytes), inside_bytes, straddler, delta = _scan(trace, t_lo, fs, n, w_hi)
-    grid = t_lo + np.arange(n) * ts
     # each request covers the samples [first, stop): the index of its start
     # and end on the grid itself, so an instant equal to start is inside,
     # one equal to end out; arithmetic finds it within one sample, and from
-    # half a sample of delta on the kept requests are searched
+    # half a sample of delta on the kept requests are searched on the n-point
+    # grid, built on that branch alone
     if delta < 0.5:
-        first = _grid_index(grid, start, t_lo, fs, delta)
-        stop = _grid_index(grid, end, t_lo, fs, delta)
+        first = _grid_index(start, t_lo, fs, ts, n, delta)
+        stop = _grid_index(end, t_lo, fs, ts, n, delta)
     else:
+        grid = t_lo + np.arange(n) * ts
         first = np.searchsorted(grid, start)
         stop = np.searchsorted(grid, end)
     # only the requests that cover a sample get a rate
@@ -251,10 +261,10 @@ def sample_requests(
     order = np.argsort(rate)
     weights = rate[order]
     order = covering[order]
-    steps = (np.bincount(first[order], weights, minlength=n + 1)
-             - np.bincount(stop[order], weights, minlength=n + 1))
     # float even when no request covers a sample (bincount then gives ints)
-    samples = np.cumsum(steps[:n], dtype=np.float64)
+    steps = np.bincount(first[order], weights, minlength=n + 1).astype(np.float64, copy=False)
+    steps -= np.bincount(stop[order], weights, minlength=n + 1)
+    samples = np.cumsum(steps[:n], out=steps[:n])
     np.maximum(samples, 0.0, out=samples)  # clamp float residue of cancelling rates
     # a straddler's share, overlap/duration, is at most 1, so no term
     # overflows; requests wholly outside add exactly 0

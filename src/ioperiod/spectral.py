@@ -128,17 +128,16 @@ def dft(sampled: SampledSignal) -> Spectrum:
         bins = np.fft.rfft(sampled.samples)  # bins 0..n//2, no padding
     amplitudes = np.abs(bins)
     phases = np.arctan2(bins.imag, bins.real)
-    phases = np.where(phases == -math.pi, math.pi, phases)  # phase in (-pi, pi]
-    adjusted = amplitudes.copy()
-    adjusted[1:] *= 2.0
+    phases[phases == -math.pi] = math.pi  # phase in (-pi, pi]
+    adjusted = 2.0 * amplitudes
+    adjusted[0] = amplitudes[0]  # DC has no conjugate partner
     if n % 2 == 0:
-        adjusted[half] = amplitudes[half]  # Nyquist bin has no conjugate partner
-    k = np.arange(half + 1, dtype=np.float64)
+        adjusted[half] = amplitudes[half]  # nor has the Nyquist bin
     return Spectrum(
         fs=sampled.fs,
         n=n,
         t0=sampled.t0,
-        frequencies=k * (sampled.fs / n),
+        frequencies=np.arange(half + 1) * (sampled.fs / n),
         amplitudes=amplitudes,
         phases=phases,
         adjusted_amplitudes=adjusted,

@@ -157,7 +157,9 @@ class Trace:
     def volume(self) -> int:
         """Total transferred bytes V(T), as an exact integer (``exact_sum``);
         it may exceed the int64 range.  Computed on first read, then kept:
-        the columns cannot change.
+        the columns cannot change.  A view from ``_Rows.trace(lo)`` carries
+        the volume of every row of its session, which can exceed the sum of
+        the view's own ``nbytes``.
         """
         if self._volume is None:
             self._volume = exact_sum(self.nbytes)

@@ -166,11 +166,17 @@ class TestComputeMetrics:
 
     def test_matches_per_period_oracle(self, rng):
         # windows of 2.1 to 12.9 periods: the trailing partial period varies
+        cases = []
         for _ in range(200):
             n = int(rng.integers(26, 300))  # at least two bins per period
             fs = float(rng.uniform(0.5, 50.0))
-            f_d = fs / (n / rng.uniform(2.1, 12.9))
-            values = rng.exponential(size=n) * (rng.random(n) < rng.uniform(0.1, 1.0))
+            cases.append((n, fs, fs / (n / rng.uniform(2.1, 12.9)), rng.uniform(0.1, 1.0)))
+        # f_d above fs/2, so some periods hold no sample, and one detect
+        # window at fs = 150 holding about 10 periods
+        cases += [(40, 1.0, 0.7, 0.5), (41, 2.0, 1.9, 0.5), (30, 1.0, 2.5, 0.5),
+                  (34_519, 150.0, 0.0435, 0.5)]
+        for n, fs, f_d, duty in cases:
+            values = rng.exponential(size=n) * (rng.random(n) < duty)
             s = sampled(values, fs=fs)
             if not values.any():
                 continue

@@ -374,7 +374,7 @@ class TestGridIndex:
         # sample_requests searches instead
         delta = sampling._scan(make_trace([(0, t_lo, w_hi, 1)]), t_lo, fs, n, w_hi)[3]
         if delta < 0.5:
-            got = sampling._grid_index(grid, x, t_lo, fs, delta)
+            got = sampling._grid_index(x, t_lo, fs, ts, n, delta)
             assert np.array_equal(got, np.searchsorted(grid, x))
         # on both sides of the switch, requests that start or end at these
         # times are sampled as a search over every request samples them
