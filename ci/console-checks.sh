@@ -66,12 +66,20 @@ $IOPERIOD detect synth-whole.jsonl --freq 1 > detect-whole.json
 cmp detect-cut.json detect-whole.json
 # a negative bound in scientific notation is a value, not a flag
 $IOPERIOD detect synth.jsonl --freq 1 --window -1e1 1e2 > window.json
-# at 8 Hz the window holds 614 = 2*307 samples, an even length whose
-# bins come from a half-length complex FFT
-$IOPERIOD detect synth.jsonl --freq 8 --spectrum-out d.csv > /dev/null
+# at 30 Hz the window holds 2302 = 2*1151 samples, an even length whose
+# bins come from a half-length complex FFT, not split
+$IOPERIOD detect synth.jsonl --freq 30 --spectrum-out d.csv > /dev/null
 python -c 'import csv; from ioperiod import spectral
-n = round(8 / float(list(csv.DictReader(open("d.csv")))[1]["f_k"]))
-assert n % 2 == 0 and spectral._rfft_is_bluestein(n), n'
+n = round(30 / float(list(csv.DictReader(open("d.csv")))[1]["f_k"]))
+assert n == 2302 and spectral._plan(n) == (True, 0), n'
+# at 54 Hz it holds 4145 = 5*829 samples, transformed as a 829 x 5 grid;
+# the DC bin is exactly real there too, so its phase is 0 or pi
+$IOPERIOD detect synth.jsonl --freq 54 --spectrum-out s.csv > /dev/null
+python -c 'import csv, math; from ioperiod import spectral
+rows = list(csv.DictReader(open("s.csv")))
+n = round(54 / float(rows[1]["f_k"]))
+assert n == 4145 and spectral._plan(n) == (False, 829), n
+assert float(rows[0]["phase"]) in (0.0, math.pi), rows[0]'
 $IOPERIOD predict synth.jsonl --freq 1 --idle-timeout 1 --log-level debug > predict.jsonl 2> predict.log
 # the debug log has a line per append that names its window
 grep -q "window (.*) full" predict.log

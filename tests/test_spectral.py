@@ -22,8 +22,8 @@ def _bins(spec):
 
 
 class TestFft:
-    # 478 = 2*239, 1018 = 2*509 and 2018 = 2*1009 take the packed path;
-    # 106 = 2*53 has a large prime factor too but stays on rfft
+    # 1018 = 2*509 and 2018 = 2*1009 take the packed path; 106 = 2*53 and
+    # 478 = 2*239 have a large prime factor too but stay on rfft
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 12, 16, 31, 32, 100, 128,
                                    106, 478, 1018, 2018])
     def test_matches_oracle(self, n, rng):
@@ -47,19 +47,61 @@ class TestFft:
         want = np.fft.fft(x)[:34446 // 2 + 1]
         assert np.abs(got - want).max() / np.abs(want).max() < 1e-12
 
+    def test_split_path_at_real_size(self, rng):
+        # 34379 = 31*1109: rfft would run Bluestein over 34379 points
+        x = rng.normal(size=34379)
+        got = _bins(dft(_sampled(x)))
+        want = np.fft.rfft(x)
+        assert np.abs(got - want).max() / np.abs(want).max() < 1e-12
+
     def test_selection_picks_the_bluestein_lengths_of_even_n(self, monkeypatch, rng):
-        packed = []
-        real_packed = spectral._packed_rfft
+        # each length with the paths its dft took: "packed", and the length
+        # of each split FFT; rfft took the rest
+        calls = []
+        real_packed, real_pfa = spectral._packed_rfft, spectral._pfa_fft
 
-        def spy(samples):
-            packed.append(samples.shape[0])
-            return real_packed(samples)
+        def packed(samples, p):
+            calls.append("packed")
+            return real_packed(samples, p)
 
-        monkeypatch.setattr(spectral, "_packed_rfft", spy)
-        lengths = [48, 50, 106, 477, 478, 479, 1018, 1019, 2018, 2019, 4096, 34446, 34447]
+        def pfa(z, p):
+            calls.append(z.shape[0])
+            return real_pfa(z, p)
+
+        monkeypatch.setattr(spectral, "_packed_rfft", packed)
+        monkeypatch.setattr(spectral, "_pfa_fft", pfa)
+        lengths = [48, 50, 106, 477, 478, 479, 1018, 1019, 2018, 2019, 4096, 34446, 34447,
+                   34379, 34519, 34406, 34388, 4083, 4101, 8166, 8202]
+        paths = {}
         for n in lengths:
+            calls.clear()
             dft(_sampled(rng.normal(size=n)))
-        assert packed == [478, 1018, 2018, 34446]
+            paths[n] = tuple(calls)
+        # 478 = 2*239 is Bluestein too, but below the packed floor rfft is as fast
+        assert [n for n in lengths if "packed" in paths[n]] == [1018, 2018, 34446, 34406,
+                                                               34388, 8166, 8202]
+        assert paths[34379] == (34379,)             # 31*1109: split
+        assert paths[34519] == ()                   # prime: rfft
+        assert paths[34446] == ("packed", 17223)    # 2*3*5741: packed, its half split
+        assert paths[34406] == ("packed",)          # 2*17203: packed only
+        assert paths[34388] == ("packed",)          # 4*8597: q = 2 leaves the half unsplit
+        assert paths[4083] == ()                    # 3*1361: below the split floor
+        assert paths[4101] == (4101,)               # 3*1367: at it
+        assert paths[8166] == ("packed",)           # 2*3*1361: a half below it
+        assert paths[8202] == ("packed", 4101)      # 2*3*1367: a half at it
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_pfa_fft_matches_fft(self, data):
+        # n = q*p, p a prime above sqrt(n) (q < p), n at or above the split floor
+        p = data.draw(st.sampled_from([1031, 2003, 4099, 5741, 11443]))
+        q = data.draw(st.integers(max(2, -(-spectral._SPLIT_FLOOR // p)),
+                                  min(p - 1, 100_000 // p)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        z = rng.normal(size=q * p) + 1j * rng.normal(size=q * p)
+        want = np.fft.fft(z)
+        got = spectral._pfa_fft(z, p)
+        assert np.abs(got - want).max() / np.abs(want).max() < 1e-12
 
     def test_selection_rule_matches_pocketfft(self):
         even = list(range(2, 3000, 2)) + list(range(33700, 34700, 2)) + [2 * 1048573]
@@ -67,7 +109,9 @@ class TestFft:
         assert got == [n for n in even if pocketfft_rfft_is_bluestein(n)]
         assert got[:3] == [478, 502, 554]
 
-    @pytest.mark.parametrize("n", [106, 478, 2018, 1019])
+    # 34379 = 31*1109 takes the split path, 34446 = 2*3*5741 the packed one
+    # with its half split
+    @pytest.mark.parametrize("n", [106, 478, 2018, 1019, 34379, 34446])
     def test_dc_and_nyquist_phases_are_exact(self, n, rng):
         # rfft gives these bins an imaginary part of exactly 0.0, so their
         # phase is 0 or pi; a rounding residue would show in the CSV
