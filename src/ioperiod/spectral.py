@@ -60,11 +60,6 @@ class Spectrum:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def bin_width(self) -> float:
-        """Spacing of the frequency grid, fs/n = 1/window length."""
-        return self.fs / self.n
-
     def to_csv(self, dest: IO[str] | str | os.PathLike, amplitude_scale: float = 1.0) -> None:
         """Write one row per bin, amplitudes times ``amplitude_scale``."""
         with open_output(dest) as f:

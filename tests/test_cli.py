@@ -1,14 +1,29 @@
-"""End-to-end command-line behavior."""
+"""End-to-end command-line behavior, and what a user runs from a shell:
+the console-script entry point, the package import and the demos."""
 import csv
 import json
 import logging
+import math
+import os
+import re
+import subprocess
+import sys
+import tomllib
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import HOSTILE_RECORDS, trace_text
 
+from ioperiod import Trace, spectral, write_trace
 from ioperiod.cli import main
 from ioperiod.sampling import MAX_SAMPLES
+
+REPO = Path(__file__).resolve().parents[1]
+#: the environment of a fresh interpreter that imports the package from this checkout
+FRESH_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
 
 
 def write_pulses(path, n_pulses=7, period=10.0, phase_len=2.0):
@@ -348,3 +363,205 @@ def test_bad_window_exits_with_error(tmp_path, capsys, pulses, window):
     assert code == 1
     assert captured.err.startswith("error: window needs finite bounds with LO < HI, got ")
     assert captured.out == ""
+
+
+#: the flags of the generated trace the console checks share
+SYNTH_FLAGS = ["--iterations", "4", "--request-bytes", "16000000"]
+
+
+@pytest.fixture(scope="module")
+def console(tmp_path_factory):
+    """The trace files the console checks share, as paths by name: synth,
+    a generated trace; inf, synth with line 100's end spelled as infinity;
+    round, one line whose integer times round onto each other; and epoch,
+    30 one-second pulses every 10 s from 1.7e9 s."""
+    work = tmp_path_factory.mktemp("console")
+    files = {name: str(work / f"{name}.jsonl") for name in ("synth", "inf", "round", "epoch")}
+    assert main(["generate", "--out", files["synth"], *SYNTH_FLAGS]) == 0
+    lines = Path(files["synth"]).read_text().splitlines(keepends=True)
+    lines[99] = re.sub(r'"end": [^,]*', '"end": 1e999', lines[99], count=1)
+    Path(files["inf"]).write_text("".join(lines))
+    Path(files["round"]).write_text('{"rank": 0, "start": 9007199254740992.0, '
+                                    '"end": 9007199254740993, "bytes": 5, "kind": "read"}\n')
+    start = 1.7e9 + 10.0 * np.arange(30)
+    write_trace(Trace(np.zeros(30, int), start, start + 1.0, np.full(30, 10 ** 8),
+                      np.ones(30, int)), files["epoch"])
+    return files
+
+
+def strict_json_lines(text):
+    """The records of JSON-lines output, which must be strict JSON: NaN or
+    Infinity is an error."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    lines = text.splitlines()
+    assert lines, "no output"
+    return [json.loads(line, parse_constant=reject) for line in lines]
+
+
+def test_generate_spells_json_dumps_and_repeats(console, tmp_path):
+    synth = Path(console["synth"])
+    for n, line in enumerate(synth.read_text().splitlines(), 1):
+        assert line == json.dumps(json.loads(line)), (n, line)
+    # the same seed writes the same file
+    again = tmp_path / "synth-again.jsonl"
+    assert main(["generate", "--out", str(again), *SYNTH_FLAGS]) == 0
+    assert again.read_bytes() == synth.read_bytes()
+
+
+def _respell(spelling):
+    """A file transform that spells each line's record as ``spelling(n, record)``."""
+    return lambda text: "".join(spelling(n, json.loads(line)) + "\n"
+                                for n, line in enumerate(text.splitlines()))
+
+
+#: pairs of transforms of the generated trace file that detect reads alike, by test id
+SAME_OUTPUT = {
+    "crlf": (lambda text: text, lambda text: text.replace("\n", "\r\n")),
+    # every other line compact, read in bulk, and every 50th with its keys
+    # in another order, read line by line
+    "mixed": (lambda text: text, _respell(
+        lambda n, record: json.dumps(record, sort_keys=True) if n % 50 == 0
+        else json.dumps(record, separators=(",", ":")) if n % 2 else json.dumps(record))),
+    # valid JSON that the bulk path refuses, so read line by line
+    "spaced": (lambda text: text, _respell(
+        lambda n, record: json.dumps(record, separators=(" , ", " : ")))),
+    "tab": (lambda text: text, _respell(
+        lambda n, record: json.dumps(record, separators=(", ", ":\t")))),
+    # a file cut mid-line reads as the file without its last line
+    "cut-mid-line": (lambda text: "".join(text.splitlines(keepends=True)[:-1]),
+                     lambda text: text[:-30]),
+}
+
+
+@pytest.mark.filterwarnings("ignore::ioperiod.SamplingQualityWarning")
+@pytest.mark.parametrize("reference, variant", SAME_OUTPUT.values(), ids=SAME_OUTPUT.keys())
+def test_equivalent_files_detect_alike(console, tmp_path, reference, variant):
+    text = Path(console["synth"]).read_text()
+    outputs = []
+    for name, transform in (("reference", reference), ("variant", variant)):
+        trace = tmp_path / f"{name}.jsonl"
+        trace.write_bytes(transform(text).encode())
+        out = tmp_path / f"{name}.json"
+        assert main(["detect", str(trace), "--freq", "1", "--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    strict_json_lines(outputs[0].decode())
+
+
+@pytest.mark.filterwarnings("ignore::ioperiod.SamplingQualityWarning")
+def test_detect_text_output_of_generated_trace(console):
+    assert main(["detect", console["synth"], "--freq", "1", "--format", "text"]) == 0
+
+
+@pytest.mark.filterwarnings("ignore::ioperiod.SamplingQualityWarning")
+def test_negative_exponent_window_bound_is_a_value(console, capsys):
+    assert main(["detect", console["synth"], "--freq", "1", "--window", "-1e1", "1e2"]) == 0
+    (result,) = strict_json_lines(capsys.readouterr().out)
+    assert result["window"] == [-10.0, 100.0]
+
+
+# at 30 Hz the window holds 2302 = 2*1151 samples, an even length whose
+# bins come from a half-length complex FFT, not split; at 54 Hz it holds
+# 4145 = 5*829 samples, transformed as a 829 x 5 grid.  The DC bin is
+# exactly real on both paths, so its phase is 0 or pi.
+@pytest.mark.parametrize("freq, n, plan", [(30, 2302, (True, 0)), (54, 4145, (False, 829))],
+                         ids=["30hz-half-length", "54hz-grid"])
+def test_spectrum_out_length_takes_its_plan(console, tmp_path, freq, n, plan):
+    exported = tmp_path / "spectrum.csv"
+    assert main(["detect", console["synth"], "--freq", str(freq),
+                 "--spectrum-out", str(exported)]) == 0
+    rows = list(csv.DictReader(exported.open()))
+    assert round(freq / float(rows[1]["f_k"])) == n
+    assert spectral._plan(n) == plan
+    assert float(rows[0]["phase"]) in (0.0, math.pi)
+
+
+@pytest.mark.filterwarnings("ignore::ioperiod.SamplingQualityWarning")
+def test_predict_debug_log_names_each_window(console, capsys):
+    assert main(["predict", console["synth"], "--freq", "1", "--idle-timeout", "1",
+                 "--log-level", "debug"]) == 0
+    out, err = capsys.readouterr()
+    assert re.search(r"window \(.*\) full", err)
+    strict_json_lines(out)
+
+
+def test_epoch_times(console, capsys):
+    # detect finds the period; predict measures its windows from trace
+    # time 0, so it needs --fixed-window (CONSOLE_ERRORS has it without)
+    assert main(["detect", console["epoch"], "--freq", "10"]) == 0
+    (result,) = strict_json_lines(capsys.readouterr().out)
+    assert abs(result["period_s"] - 10.0) < 0.1
+    assert main(["predict", console["epoch"], "--freq", "10", "--idle-timeout", "0",
+                 "--fixed-window", "60"]) == 0
+    records = strict_json_lines(capsys.readouterr().out)
+    assert len(records) == 1 and records[0]["period_s"] == 10.0
+    assert records[0]["window"] == [1700000231.0, 1700000291.0]
+
+
+#: errors on the shared trace files, by test id: (argv, naming a file as
+#: {name}; stderr pattern; exit code)
+CONSOLE_ERRORS = {
+    # an infinite end spelled as write_trace spells a record, inside a run read in bulk
+    "infinite-end-in-bulk-run": (["detect", "{inf}", "--freq", "1"],
+                                 r"^error: line 100: end must be finite", 1),
+    "integer-times-round-onto-each-other": (["detect", "{round}"],
+                                            r"^error: line 1: zero-duration", 1),
+    "epoch-predict-without-fixed-window": (
+        ["predict", "{epoch}", "--freq", "10", "--idle-timeout", "0"], r"^error: window of", 1),
+    # a fixed window of fewer than 3 samples is not widened
+    "fixed-window-below-3-samples": (
+        ["predict", "{epoch}", "--fixed-window", "0.2", "--freq", "10", "--idle-timeout", "0"],
+        r"^error: fixed window", 1),
+}
+
+
+@pytest.mark.parametrize("argv, pattern, code", CONSOLE_ERRORS.values(),
+                         ids=CONSOLE_ERRORS.keys())
+def test_console_error(console, capsys, argv, pattern, code):
+    # main returns rather than raising, so no traceback reaches the user
+    assert main([arg.format(**console) for arg in argv]) == code
+    assert re.search(pattern, capsys.readouterr().err, re.MULTILINE)
+
+
+#: generator values that an endless draw once met, by test id: (flags, stderr pattern)
+ENDLESS_DRAWS = {
+    "compute-std-nan": (["--compute-std", "nan"], r"^error: "),
+    # noise over a trace too long to fill with bursts
+    "noise-over-a-long-trace": (["--noise", "low", "--compute-mean", "1e12", "--iterations", "2",
+                                 "--request-bytes", "16000000"], r"^error: .*compute_mean"),
+}
+
+
+@pytest.mark.parametrize("flags, pattern", ENDLESS_DRAWS.values(), ids=ENDLESS_DRAWS.keys())
+def test_generator_error_does_not_hang(tmp_path, flags, pattern):
+    # in a subprocess, so that a hang fails the test rather than blocking the run
+    done = subprocess.run([sys.executable, "-m", "ioperiod.cli", "generate",
+                           "--out", str(tmp_path / "out.jsonl"), *flags],
+                          env=FRESH_ENV, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert re.search(pattern, done.stderr, re.MULTILINE)
+    assert "Traceback" not in done.stderr
+
+
+def test_console_script_is_cli_main():
+    # the tests drive cli.main; the installed ioperiod command is this entry point
+    with open(REPO / "pyproject.toml", "rb") as f:
+        assert tomllib.load(f)["project"]["scripts"] == {"ioperiod": "ioperiod.cli:main"}
+
+
+def test_package_imports_neither_logging_nor_argparse():
+    # pytest imports logging itself, so only a fresh interpreter can check this
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import ioperiod, sys; assert not {'logging','argparse'} & set(sys.modules)"],
+        env=FRESH_ENV, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("demo", sorted((REPO / "demos").glob("*.py")), ids=lambda p: p.name)
+def test_demo_exits_0(tmp_path, demo):
+    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=FRESH_ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -14,9 +14,13 @@ from ioperiod import (
     CandidateSet,
     Confidence,
     Spectrum,
+    SynthConfig,
+    Trace,
     analyze_trace,
+    bundled_phase_templates,
     classify,
     detect,
+    generate,
     suppress_harmonics,
 )
 from ioperiod.detection import DEFAULT_TOLERANCE, DEFAULT_Z_MIN, _passing, _zscore_array
@@ -239,6 +243,36 @@ class TestDetect:
         out = detect(spec).to_dict(amplitude_scale=2.0)
         assert out["confidence"] == "high"
         assert out["candidates"][0]["amplitude"] == pytest.approx(20.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("noise", ["none", "high"])
+class TestAnalyzeTraceInvariance:
+    """What a generated trace's analysis may not depend on."""
+
+    @staticmethod
+    def generated(noise, seed):
+        templates = tuple(bundled_phase_templates(processes=8, seed=0))
+        trace, _ = generate(SynthConfig(processes=8, compute_std=3.3, noise=noise, seed=seed,
+                                        templates=templates))
+        return trace
+
+    def test_time_offset(self, noise, seed):
+        # epoch timestamps, and later ones, keep the period and its class
+        trace = self.generated(noise, seed)
+        base = analyze_trace(trace, 10.0)
+        for offset in (1.7e9, 1e12):
+            shifted = analyze_trace(Trace(trace.rank, trace.start + offset, trace.end + offset,
+                                          trace.nbytes, trace.kind_code), 10.0)
+            assert shifted.period == pytest.approx(base.period, rel=1e-9)
+            assert shifted.confidence == base.confidence
+
+    def test_rank_relabelling(self, noise, seed):
+        trace = self.generated(noise, seed)
+        relabel = np.random.default_rng(seed).permutation(int(trace.rank.max()) + 1)
+        relabelled = Trace(relabel[trace.rank], trace.start, trace.end, trace.nbytes,
+                           trace.kind_code)
+        assert analyze_trace(relabelled, 10.0).to_dict() == analyze_trace(trace, 10.0).to_dict()
 
 
 @st.composite

@@ -152,7 +152,6 @@ class TestSpectrum:
     def test_frequency_grid(self):
         spec = dft(_sampled(np.zeros(10), fs=5.0))
         assert np.allclose(spec.frequencies, np.arange(6) * 0.5)
-        assert spec.bin_width == pytest.approx(0.5)
 
     def test_adjusted_amplitudes_even_n(self):
         # interior bins double; DC and the Nyquist bin do not
