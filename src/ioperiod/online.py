@@ -208,7 +208,7 @@ def watch(
         raise ValueError(f"idle timeout must be non-negative, got {idle_timeout}")
     tail = _Tail(fs, tolerance, z_min, kind, fixed_window)
     file_id = None        # (device, inode) of the file last read
-    idle = 0.0
+    idle = 0              # polls slept through without growth
     while True:
         parsed = tail.parsed
         rows, offset, last = parsed.rows, parsed.offset, parsed.last_line
@@ -238,9 +238,10 @@ def watch(
             # metadata or filtered-out rows alone would repeat the last record
             if parsed.rows > rows:
                 yield tail.predict(parsed.max_end[-1])
-            idle = 0.0
+            idle = 0
             continue
-        idle += poll_interval
-        if idle_timeout is not None and idle >= idle_timeout:
+        # a product, not a running sum: ten 0.1 s polls make 1.0 s
+        if idle_timeout is not None and idle * poll_interval >= idle_timeout:
             return
         _sleep(poll_interval)
+        idle += 1

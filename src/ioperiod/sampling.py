@@ -25,13 +25,13 @@ from .trace import Trace, TraceValidationError, exact_sum
 #: and the analysis should not be trusted.
 BAD_SAMPLING_THRESHOLD = 0.01
 
-#: most samples one analysis window may hold (window x fs).  At the bound
-#: one DFT + detect takes about 55 + 11 ms and raises peak RSS by 60 MB;
-#: 630 + 11 ms and 305 MB at the prime length 2097143, and 480 + 14 ms and
-#: 145 MB at 2 x 1048573, an even length with a large prime factor
-#: (numpy 2.4, one core of a 2-core Xeon VM).  At 2097141 = 3 x 349 x 2003
-#: the DFT alone takes 224-274 ms and 80 MB as a 2003 x 1047 grid, against
-#: 577-599 ms and 304 MB for ``rfft`` at full length.
+#: most samples one analysis window may hold (window x fs).  The bound is
+#: 11-smooth, so no transform grid exceeds it.  One DFT + detect at the
+#: bound takes 85-120 ms and raises peak RSS by 90 MB.  At the prime
+#: 2097143 and at 2097141 = 3 x 349 x 2003, ``rfft`` at the full length runs
+#: Bluestein: 700-880 ms and 362 MB; sampled again at 2^21 points (a
+#: 1000-request trace), the second sampling, DFT and detect take 110-150 ms
+#: and 106 MB (numpy 2.4, one core of a 2-core x86-64 VM).
 MAX_SAMPLES = 1 << 21
 
 
@@ -80,8 +80,8 @@ class SampledSignal:
         return self.t0 + np.arange(self.n) * self.ts
 
 
-def _grid_size(t_lo: float, t_hi: float, fs: float) -> tuple[int, float]:
-    """Sample count and interval of the grid t_lo + arange(n)/fs on a window."""
+def _grid_size(t_lo: float, t_hi: float, fs: float) -> int:
+    """Sample count of the grid t_lo + arange(n)/fs on a window."""
     if not 0.0 < fs < math.inf:
         raise ValueError("sampling frequency must be positive and finite")
     if not t_lo < t_hi:
@@ -96,7 +96,7 @@ def _grid_size(t_lo: float, t_hi: float, fs: float) -> tuple[int, float]:
         )
     if n < 1:
         raise ValueError("window shorter than one sampling interval")
-    return n, 1.0 / fs
+    return n
 
 
 #: requests worked at once by ``sample_requests``: a block's scratch stays in cache
@@ -213,24 +213,34 @@ def sample_requests(
 ) -> tuple[tuple[float, float], SampledSignal, float]:
     """Point-sample the unit-volume bandwidth of a trace straight from its requests.
 
-    Sample i, at t_i = t0 + i*ts, is the summed rate bytes/(V*(end-start)),
-    V the exact integer volume, of every request with start <= t_i < end.
-    The window defaults to the span of the requests with positive duration.
-
-    Returns the window, the samples, and V_0, the volume of the unit-volume
-    signal over the covered window [t0, t0 + n*ts], for ``volume_error``:
-    the integer bytes of the requests wholly inside it over V, plus the
-    sorted terms (bytes/V)*(overlap/duration) of those straddling an edge.
+    The grid starts at the window's start and holds the samples that fit
+    before its end (``_sample_grid``).  The window defaults to the span of
+    the requests with positive duration.  Returns the window, the samples
+    and V_0 (for ``volume_error``).
     """
-    volume = trace.volume
-    if volume == 0:   # an empty trace too
+    if trace.volume == 0:   # an empty trace too
         raise TraceValidationError("cannot normalize a zero-volume trace")
     if window is None:
         # a volume needs a request with bytes, which Trace gives a duration
         positive = trace.start < trace.end
         window = (float(trace.start[positive].min()), float(trace.end[positive].max()))
-    t_lo = window[0]
-    n, ts = _grid_size(t_lo, window[1], fs)
+    n = _grid_size(window[0], window[1], fs)
+    return (window, *_sample_grid(trace, window[0], fs, n))
+
+
+def _sample_grid(trace: Trace, t_lo: float, fs: float, n: int) -> tuple[SampledSignal, float]:
+    """The n samples of the unit-volume bandwidth of a trace with volume,
+    1 <= n <= ``MAX_SAMPLES``, at t_i = t_lo + i*ts, ts = 1/fs.
+
+    Sample i is the summed rate bytes/(V*(end-start)), V the exact integer
+    volume, of every request with start <= t_i < end.  Returns the samples
+    and V_0, the volume of the unit-volume signal over the covered window
+    [t_lo, t_lo + n*ts]: the integer bytes of the requests wholly inside it
+    over V, plus the sorted terms (bytes/V)*(overlap/duration) of those
+    straddling an edge.
+    """
+    volume = trace.volume
+    ts = 1.0 / fs
     w_hi = t_lo + n * ts
     (start, end, nbytes), inside_bytes, straddler, delta = _scan(trace, t_lo, fs, n, w_hi)
     # each request covers the samples [first, stop): the index of its start
@@ -274,7 +284,7 @@ def sample_requests(
     share = (np.minimum(e, w_hi) - np.maximum(s, t_lo)) / (e - s)
     terms = np.sort(trace.nbytes[straddler] / volume * share)
     v_0 = inside_bytes / volume + float(terms.sum())
-    return window, SampledSignal(t0=float(t_lo), ts=ts, samples=samples), v_0
+    return SampledSignal(t0=float(t_lo), ts=ts, samples=samples), v_0
 
 
 def volume_error(sampled: SampledSignal, v_0: float) -> float | None:

@@ -4,9 +4,9 @@ Everything here is deliberately slow and literal: the brute-force DFT
 evaluates the defining sum, the bandwidth, window volume and sampling
 error scan the requests one by one, the per-period metrics gather each
 period's samples in a loop, the trace reader decodes and loads each line
-on its own, the grid sampler searches every request, and numpy's FFT plan
-rule finds each good size by counting up.  None of it
-imports library internals; it uses only the package's public names.
+on its own, the grid sampler searches every request, and the 11-smooth
+transform length is found by counting up.  None of it imports library
+internals; it uses only the package's public names.
 """
 import json
 import math
@@ -35,35 +35,17 @@ def brute_dft(x, chunk=256):
     return out
 
 
-def pocketfft_rfft_is_bluestein(n):
-    """pocketfft_r's plan rule, spelled out: rfft of n points runs Bluestein
-    iff n >= 50, the largest prime factor p of n has p^2 > n, and
-    3 cost(good(2n - 1)) < 0.5 cost(n), with cost(x) = x * the sum of the
-    prime factors of x (those above 5 weigh 1.1x) and good(x) the smallest
-    2^a 3^b 5^c 7^d 11^e >= x."""
-    def factors(x):
-        out, f = [], 2
-        while x > 1:
-            if f * f > x:
-                f = x
-            if x % f == 0:
-                out.append(f)
-                x //= f
-            else:
-                f += 1
-        return out
+def good_size(n):
+    """The smallest 2^a 3^b 5^c 7^d 11^e >= n, found by counting up from n."""
+    def smooth(x):
+        for p in (2, 3, 5, 7, 11):
+            while x % p == 0:
+                x //= p
+        return x == 1
 
-    def cost(x):
-        return x * sum(f if f <= 5 else 1.1 * f for f in factors(x))
-
-    def good(x):
-        while max(factors(x)) > 11:
-            x += 1
-        return x
-
-    if n < 50 or max(factors(n)) ** 2 <= n:
-        return False
-    return 3 * cost(good(2 * n - 1)) < 0.5 * cost(n)
+    while not smooth(n):
+        n += 1
+    return n
 
 
 def brute_bandwidth_at(requests, t):

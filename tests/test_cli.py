@@ -462,26 +462,28 @@ def test_negative_exponent_window_bound_is_a_value(console, capsys):
     assert result["window"] == [-10.0, 100.0]
 
 
-# at 30 Hz the window holds 2302 = 2*1151 samples, an even length whose
-# bins come from a half-length complex FFT, not split; at 54 Hz it holds
-# 4145 = 5*829 samples, transformed as a 829 x 5 grid.  The DC bin is
-# exactly real on both paths, so its phase is 0 or pi.
-@pytest.mark.parametrize("freq, n, plan", [(30, 2302, (True, 0)), (54, 4145, (False, 829))],
-                         ids=["30hz-half-length", "54hz-grid"])
-def test_spectrum_out_length_takes_its_plan(console, tmp_path, freq, n, plan):
+# the window holds 2302 = 2*1151 samples at 30 Hz, 4145 = 5*829 at 54 Hz
+# and 30704 = 16*19*101 at 400 Hz, none 11-smooth; only the last exceeds
+# the trace's 27,904 requests, so only it is transformed at the next
+# 11-smooth length.  Either way bin k reads k*freq/n, and the DC bin is
+# exactly real, so its phase is 0 or pi.
+@pytest.mark.parametrize("freq, n, m", [(30, 2302, 2302), (54, 4145, 4145), (400, 30704, 30720)],
+                         ids=["30hz-half-length", "54hz-grid", "400hz-smooth-grid"])
+def test_spectrum_out_length_takes_its_plan(console, tmp_path, freq, n, m):
     exported = tmp_path / "spectrum.csv"
     assert main(["detect", console["synth"], "--freq", str(freq),
                  "--spectrum-out", str(exported)]) == 0
     rows = list(csv.DictReader(exported.open()))
-    assert round(freq / float(rows[1]["f_k"])) == n
-    assert spectral._plan(n) == plan
+    assert spectral._good_size(n) != n
+    assert len(rows) == m // 2 + 1
+    assert float(rows[1]["f_k"]) == freq / n
     assert float(rows[0]["phase"]) in (0.0, math.pi)
 
 
 @pytest.mark.filterwarnings("ignore::ioperiod.SamplingQualityWarning")
 def test_predict_debug_log_names_each_window(console, capsys):
-    assert main(["predict", console["synth"], "--freq", "1", "--idle-timeout", "1",
-                 "--log-level", "debug"]) == 0
+    assert main(["predict", console["synth"], "--freq", "1", "--watch-interval", "0.01",
+                 "--idle-timeout", "0.02", "--log-level", "debug"]) == 0
     out, err = capsys.readouterr()
     assert re.search(r"window \(.*\) full", err)
     strict_json_lines(out)

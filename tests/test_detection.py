@@ -20,11 +20,14 @@ from ioperiod import (
     bundled_phase_templates,
     classify,
     detect,
+    dft,
     generate,
     suppress_harmonics,
 )
 from ioperiod.detection import DEFAULT_TOLERANCE, DEFAULT_Z_MIN, _passing, _zscore_array
+from ioperiod.pipeline import _SMOOTH_FLOOR
 from ioperiod.sampling import sample_requests, snap_floor
+from ioperiod.spectral import _good_size
 
 
 def make_spectrum(adjusted, fs=1.0, n=None):
@@ -251,21 +254,34 @@ class TestAnalyzeTraceInvariance:
     """What a generated trace's analysis may not depend on."""
 
     @staticmethod
-    def generated(noise, seed):
-        templates = tuple(bundled_phase_templates(processes=8, seed=0))
+    def generated(noise, seed, **template_args):
+        templates = tuple(bundled_phase_templates(processes=8, seed=0, **template_args))
         trace, _ = generate(SynthConfig(processes=8, compute_std=3.3, noise=noise, seed=seed,
                                         templates=templates))
         return trace
 
-    def test_time_offset(self, noise, seed):
+    @staticmethod
+    def offset_analyses(trace, fs):
         # epoch timestamps, and later ones, keep the period and its class
-        trace = self.generated(noise, seed)
-        base = analyze_trace(trace, 10.0)
-        for offset in (1.7e9, 1e12):
-            shifted = analyze_trace(Trace(trace.rank, trace.start + offset, trace.end + offset,
-                                          trace.nbytes, trace.kind_code), 10.0)
-            assert shifted.period == pytest.approx(base.period, rel=1e-9)
-            assert shifted.confidence == base.confidence
+        analyses = [analyze_trace(Trace(trace.rank, trace.start + offset, trace.end + offset,
+                                        trace.nbytes, trace.kind_code), fs)
+                    for offset in (0.0, 1.7e9, 1e12)]
+        for shifted in analyses[1:]:
+            assert shifted.period == pytest.approx(analyses[0].period, rel=1e-9)
+            assert shifted.confidence == analyses[0].confidence
+        return analyses
+
+    def test_time_offset(self, noise, seed):
+        self.offset_analyses(self.generated(noise, seed), 10.0)
+
+    def test_time_offset_on_the_smooth_grid(self, noise, seed):
+        # 64 MB requests leave about 8.7k requests against n of 20.5k-23k
+        # samples at 50 Hz, none of them 11-smooth: the transform grid is
+        # sampled a second time, at every offset
+        trace = self.generated(noise, seed, request_bytes=64_000_000)
+        n = sample_requests(trace, 50.0)[1].n
+        for analysis in self.offset_analyses(trace, 50.0):
+            assert analysis.spectrum.n == _good_size(n) != n
 
     def test_rank_relabelling(self, noise, seed):
         trace = self.generated(noise, seed)
@@ -273,6 +289,51 @@ class TestAnalyzeTraceInvariance:
         relabelled = Trace(relabel[trace.rank], trace.start, trace.end, trace.nbytes,
                            trace.kind_code)
         assert analyze_trace(relabelled, 10.0).to_dict() == analyze_trace(trace, 10.0).to_dict()
+
+
+@pytest.mark.parametrize("pulses, gap, fs, hi, n, moved", [
+    (100, 10.0, 10.0, 991.0, 9910, True),       # 2 * 5 * 991, over 100 requests
+    (100, 10.0, 10.0, 1000.0, 10000, False),    # 11-smooth
+    (100, 10.0, 8.0, 991.0, 7928, False),       # 8 * 991, below the floor
+    (9910, 0.1, 10.0, 991.0, 9910, False),      # as many requests as samples
+], ids=["moved", "smooth", "below-floor", "many-requests"])
+def test_transform_length_rule(pulses, gap, fs, hi, n, moved):
+    assert 7928 < _SMOOTH_FLOOR <= 9910
+    start = gap * np.arange(pulses)
+    trace = Trace(np.zeros(pulses, int), start, start + 1.0, np.full(pulses, 100),
+                  np.ones(pulses, int))
+    spectrum = analyze_trace(trace, fs, (0.0, hi)).spectrum
+    assert spectrum.n == (_good_size(n) if moved else n)
+    assert spectrum.frequencies[1] == fs / n
+
+
+def test_transform_grid_rate_past_the_float_range_keeps_n():
+    # n = 17900 would move to 17920 samples, at a rate past the float range
+    trace = Trace(np.zeros(1, int), np.zeros(1), np.array([1e-100]), np.array([100]),
+                  np.ones(1, int))
+    assert analyze_trace(trace, 1.79e308, (0.0, 1e-304)).spectrum.n == 17900
+
+
+def test_smooth_grid_detects_as_the_requested_grid():
+    # fine-detect's shape (4 processes, 64 MB requests, 10 iterations, 12 s
+    # compute gaps, low noise, fs = 150) at seeds the benchmark does not
+    # use: n is about 34k over about 2.3k requests, and 39 of the 40 n are
+    # not 11-smooth
+    templates = tuple(bundled_phase_templates(processes=4, request_bytes=64_000_000, seed=2))
+    moved, differ = 0, []
+    for seed in range(100, 140):
+        trace, _ = generate(SynthConfig(iterations=10, processes=4, compute_mean=12.0,
+                                        noise="low", templates=templates, seed=seed))
+        got = analyze_trace(trace, 150.0)
+        sampled = sample_requests(trace, 150.0)[1]
+        want = detect(dft(sampled))
+        moved += got.spectrum.n != sampled.n
+        pairs = [[(c.k, c.zscore) for c in r.candidates.entries] for r in (got.result, want)]
+        if (got.confidence, got.period, [k for k, _ in pairs[0]]) != (
+                want.confidence, want.period, [k for k, _ in pairs[1]]):
+            differ.append((seed, got.confidence.value, want.confidence.value, *pairs))
+    assert moved == 39
+    assert differ == [], "seed, confidence and (k, z) on the smooth and exact grids"
 
 
 @st.composite

@@ -204,6 +204,17 @@ class TestWatch:
             ("WARNING", f"{path} was truncated or replaced; restarting analysis state")]
         assert not [w for w in caught if w.category is UserWarning]
 
+    @pytest.mark.parametrize("poll, timeout, polls", [
+        (1.0, 0, 0), (1.0, 1, 1), (1.0, 2, 2), (1.0, 3, 3), (0.1, 0.8, 8), (0.1, 1.0, 10)])
+    def test_idle_timeout_sleeps_its_length(self, tmp_path, poll, timeout, polls):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(trace_text(pulse_rows(4)))
+        slept = []
+        records = list(watch(path, fs=10.0, poll_interval=poll, idle_timeout=timeout,
+                             _sleep=slept.append))
+        assert len(records) == 1
+        assert slept == [poll] * polls
+
     def test_no_appends_no_records(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         records = list(watch(path, fs=10.0, poll_interval=0.01, idle_timeout=0.02,

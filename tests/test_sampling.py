@@ -391,7 +391,7 @@ class TestScan:
         # outside the window: only those within a sample of it are kept
         rows = [(0, 2.5 * j, 2.5 * j + 1.0, 10 ** 6) for j in range(400)]
         trace, fs = make_trace(rows), 10.0
-        n, ts = sampling._grid_size(window[0], window[1], fs)
+        n, ts = sampling._grid_size(window[0], window[1], fs), 1.0 / fs
         w_hi = window[0] + n * ts
         (start, end, _), _, _, delta = sampling._scan(trace, window[0], fs, n, w_hi)
         assert delta < 0.5

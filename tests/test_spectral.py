@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_dft, pocketfft_rfft_is_bluestein
+from oracles import brute_dft, good_size
 
 from ioperiod import SampledSignal, Spectrum, dft, reconstruct, spectral
+from ioperiod.sampling import MAX_SAMPLES
 
 
 def _sampled(values, fs=1.0, t0=0.0):
@@ -22,8 +23,8 @@ def _bins(spec):
 
 
 class TestFft:
-    # 1018 = 2*509 and 2018 = 2*1009 take the packed path; 106 = 2*53 and
-    # 478 = 2*239 have a large prime factor too but stay on rfft
+    # 106 = 2*53, 478 = 2*239, 1018 = 2*509 and 2018 = 2*1009 have a prime
+    # factor above their square root: rfft runs them as Bluestein
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 12, 16, 31, 32, 100, 128,
                                    106, 478, 1018, 2018])
     def test_matches_oracle(self, n, rng):
@@ -40,77 +41,15 @@ class TestFft:
         want = brute_dft(x)[:7605 // 2 + 1]
         assert np.abs(got - want).max() / np.abs(want).max() < 1e-9
 
-    def test_packed_path_at_real_size(self, rng):
-        # 34446 = 2*3*5741: rfft would run Bluestein over 34446 complex points
-        x = rng.normal(size=34446)
-        got = _bins(dft(_sampled(x)))
-        want = np.fft.fft(x)[:34446 // 2 + 1]
-        assert np.abs(got - want).max() / np.abs(want).max() < 1e-12
+    def test_good_size_is_the_next_11_smooth_length(self):
+        lengths = [*range(1, 5001), *range(33_700, 34_701), *range(2**21 - 1000, 2**21)]
+        assert [spectral._good_size(n) for n in lengths] == [good_size(n) for n in lengths]
+        # it is the smallest such length, and MAX_SAMPLES is one, so no
+        # window of up to MAX_SAMPLES samples is transformed at more
+        assert spectral._good_size(MAX_SAMPLES) == MAX_SAMPLES
 
-    def test_split_path_at_real_size(self, rng):
-        # 34379 = 31*1109: rfft would run Bluestein over 34379 points
-        x = rng.normal(size=34379)
-        got = _bins(dft(_sampled(x)))
-        want = np.fft.rfft(x)
-        assert np.abs(got - want).max() / np.abs(want).max() < 1e-12
-
-    def test_selection_picks_the_bluestein_lengths_of_even_n(self, monkeypatch, rng):
-        # each length with the paths its dft took: "packed", and the length
-        # of each split FFT; rfft took the rest
-        calls = []
-        real_packed, real_pfa = spectral._packed_rfft, spectral._pfa_fft
-
-        def packed(samples, p):
-            calls.append("packed")
-            return real_packed(samples, p)
-
-        def pfa(z, p):
-            calls.append(z.shape[0])
-            return real_pfa(z, p)
-
-        monkeypatch.setattr(spectral, "_packed_rfft", packed)
-        monkeypatch.setattr(spectral, "_pfa_fft", pfa)
-        lengths = [48, 50, 106, 477, 478, 479, 1018, 1019, 2018, 2019, 4096, 34446, 34447,
-                   34379, 34519, 34406, 34388, 4083, 4101, 8166, 8202]
-        paths = {}
-        for n in lengths:
-            calls.clear()
-            dft(_sampled(rng.normal(size=n)))
-            paths[n] = tuple(calls)
-        # 478 = 2*239 is Bluestein too, but below the packed floor rfft is as fast
-        assert [n for n in lengths if "packed" in paths[n]] == [1018, 2018, 34446, 34406,
-                                                               34388, 8166, 8202]
-        assert paths[34379] == (34379,)             # 31*1109: split
-        assert paths[34519] == ()                   # prime: rfft
-        assert paths[34446] == ("packed", 17223)    # 2*3*5741: packed, its half split
-        assert paths[34406] == ("packed",)          # 2*17203: packed only
-        assert paths[34388] == ("packed",)          # 4*8597: q = 2 leaves the half unsplit
-        assert paths[4083] == ()                    # 3*1361: below the split floor
-        assert paths[4101] == (4101,)               # 3*1367: at it
-        assert paths[8166] == ("packed",)           # 2*3*1361: a half below it
-        assert paths[8202] == ("packed", 4101)      # 2*3*1367: a half at it
-
-    @given(st.data())
-    @settings(max_examples=25, deadline=None)
-    def test_pfa_fft_matches_fft(self, data):
-        # n = q*p, p a prime above sqrt(n) (q < p), n at or above the split floor
-        p = data.draw(st.sampled_from([1031, 2003, 4099, 5741, 11443]))
-        q = data.draw(st.integers(max(2, -(-spectral._SPLIT_FLOOR // p)),
-                                  min(p - 1, 100_000 // p)))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        z = rng.normal(size=q * p) + 1j * rng.normal(size=q * p)
-        want = np.fft.fft(z)
-        got = spectral._pfa_fft(z, p)
-        assert np.abs(got - want).max() / np.abs(want).max() < 1e-12
-
-    def test_selection_rule_matches_pocketfft(self):
-        even = list(range(2, 3000, 2)) + list(range(33700, 34700, 2)) + [2 * 1048573]
-        got = [n for n in even if spectral._rfft_is_bluestein(n)]
-        assert got == [n for n in even if pocketfft_rfft_is_bluestein(n)]
-        assert got[:3] == [478, 502, 554]
-
-    # 34379 = 31*1109 takes the split path, 34446 = 2*3*5741 the packed one
-    # with its half split
+    # dft runs rfft at every length, 34379 = 31*1109 and 34446 = 2*3*5741
+    # as Bluestein
     @pytest.mark.parametrize("n", [106, 478, 2018, 1019, 34379, 34446])
     def test_dc_and_nyquist_phases_are_exact(self, n, rng):
         # rfft gives these bins an imaginary part of exactly 0.0, so their
