@@ -1,8 +1,9 @@
 """Detect the I/O period of a semi-synthetic application trace.
 
 Generates a 20-iteration trace (compute gap plus write phase, 32 processes)
-and runs the full offline pipeline: bandwidth merge, discretization, DFT,
-Z-score candidate filtering, and the characterization metrics.
+and runs the full offline pipeline: point sampling straight from the
+requests, DFT, Z-score candidate filtering, and the characterization
+metrics.
 """
 import ioperiod as iop
 

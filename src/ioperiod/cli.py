@@ -82,8 +82,7 @@ def _cmd_detect(args) -> int:
         print(f"warning: no I/O in the analysis window, so no spectrum; "
               f"{args.spectrum_out} not written", file=sys.stderr)
     elif args.spectrum_out:
-        analysis.spectrum.to_csv(args.spectrum_out,
-                                 amplitude_scale=analysis.volume_scale)
+        analysis.spectrum.to_csv(args.spectrum_out)
     result = analysis.to_dict()
     with open_output(args.output or sys.stdout) as out:
         if args.format == "json":

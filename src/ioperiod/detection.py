@@ -67,7 +67,7 @@ class PeriodicityResult:
     def period(self) -> float | None:
         return None if (f := self.frequency) is None else 1.0 / f
 
-    def to_dict(self, amplitude_scale: float = 1.0) -> dict:
+    def to_dict(self) -> dict:
         return {
             "frequency_hz": self.frequency,
             "period_s": self.period,
@@ -76,7 +76,7 @@ class PeriodicityResult:
                 {
                     "k": c.k,
                     "frequency_hz": c.frequency,
-                    "amplitude": c.amplitude * amplitude_scale,
+                    "amplitude": c.amplitude,
                     "zscore": c.zscore,
                 }
                 for c in self.candidates.entries

@@ -29,11 +29,7 @@ class MetricsReport:
         return asdict(self)
 
 
-def compute_metrics(
-    sampled: SampledSignal,
-    f_d: float | None = None,
-    volume_scale: float = 1.0,
-) -> MetricsReport:
+def compute_metrics(sampled: SampledSignal, f_d: float | None = None) -> MetricsReport:
     """Assemble the full metrics report for one analysis window.
 
     A bin is substantial I/O when strictly above the threshold V(T)/L(T),
@@ -45,10 +41,9 @@ def compute_metrics(
     R_IO, the score 1 - sigma_vol - sigma_time, and data per period the
     substantial volume over L(T)*f_d.
 
-    ``volume_scale`` converts byte-unit outputs back to real units when the
-    analysis ran on a volume-normalized signal.  Without a dominant
-    frequency (or with fewer than two full periods) the per-period metrics
-    are reported absent.
+    The threshold, B_IO and the data per period are in the units of the
+    samples.  Without a dominant frequency (or with fewer than two full
+    periods) the per-period metrics are reported absent.
     """
     samples = sampled.samples
     n = sampled.n
@@ -60,10 +55,10 @@ def compute_metrics(
     n_sub = np.count_nonzero(mask)
     r_io = n_sub / n
     sub_sum = float(samples[mask].sum())
-    b_io = sub_sum / n_sub * volume_scale if n_sub else None
+    b_io = sub_sum / n_sub if n_sub else None
     lf = snap_floor(sampled.duration * f_d) if f_d is not None and f_d > 0 else None
     if lf is None or lf < 2:
-        return MetricsReport(threshold * volume_scale, r_io, b_io, None, None, None, None, None)
+        return MetricsReport(threshold, r_io, b_io, None, None, None, None, None)
     bounds = _period_bounds(n, sampled.ts * f_d, lf)
     counts = np.diff(bounds)
     # reduceat sums up to the next index given, so it gets the starts of the
@@ -80,12 +75,12 @@ def compute_metrics(
     st = float(np.sqrt(np.mean((sub_counts / np.maximum(counts, 1) - r_io) ** 2)))
     v_s = sampled.ts * sub_sum
     return MetricsReport(
-        threshold=threshold * volume_scale,
+        threshold=threshold,
         r_io=r_io,
         b_io=b_io,
         sigma_vol=sv,
         sigma_time=st,
-        data_per_period=v_s / (sampled.duration * f_d) * volume_scale,
+        data_per_period=v_s / (sampled.duration * f_d),
         score=1.0 - sv - st,
         periods_used=lf,
     )

@@ -7,8 +7,8 @@ trace.  The grid is point-sampled straight from the requests
 (``sampling.sample_requests``), normalized to unit total volume (the exact
 integer byte total divides every byte count).  This conditions the numerics
 and makes every dimensionless output bit-for-bit invariant under a uniform
-integer rescaling of the byte counts; byte-unit outputs are rescaled back
-before reporting.
+integer rescaling of the byte counts; ``analyze_trace`` alone multiplies
+its amplitudes and byte metrics back by the volume, once.
 """
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ from .detection import (
     DEFAULT_TOLERANCE,
     DEFAULT_Z_MIN,
     NO_CANDIDATE_RESULT,
+    CandidateSet,
     Confidence,
     PeriodicityResult,
     detect,
@@ -48,7 +49,6 @@ class AnalysisResult:
     sampling_error: float | None
     spectrum: Spectrum | None
     window: tuple[float, float]
-    volume_scale: float = 1.0
 
     @property
     def no_data(self) -> bool:
@@ -71,7 +71,7 @@ class AnalysisResult:
         return self.result.has_dominant
 
     def to_dict(self) -> dict:
-        out = self.result.to_dict(amplitude_scale=self.volume_scale)
+        out = self.result.to_dict()
         out["metrics"] = self.metrics.to_dict() if self.metrics else None
         out["sampling_error"] = self.sampling_error
         out["window"] = list(self.window)
@@ -80,22 +80,14 @@ class AnalysisResult:
 
 
 def _empty_result(window: tuple[float, float], err: float | None = None) -> AnalysisResult:
-    return AnalysisResult(
-        result=NO_CANDIDATE_RESULT,
-        metrics=None,
-        sampling_error=err,
-        spectrum=None,
-        window=window,
-    )
+    return AnalysisResult(NO_CANDIDATE_RESULT, None, err, None, window)
 
 
 #: fewest samples whose grid ``_transform`` moves to an 11-smooth length.
-#: Mean time over 80 lengths that are not 11-smooth (40 near 34000), with
-#: a 2.3k-request trace: ``rfft`` 0.46 ms against 0.44 ms for the second
-#: sampling and the smooth transform near n = 5000, 0.73 against 0.43 ms
-#: near 8192, 5.1 against 1.3 ms near 34000 (numpy 2.4, one core of a
-#: 2-core x86-64 VM).  The second sampling costs about 0.1 us more per
-#: request, so at the floor a trace of nearly n requests about ties.
+#: Mean over 80 lengths that are not 11-smooth, with a 2.3k-request trace:
+#: ``rfft`` 0.46 ms against 0.44 ms for the second sampling and the smooth
+#: transform near n = 5000, 0.73 against 0.43 near 8192, 5.1 against 1.3
+#: near 34000 (numpy 2.4, one core of a 2-core x86-64 VM).
 _SMOOTH_FLOOR = 8192
 
 
@@ -110,8 +102,9 @@ def _transform(trace: Trace, sampled: SampledSignal) -> Spectrum:
     [t0, t0 + n*ts] sampled a second time, at fs*m/n.  Its bins keep the
     spacing fs/n as the requested grid computes it, so each frequency and
     period is the one an exact-length transform reports.  Every other grid
-    is transformed as it is: with as many requests as samples, the second
-    sampling costs more than the transform saves.
+    is transformed as it is: on 10 ``sweep``-shaped cells at fs = 20 (n =
+    8327-9244, 139,520 requests) the exact ``rfft`` took 0.21-1.36 ms, the
+    second sampling and smooth ``rfft`` 7.5-16.9 ms.
     """
     n = sampled.n
     if n < _SMOOTH_FLOOR or len(trace) >= n or (m := _good_size(n)) == n:
@@ -152,9 +145,10 @@ def analyze_trace(
     Checks every argument first, the window too (``check_analysis_args``),
     so that a trace with no volume never echoes a bad one.  Samples the
     unit-volume bandwidth with ``sample_requests``, checks the sampling
-    with ``volume_error`` (warning past ``BAD_SAMPLING_THRESHOLD``), then
-    runs ``_transform``, ``detect`` and ``compute_metrics``.  The request
-    kind is chosen when parsing (``parse_trace(kind_filter=...)``).
+    with ``volume_error`` (warning past ``BAD_SAMPLING_THRESHOLD``), runs
+    ``_transform``, ``detect`` and ``compute_metrics``, and multiplies their
+    amplitudes and byte metrics by the volume.  The request kind is chosen
+    when parsing (``parse_trace(kind_filter=...)``).
     """
     check_analysis_args(fs, tolerance, z_min, window)
     volume = float(trace.volume)
@@ -179,12 +173,13 @@ def analyze_trace(
     # too low to commit to a dominant frequency; the metrics then say how
     # far from periodic the signal is
     strongest = result.candidates.strongest
-    report = compute_metrics(sampled, strongest and strongest.frequency, volume_scale=volume)
-    return AnalysisResult(
-        result=result,
-        metrics=report,
-        sampling_error=err,
-        spectrum=spectrum,
-        window=win,
-        volume_scale=volume,
-    )
+    report = compute_metrics(sampled, strongest and strongest.frequency)
+    cands = result.candidates
+    entries = tuple(replace(c, amplitude=c.amplitude * volume) for c in cands.entries)
+    result = replace(result, candidates=CandidateSet(
+        entries, cands.mean_amplitude * volume, cands.std_amplitude * volume))
+    spectrum = replace(spectrum, amplitudes=spectrum.amplitudes * volume,
+                       adjusted_amplitudes=spectrum.adjusted_amplitudes * volume)
+    in_bytes = {key: value * volume for key in ("threshold", "b_io", "data_per_period")
+                if (value := getattr(report, key)) is not None}
+    return AnalysisResult(result, replace(report, **in_bytes), err, spectrum, win)

@@ -99,6 +99,11 @@ def _grid_size(t_lo: float, t_hi: float, fs: float) -> int:
     return n
 
 
+def _rounding_bound(t_lo, fs, n) -> float:
+    """``_scan``'s bound delta on the rounding of a grid coordinate."""
+    return (abs(float(t_lo)) * fs + n) * 2.0 ** -49
+
+
 #: requests worked at once by ``sample_requests``: a block's scratch stays in cache
 _BLOCK = 1 << 15
 
@@ -141,7 +146,7 @@ def _scan(trace: Trace, t_lo, fs, n, w_hi):
     volume, less the bytes of the rows outside, would count the rows that a
     view (``_Rows.trace``) leaves out but whose bytes its volume still holds.
     """
-    delta = (abs(float(t_lo)) * fs + n) * 2.0 ** -49
+    delta = _rounding_bound(t_lo, fs, n)
     lo, hi = np.empty((2, min(len(trace), _BLOCK)))
     candidates = []
     straddlers, inside_bytes = [np.empty(0, np.intp)], 0

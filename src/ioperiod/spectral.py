@@ -6,7 +6,8 @@ that the downstream analysis relies on.  Its speed depends on that count:
 a length with no prime factor above 11 is fastest, and one with a prime
 factor above its square root runs as Bluestein's algorithm, several times
 slower.  ``_good_size`` gives the next 11-smooth length, at which
-``pipeline._transform`` samples a long window a second time.
+``pipeline._transform`` samples a long window a second time: its spectrum
+describes that grid, with the bin frequencies of the requested one.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import IO
 
 import numpy as np
 
-from .sampling import SampledSignal, snap_floor
+from .sampling import SampledSignal, _rounding_bound
 from .trace import open_output
 
 
@@ -26,11 +27,14 @@ from .trace import open_output
 class Spectrum:
     """Single-sided DFT spectrum of a real sampled signal.
 
-    Bins cover k in [0, n//2] at frequencies k*fs/n.  ``amplitudes`` are the
-    raw |X_k|; ``adjusted_amplitudes`` double every bin that has a conjugate
-    partner (1 <= k < n/2, plus the odd-n top bin) so they read as
-    single-sided cosine amplitudes.  The DC bin and, for even n, the Nyquist
-    bin are not doubled.
+    Bins k in [0, n//2] of the n samples at rate fs from t0, at k*fs/n; but
+    when ``pipeline._transform`` moves N samples at rate F to m =
+    ``_good_size(N)`` points, n = m and fs = F*m/N while the frequencies
+    stay k*F/N, so the bins above N//2 lie past the requested Nyquist F/2.
+    ``amplitudes`` are the raw |X_k|; ``adjusted_amplitudes`` double every
+    bin that has a conjugate partner (1 <= k < n/2, plus the odd-n top bin)
+    so they read as single-sided cosine amplitudes.  The DC bin and, for
+    even n, the Nyquist bin are not doubled.
     """
 
     fs: float
@@ -47,15 +51,14 @@ class Spectrum:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def to_csv(self, dest: IO[str] | str | os.PathLike, amplitude_scale: float = 1.0) -> None:
-        """Write one row per bin, amplitudes times ``amplitude_scale``."""
+    def to_csv(self, dest: IO[str] | str | os.PathLike) -> None:
+        """Write one row per bin."""
         with open_output(dest) as f:
             writer = csv.writer(f)
             writer.writerow(("k", "f_k", "amplitude", "adjusted_amplitude", "phase"))
             writer.writerows(zip(
                 range(self.frequencies.shape[0]), self.frequencies.tolist(),
-                (self.amplitudes * amplitude_scale).tolist(),
-                (self.adjusted_amplitudes * amplitude_scale).tolist(),
+                self.amplitudes.tolist(), self.adjusted_amplitudes.tolist(),
                 self.phases.tolist()))
 
 
@@ -97,8 +100,10 @@ def dft(sampled: SampledSignal) -> Spectrum:
 def reconstruct(spectrum: Spectrum, selected_bins, times) -> np.ndarray:
     """Sum the cosine components of the selected bins at the given times.
 
-    Times are quantized to sample indices (zero-order hold), so selecting
-    every bin at the original sample instants reproduces the input samples.
+    Times are quantized to sample indices (zero-order hold): a time whose
+    grid coordinate (t - t0)*fs lies within the sampler's rounding bound
+    (``sampling._rounding_bound``) below i takes sample i, so selecting
+    every bin at the sample instants reproduces the samples at any t0.
     """
     n = spectrum.n
     half = n // 2
@@ -106,9 +111,9 @@ def reconstruct(spectrum: Spectrum, selected_bins, times) -> np.ndarray:
     for k in bins:
         if k < 0 or k > half:
             raise ValueError(f"bin {k} out of range [0, {half}]")
-    t = np.asarray(times, dtype=np.float64)
-    idx = snap_floor((t - spectrum.t0) * spectrum.fs)
-    out = np.zeros_like(t, dtype=np.float64)
+    x = (np.asarray(times, dtype=np.float64) - spectrum.t0) * spectrum.fs
+    idx = np.floor(x + _rounding_bound(spectrum.t0, spectrum.fs, n))
+    out = np.zeros_like(x, dtype=np.float64)
     for k in bins:
         amp = spectrum.adjusted_amplitudes[k] / n
         out += amp * np.cos(2.0 * np.pi * k * idx / n + spectrum.phases[k])

@@ -19,13 +19,14 @@ from ioperiod import (
     analyze_trace,
     bundled_phase_templates,
     classify,
+    compute_metrics,
     detect,
     dft,
     generate,
     suppress_harmonics,
 )
 from ioperiod.detection import DEFAULT_TOLERANCE, DEFAULT_Z_MIN, _passing, _zscore_array
-from ioperiod.pipeline import _SMOOTH_FLOOR
+from ioperiod.pipeline import _SMOOTH_FLOOR, _transform
 from ioperiod.sampling import sample_requests, snap_floor
 from ioperiod.spectral import _good_size
 
@@ -243,9 +244,11 @@ class TestDetect:
         adjusted = np.full(51, 0.1)
         adjusted[5] = 10.0
         spec = make_spectrum(adjusted, fs=1.0, n=100)
-        out = detect(spec).to_dict(amplitude_scale=2.0)
+        result = detect(spec)
+        out = result.to_dict()
         assert out["confidence"] == "high"
-        assert out["candidates"][0]["amplitude"] == pytest.approx(20.0)
+        # written in the units of the spectrum
+        assert out["candidates"][0]["amplitude"] == result.candidates.entries[0].amplitude == 10.0
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -289,6 +292,32 @@ class TestAnalyzeTraceInvariance:
         relabelled = Trace(relabel[trace.rank], trace.start, trace.end, trace.nbytes,
                            trace.kind_code)
         assert analyze_trace(relabelled, 10.0).to_dict() == analyze_trace(trace, 10.0).to_dict()
+
+
+@pytest.mark.parametrize("fs, request_bytes, moved", [
+    (10.0, 16_000_000, False), (50.0, 64_000_000, True)], ids=["requested-grid", "smooth-grid"])
+def test_analysis_reads_in_bytes(fs, request_bytes, moved):
+    # every step runs on unit volume; analyze_trace multiplies back once
+    trace = TestAnalyzeTraceInvariance.generated("low", 0, request_bytes=request_bytes)
+    volume = float(trace.volume)
+    analysis = analyze_trace(trace, fs)
+    sampled = sample_requests(trace, fs)[1]
+    spectrum = _transform(trace, sampled)
+    assert (spectrum.n != sampled.n) == moved
+    unit = detect(spectrum).candidates
+    got = analysis.result.candidates
+    assert [(c.k, c.zscore) for c in got.entries] == [(c.k, c.zscore) for c in unit.entries]
+    assert [c.amplitude for c in got.entries] == [c.amplitude * volume for c in unit.entries]
+    assert got.mean_amplitude == unit.mean_amplitude * volume
+    assert got.std_amplitude == unit.std_amplitude * volume
+    for field in ("amplitudes", "adjusted_amplitudes"):
+        np.testing.assert_array_equal(getattr(analysis.spectrum, field),
+                                      getattr(spectrum, field) * volume)
+    report = compute_metrics(sampled, unit.strongest.frequency)
+    for key in ("threshold", "b_io", "data_per_period"):
+        assert getattr(analysis.metrics, key) == getattr(report, key) * volume
+    assert [c["amplitude"] for c in analysis.to_dict()["candidates"]] == [
+        c.amplitude for c in got.entries]
 
 
 @pytest.mark.parametrize("pulses, gap, fs, hi, n, moved", [

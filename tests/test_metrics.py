@@ -147,9 +147,9 @@ class TestComputeMetrics:
         assert report.periods_used is None
 
     def test_volume_scale_applies_to_byte_units(self):
+        # byte-unit outputs are in the units of the samples
         plain = compute_metrics(periodic_signal(10, 5, 3), f_d=0.1)
-        scaled = compute_metrics(periodic_signal(10, 5, 3), f_d=0.1,
-                                 volume_scale=1000.0)
+        scaled = compute_metrics(periodic_signal(10, 5, 3, rate=4000.0), f_d=0.1)
         assert scaled.threshold == pytest.approx(1000 * plain.threshold)
         assert scaled.b_io == pytest.approx(1000 * plain.b_io)
         assert scaled.data_per_period == pytest.approx(1000 * plain.data_per_period)

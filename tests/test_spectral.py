@@ -126,19 +126,26 @@ class TestSpectrum:
     def test_csv_export(self, tmp_path):
         spec = dft(_sampled([1.0, 2.0, 3.0, 4.0]))
         path = tmp_path / "spec.csv"
-        spec.to_csv(path, amplitude_scale=10.0)
+        spec.to_csv(path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "k,f_k,amplitude,adjusted_amplitude,phase"
         assert len(lines) == 4  # header + bins 0..2
-        first = lines[1].split(",")
-        assert float(first[2]) == pytest.approx(spec.amplitudes[0] * 10.0)
+        # each value as the spectrum holds it, in its units
+        rows = np.array([line.split(",") for line in lines[1:]], dtype=float)
+        np.testing.assert_array_equal(rows, np.column_stack([
+            np.arange(3), spec.frequencies, spec.amplitudes, spec.adjusted_amplitudes,
+            spec.phases]))
 
 
 class TestReconstruct:
-    @pytest.mark.parametrize("n", [2, 3, 8, 17, 50])
-    def test_all_bins_round_trip(self, n, rng):
+    @pytest.mark.parametrize("n, fs, t0", [
+        *(pytest.param(n, 2.0, 5.0, id=str(n)) for n in (2, 3, 8, 17, 50)),
+        # far from time 0 the grid's rounding exceeds a fixed forgiveness
+        *(pytest.param(1000, 5.0, t0, id=f"1000-at-{t0:g}") for t0 in (1.7e9, 1e12)),
+    ])
+    def test_all_bins_round_trip(self, n, fs, t0, rng):
         x = rng.normal(size=n)
-        sampled = _sampled(x, fs=2.0, t0=5.0)
+        sampled = _sampled(x, fs=fs, t0=t0)
         spec = dft(sampled)
         back = reconstruct(spec, np.arange(n // 2 + 1), sampled.times)
         assert np.abs(back - x).max() / max(np.abs(x).max(), 1.0) < 1e-9

@@ -591,8 +591,7 @@ class TestParsing:
 WRITERS = {
     "write_trace": lambda dest: write_trace(
         make_trace([(0, 0.0, 1.5, 123)], metadata={"run": "42"}), dest),
-    "Spectrum.to_csv": lambda dest: dft(SampledSignal(0.0, 1.0, [1.0, 0.0, 2.0, 5.0])).to_csv(
-        dest, amplitude_scale=3.0),
+    "Spectrum.to_csv": lambda dest: dft(SampledSignal(0.0, 1.0, [1.0, 0.0, 2.0, 5.0])).to_csv(dest),
     "sweep_to_csv": lambda dest: sweep_to_csv([{"noise": "low", **dict.fromkeys(SWEEP_FIELDS, 1)}],
                                               dest),
 }
